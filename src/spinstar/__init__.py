@@ -28,6 +28,7 @@ from .dynamics import (
     VerificationReport,
     exchange_parities,
     fidelity_trace,
+    lift_reduced_amplitude,
     propagate,
     transfer_time_grid,
     transition_amplitude,
@@ -51,7 +52,6 @@ from .model import (
     build_reduced,
     exchange_operator,
     is_exchange_symmetric,
-    lift_reduced_amplitude,
     reduced_matrix,
     single_excitation_indices,
 )

@@ -8,8 +8,6 @@ across an entire time grid.
 
 from __future__ import annotations
 
-import hashlib
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -17,7 +15,10 @@ import numpy as np
 from .model import (
     DesignSolution,
     FidelityTrace,
+    StarSpec,
     build_arrowhead,
+    build_reduced,
+    check_int,
     exchange_operator,
     reduced_matrix,
 )
@@ -42,15 +43,6 @@ def _require_symmetric(h) -> np.ndarray:
     return h
 
 
-def _check_state_index(value, dimension: int, name: str) -> int:
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-        raise ValueError(f"{name} must be an integer")
-    value = int(value)
-    if not 0 <= value < dimension:
-        raise ValueError(f"{name} must lie in 0..{dimension - 1}, got {value}")
-    return value
-
-
 @dataclass(frozen=True)
 class EvolutionCache:
     """Eigendecomposition of a real symmetric Hamiltonian, immutable and
@@ -58,7 +50,6 @@ class EvolutionCache:
 
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
-    fingerprint: str
 
     @classmethod
     def from_hamiltonian(cls, h) -> "EvolutionCache":
@@ -66,12 +57,7 @@ class EvolutionCache:
         evals, vecs = np.linalg.eigh(h)
         evals.setflags(write=False)
         vecs.setflags(write=False)
-        digest = hashlib.sha256(h.tobytes()).hexdigest()
-        return cls(
-            eigenvalues=evals,
-            eigenvectors=vecs,
-            fingerprint=f"{h.shape[0]}x{h.shape[1]}:{digest}",
-        )
+        return cls(eigenvalues=evals, eigenvectors=vecs)
 
     @property
     def dimension(self) -> int:
@@ -82,16 +68,18 @@ class EvolutionCache:
         phases = np.exp(-1j * self.eigenvalues * float(t))
         return (self.eigenvectors * phases) @ self.eigenvectors.T
 
+    def _check_states(self, src, dst) -> tuple[int, int]:
+        hi = self.dimension - 1
+        return check_int(src, "src", 0, hi), check_int(dst, "dst", 0, hi)
+
     def amplitude(self, t: float, src: int, dst: int) -> complex:
-        src = _check_state_index(src, self.dimension, "src")
-        dst = _check_state_index(dst, self.dimension, "dst")
+        src, dst = self._check_states(src, dst)
         weights = self.eigenvectors[dst] * self.eigenvectors[src]
         return complex(np.sum(weights * np.exp(-1j * self.eigenvalues * float(t))))
 
     def amplitudes(self, t_grid, src: int, dst: int) -> np.ndarray:
         """Transition amplitudes over a whole grid in one shot."""
-        src = _check_state_index(src, self.dimension, "src")
-        dst = _check_state_index(dst, self.dimension, "dst")
+        src, dst = self._check_states(src, dst)
         grid = np.asarray(t_grid, dtype=float)
         weights = self.eigenvectors[dst] * self.eigenvectors[src]
         return np.exp(-1j * np.outer(grid, self.eigenvalues)) @ weights
@@ -128,6 +116,18 @@ def transition_amplitude(h, t: float, src: int, dst: int) -> complex:
     return EvolutionCache.from_hamiltonian(h).amplitude(t, src, dst)
 
 
+def lift_reduced_amplitude(spec: StarSpec, source: int, target: int, t: float) -> complex:
+    """Source-to-target transition amplitude at time ``t`` computed entirely
+    inside the four-level reduction.
+
+    Whenever :func:`build_reduced` accepts the spec, this equals the amplitude
+    obtained from the full (N+1)-dimensional arrowhead dynamics (to 1e-10 or
+    better); the reduced subspace is exactly invariant.
+    """
+    h4 = reduced_matrix(build_reduced(spec, source, target))
+    return EvolutionCache.from_hamiltonian(h4).amplitude(t, 2, 3)
+
+
 def fidelity_trace(h, t_grid, src: int, dst: int) -> FidelityTrace:
     """Squared transition amplitude sampled over ``t_grid``; the
     eigendecomposition is done once and reused across the grid."""
@@ -150,10 +150,7 @@ def transfer_time_grid(tau: float, t_max: float | None = None, steps: int = 1000
     falls outside the window the grid is a plain ``linspace``.
     """
     tau = float(tau)
-    if isinstance(steps, bool) or not isinstance(steps, (int, np.integer)):
-        raise ValueError("steps must be an integer")
-    if steps < 2:
-        raise ValueError("steps must be at least 2")
+    steps = check_int(steps, "steps", lo=2)
     if t_max is None:
         if not tau > 0:
             raise ValueError("t_max is required when tau is not positive")

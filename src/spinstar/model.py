@@ -32,13 +32,23 @@ POTENTIAL_MATCH_TOL = 1e-12
 # The full spin space exists only as an oracle; 2**(N+1) <= 2048.
 FULL_SPACE_MAX_EDGES = 10
 
+# A dense star matrix takes 8*(N+1)**2 bytes, about 80 GB at N = 1e5, before
+# the O(N**3) eigendecomposition.  Refuse anything larger.
+DENSE_MAX_EDGES = 100_000
 
-def _check_node_index(value, upper: int, name: str) -> int:
+
+def check_int(value, name: str, lo: int | None = None, hi: int | None = None) -> int:
+    """``value`` as an ``int``, after checking that it is an integer (``int``
+    or ``np.integer``, never ``bool``) within ``lo..hi`` where given.
+
+    Raises ``ValueError`` naming ``name`` otherwise.
+    """
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
         raise ValueError(f"{name} must be an integer, got {value!r}")
     value = int(value)
-    if not 1 <= value <= upper:
-        raise ValueError(f"{name} must be an edge node in 1..{upper}, got {value}")
+    if (lo is not None and value < lo) or (hi is not None and value > hi):
+        bound = f"be at least {lo}" if hi is None else f"lie in {lo}..{hi}"
+        raise ValueError(f"{name} must {bound}, got {value}")
     return value
 
 
@@ -56,11 +66,7 @@ class StarSpec:
     potentials: tuple[float, ...]
 
     def __post_init__(self):
-        if isinstance(self.edge_count, bool) or not isinstance(self.edge_count, (int, np.integer)):
-            raise ValueError("edge_count must be an integer")
-        object.__setattr__(self, "edge_count", int(self.edge_count))
-        if self.edge_count < 3:
-            raise ValueError("edge_count must be at least 3 (source, target, one bystander)")
+        object.__setattr__(self, "edge_count", check_int(self.edge_count, "edge_count", lo=3))
         object.__setattr__(self, "coupling", float(self.coupling))
         if not math.isfinite(self.coupling) or self.coupling <= 0:
             raise ValueError("coupling must be positive and finite")
@@ -104,7 +110,16 @@ class ArrowheadMatrix:
             raise ValueError("all entries must be finite")
 
     def to_dense(self) -> np.ndarray:
-        """Materialize the matrix; off-arrowhead entries are exactly zero."""
+        """Materialize the matrix; off-arrowhead entries are exactly zero.
+
+        Raises :class:`ResourceLimitError` above ``DENSE_MAX_EDGES`` arms.
+        """
+        n = self.dimension - 1
+        if n > DENSE_MAX_EDGES:
+            raise ResourceLimitError(
+                f"dense star matrices are limited to {DENSE_MAX_EDGES} edges "
+                f"(~8*(N+1)^2 bytes); got N={n}"
+            )
         h = np.zeros((self.dimension, self.dimension))
         h[0, 0] = self.hub_value
         idx = np.arange(1, self.dimension)
@@ -136,11 +151,7 @@ class ReducedParams:
             if not math.isfinite(value):
                 raise ValueError(f"{name} must be finite")
             object.__setattr__(self, name, value)
-        if isinstance(self.m, bool) or not isinstance(self.m, (int, np.integer)):
-            raise ValueError("m must be an integer")
-        object.__setattr__(self, "m", int(self.m))
-        if self.m < 1:
-            raise ValueError("m must be at least 1")
+        object.__setattr__(self, "m", check_int(self.m, "m", lo=1))
         if self.c != 0.0:
             lhs, rhs = self.b * self.b, self.m * self.c * self.c
             if abs(lhs - rhs) > 1e-12 * max(abs(lhs), abs(rhs)):
@@ -161,9 +172,7 @@ class DesignSolution:
     realized: StarSpec
 
     def __post_init__(self):
-        if isinstance(self.eta, bool) or not isinstance(self.eta, (int, np.integer)):
-            raise ValueError("eta must be an integer")
-        object.__setattr__(self, "eta", int(self.eta))
+        object.__setattr__(self, "eta", check_int(self.eta, "eta"))
         if self.eta < 2 or self.eta % 2 != 0:
             raise ValueError("eta must be a positive even integer")
         e = self.params.e
@@ -181,23 +190,44 @@ class DesignSolution:
         if any(abs(x - y) > 1e-9 * scale for x, y in zip(sorted(spectrum), expected)):
             raise ValueError("target_spectrum must be {0, e, +eta*e, -eta*e}")
         object.__setattr__(self, "root_residual", float(self.root_residual))
-        _check_realized(self.realized, self.params)
+        check_route(self.realized, self.params, 1, 2)
 
 
-def _check_realized(spec: StarSpec, params: ReducedParams) -> None:
-    if spec.edge_count != params.m + 2:
-        raise ValueError("realized edge_count must equal m + 2")
+def check_route(spec: StarSpec, params: ReducedParams, source, target) -> tuple[int, int]:
+    """Check that ``spec`` realizes ``params`` wired for ``source -> target``.
+
+    ``spec`` must have ``m + 2`` edges and coupling ``c``, and node by node
+    its potentials must match ``a`` at the hub, ``e`` at source and target
+    and ``d`` elsewhere, each within ``POTENTIAL_MATCH_TOL * max(1, |wanted|)``.
+    Returns the validated ``(source, target)``; raises ``ValueError``
+    otherwise.
+    """
+    n = spec.edge_count
+    if n != params.m + 2:
+        raise ValueError(f"edge_count must equal m + 2 = {params.m + 2}, got {n}")
     if abs(spec.coupling - params.c) > 1e-12 * max(1.0, abs(params.c)):
-        raise ValueError("realized coupling must equal c")
-    lam = spec.potentials
-    pairs = [(lam[0], params.a), (lam[1], params.e), (lam[2], params.e)]
-    pairs += [(lam[j], params.d) for j in range(3, spec.edge_count + 1)]
-    for got, want in pairs:
-        if abs(got - want) > 1e-12 * max(1.0, abs(want)):
-            raise ValueError(
-                "realized potentials must be (a, e, e, d, ..., d); "
-                f"got {got!r} where {want!r} was required"
-            )
+        raise ValueError(f"coupling must equal c = {params.c!r}, got {spec.coupling!r}")
+    source = check_int(source, "source", 1, n)
+    target = check_int(target, "target", 1, n)
+    if source == target:
+        raise ValueError("source and target must differ")
+    # In place: at m = 1e6 each per-node array is 8 MB.
+    dev = np.array(spec.potentials)
+    want = np.full(n + 1, params.d)
+    want[[0, source, target]] = params.a, params.e, params.e
+    dev -= want
+    np.abs(dev, out=dev)
+    limit = np.abs(want)
+    np.maximum(limit, 1.0, out=limit)
+    limit *= POTENTIAL_MATCH_TOL
+    bad = np.flatnonzero(dev > limit)
+    if bad.size:
+        j = int(bad[0])
+        raise ValueError(
+            f"potentials do not realize the route (source={source}, target={target}): "
+            f"node {j} carries {spec.potentials[j]!r} where {float(want[j])!r} is required"
+        )
+    return source, target
 
 
 @dataclass(frozen=True)
@@ -252,8 +282,8 @@ def build_reduced(spec: StarSpec, source: int, target: int) -> ReducedParams:
     ``sqrt(m) * coupling``.
     """
     n = spec.edge_count
-    source = _check_node_index(source, n, "source")
-    target = _check_node_index(target, n, "target")
+    source = check_int(source, "source", 1, n)
+    target = check_int(target, "target", 1, n)
     if source == target:
         raise ValueError("source and target must be different nodes")
     lam = spec.potentials
@@ -359,12 +389,8 @@ def exchange_operator(dimension: int, i: int, j: int) -> np.ndarray:
     Implemented as a genuine transposition, so it is self-inverse: P @ P = I.
     """
     dimension = int(dimension)
-    for name, idx in (("i", i), ("j", j)):
-        if isinstance(idx, bool) or not isinstance(idx, (int, np.integer)):
-            raise ValueError(f"{name} must be an integer")
-        if not 0 <= int(idx) < dimension:
-            raise ValueError(f"{name} must lie in 0..{dimension - 1}, got {idx}")
-    i, j = int(i), int(j)
+    i = check_int(i, "i", 0, dimension - 1)
+    j = check_int(j, "j", 0, dimension - 1)
     if i == j:
         raise ValueError("i and j must differ")
     p = np.eye(dimension)
@@ -382,17 +408,3 @@ def is_exchange_symmetric(h: np.ndarray, i: int, j: int, tol: float = POTENTIAL_
     swapped[[i, j], :] = swapped[[j, i], :]
     swapped[:, [i, j]] = swapped[:, [j, i]]
     return bool(np.max(np.abs(swapped - h)) <= tol)
-
-
-def lift_reduced_amplitude(spec: StarSpec, source: int, target: int, t: float) -> complex:
-    """Source-to-target transition amplitude at time ``t`` computed entirely
-    inside the four-level reduction.
-
-    Whenever :func:`build_reduced` accepts the spec, this equals the amplitude
-    obtained from the full (N+1)-dimensional arrowhead dynamics (to 1e-10 or
-    better); the reduced subspace is exactly invariant.
-    """
-    params = build_reduced(spec, source, target)
-    evals, vecs = np.linalg.eigh(reduced_matrix(params))
-    weights = vecs[3] * vecs[2]  # target row times source row
-    return complex(np.sum(weights * np.exp(-1j * evals * float(t))))

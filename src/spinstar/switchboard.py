@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .model import POTENTIAL_MATCH_TOL, DesignSolution, StarSpec
+from .model import DesignSolution, StarSpec, check_int, check_route
 
 
 @dataclass(frozen=True)
@@ -26,28 +26,9 @@ class RoutingState:
     realized_spec: StarSpec
 
     def __post_init__(self):
-        n = self.realized_spec.edge_count
-        for name in ("source", "target"):
-            idx = getattr(self, name)
-            if isinstance(idx, bool) or not isinstance(idx, int):
-                raise ValueError(f"{name} must be an integer")
-            if not 1 <= idx <= n:
-                raise ValueError(f"{name} must be an edge node in 1..{n}, got {idx}")
-        if self.source == self.target:
-            raise ValueError("source and target must differ")
-        params = self.base.params
-        lam = self.realized_spec.potentials
-        def matches(x, y):
-            return abs(x - y) <= POTENTIAL_MATCH_TOL * max(1.0, abs(y))
-        if not matches(lam[0], params.a):
-            raise ValueError("hub potential must equal the design's hub value")
-        for j in range(1, n + 1):
-            want = params.e if j in (self.source, self.target) else params.d
-            if not matches(lam[j], want):
-                raise ValueError(
-                    f"edge node {j} carries {lam[j]!r}; the route "
-                    f"(source={self.source}, target={self.target}) requires {want!r}"
-                )
+        source, target = check_route(self.realized_spec, self.base.params, self.source, self.target)
+        object.__setattr__(self, "source", source)
+        object.__setattr__(self, "target", target)
 
 
 def initial_routing(sol: DesignSolution) -> RoutingState:
@@ -63,10 +44,7 @@ def retarget(state: RoutingState, new_target: int) -> RoutingState:
     original potentials exactly (the swap moves float values verbatim).
     """
     n = state.realized_spec.edge_count
-    if isinstance(new_target, bool) or not isinstance(new_target, int):
-        raise ValueError("new_target must be an integer")
-    if not 1 <= new_target <= n:
-        raise ValueError(f"new_target must be an edge node in 1..{n}, got {new_target}")
+    new_target = check_int(new_target, "new_target", 1, n)
     if new_target == state.source:
         raise ValueError("new_target must differ from the source")
     pots = list(state.realized_spec.potentials)

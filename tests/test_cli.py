@@ -7,6 +7,7 @@ import math
 
 import pytest
 
+from spinstar import dynamics
 from spinstar.cli import execute
 
 E_SMALL = 2.0 / math.sqrt(15.0)
@@ -121,6 +122,51 @@ def test_verify_inconsistent_potentials_named(design_file, capsys):
     design_file.write_text(json.dumps(doc))
     assert execute(["verify", "--design", str(design_file)]) == 1
     assert "potentials" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("field, value, message", [
+    ("m", 0, "design file: m must be at least 1"),
+    ("a", math.nan, "design file: a must be finite"),
+])
+def test_verify_names_the_offending_param(design_file, capsys, field, value, message):
+    doc = json.loads(design_file.read_text())
+    doc[field] = value
+    doc["potentials"] = doc["potentials"][: doc["m"] + 3]
+    design_file.write_text(json.dumps(doc))
+    assert execute(["verify", "--design", str(design_file)]) == 1
+    err = capsys.readouterr().err
+    assert message in err
+    assert "field 'b'" not in err
+
+
+def test_verify_and_retarget_accept_the_same_files(design_file, tmp_path, capsys):
+    doc = json.loads(design_file.read_text())
+    doc["potentials"][0] += 1e-10  # hub off by more than the 1e-12 match tolerance
+    design_file.write_text(json.dumps(doc))
+    assert execute(["verify", "--design", str(design_file)]) == 1
+    assert "potentials" in capsys.readouterr().err
+    assert execute(["retarget", "--design", str(design_file), "--target", "3",
+                    "--out", str(tmp_path / "x.json")]) == 1
+    assert "potentials" in capsys.readouterr().err
+
+
+def test_verify_refuses_dense_star_above_limit(tmp_path, capsys):
+    # N = m + 2 = 100001 edges: one past the dense-matrix limit (~80 GB)
+    path = tmp_path / "big.json"
+    assert execute(["design", "--bystanders", "99999", "--eta", "140000",
+                    "--out", str(path)]) == 0
+    assert execute(["verify", "--design", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "limited to 100000 edges" in err
+
+
+def test_memory_error_is_one_error_line(design_file, monkeypatch, capsys):
+    def exhausted(*args, **kwargs):
+        raise MemoryError()
+
+    monkeypatch.setattr(dynamics, "verify_design", exhausted)
+    assert execute(["verify", "--design", str(design_file)]) == 1
+    assert capsys.readouterr().err == "error: MemoryError\n"
 
 
 def test_verify_detuned_but_consistent_design_fails(design_file, capsys):

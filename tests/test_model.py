@@ -30,6 +30,7 @@ from spinstar import (
     single_excitation_indices,
     transition_amplitude,
 )
+from spinstar.model import check_int
 
 # Closed-form smallest admissible potential for m=2, eta=4: e**2 = 4/15.
 E_M2_ETA4 = 2.0 / math.sqrt(15.0)
@@ -75,6 +76,18 @@ def test_star_spec_validation():
         StarSpec(3, -1.0, (0.0,) * 4)
     with pytest.raises(ValueError):
         StarSpec(3, 1.0, (0.0, math.inf, 0.0, 0.0))
+
+
+def test_check_int():
+    assert check_int(np.int64(3), "k", 1, 3) == 3
+    assert type(check_int(np.int32(3), "k")) is int
+    for bad in (True, 2.0, "2", None):
+        with pytest.raises(ValueError, match="k must be an integer"):
+            check_int(bad, "k")
+    with pytest.raises(ValueError, match=r"k must lie in 1\.\.3, got 4"):
+        check_int(4, "k", 1, 3)
+    with pytest.raises(ValueError, match="k must be at least 2, got 1"):
+        check_int(1, "k", lo=2)
 
 
 def test_build_arrowhead_uniform_star():

@@ -88,6 +88,25 @@ def test_routing_state_rejects_inconsistent_spec(solved):
         RoutingState(base=solved, source=1, target=2, realized_spec=bad)
 
 
+def test_routing_state_rejects_other_size_or_coupling(solved):
+    a, e, d = solved.params.a, solved.params.e, solved.params.d
+    bigger = StarSpec(5, 1.0, (a, e, e, d, d, d))
+    with pytest.raises(ValueError, match="edge_count"):
+        RoutingState(base=solved, source=1, target=2, realized_spec=bigger)
+    recoupled = StarSpec(4, 2.0, solved.realized.potentials)
+    with pytest.raises(ValueError, match="coupling"):
+        RoutingState(base=solved, source=1, target=2, realized_spec=recoupled)
+
+
+def test_numpy_integer_nodes_accepted(solved):
+    state = RoutingState(base=solved, source=np.int64(1), target=np.int32(2),
+                         realized_spec=solved.realized)
+    assert (state.source, state.target) == (1, 2)
+    moved = retarget(state, np.int64(3))
+    assert type(moved.target) is int
+    assert moved == retarget(initial_routing(solved), 3)
+
+
 def test_apply_offset_zero_is_identity(solved):
     spec = solved.realized
     assert apply_offset(spec, 0.0) == spec
