@@ -25,6 +25,8 @@ import sys
 from dataclasses import dataclass
 from pathlib import Path
 
+import numpy as np
+
 from . import designer, dynamics, model, switchboard
 from .errors import InfeasibleDesignError, SpinStarError
 
@@ -90,7 +92,24 @@ def design_document(sol: model.DesignSolution, source: int, target: int,
 
 
 def render_design(doc: dict) -> str:
-    return json.dumps(doc, indent=2) + "\n"
+    """``json.dumps(doc, indent=2) + "\n"``, with each distinct potential
+    formatted once.
+
+    A design holds three distinct potentials however large ``m`` is, and the
+    pure-Python indenting encoder would format every one of the ``m + 3``
+    entries.  ``doc["potentials"]`` must be a non-empty list of finite floats,
+    as :func:`design_document` makes it.
+    """
+    potentials = doc["potentials"]
+    # Group by bit pattern, not by value: 0.0 == -0.0 but their reprs differ.
+    bits = np.fromiter(potentials, float, len(potentials)).view(np.int64)
+    distinct, which = np.unique(bits, return_inverse=True)
+    texts = np.array(list(map(float.__repr__, distinct.view(float).tolist())), dtype=object)
+    # Only a top-level key follows a newline and exactly two spaces.
+    key = '\n  "potentials": '
+    head, tail = json.dumps({**doc, "potentials": []}, indent=2).split(key + "[]")
+    items = ",\n    ".join(texts[which].tolist())
+    return "".join((head, key, "[\n    ", items, "\n  ]", tail, "\n"))
 
 
 def _field(doc: dict, name: str, kind) -> object:
@@ -136,7 +155,8 @@ def parse_design_document(doc: dict) -> ParsedDesign:
         raise ValueError("design file: field 'spectrum' must hold four numbers")
     coupling = _field(doc, "coupling", float)
     potentials = _field(doc, "potentials", list)
-    if any(isinstance(x, bool) or not isinstance(x, (int, float)) for x in potentials):
+    # type(True) is bool, so booleans are refused here too.
+    if not set(map(type, potentials)) <= {int, float}:
         raise ValueError("design file: field 'potentials' must hold numbers")
     if len(potentials) != m + 3:
         raise ValueError(
@@ -146,6 +166,7 @@ def parse_design_document(doc: dict) -> ParsedDesign:
     residuals = _field(doc, "residuals", dict)
     if "root" not in residuals:
         raise ValueError("design file: field 'residuals' must contain 'root'")
+    root_residual = _field(residuals, "root", float)
     source = _field(doc, "source", int)
     target = _field(doc, "target", int)
 
@@ -156,18 +177,14 @@ def parse_design_document(doc: dict) -> ParsedDesign:
             eta=eta,
             transfer_time=tau,
             target_spectrum=tuple(float(x) for x in spectrum),
-            root_residual=float(residuals["root"]),
+            root_residual=root_residual,
             realized=model.StarSpec(
                 edge_count=m + 2,
                 coupling=c,
                 potentials=(a, e, e) + (d,) * m,
             ),
         )
-        spec = model.StarSpec(
-            edge_count=m + 2,
-            coupling=coupling,
-            potentials=tuple(float(x) for x in potentials),
-        )
+        spec = model.StarSpec(edge_count=m + 2, coupling=coupling, potentials=potentials)
         source, target = model.check_route(spec, params, source, target)
     except ValueError as exc:
         raise ValueError(f"design file: {exc}") from exc
@@ -176,13 +193,23 @@ def parse_design_document(doc: dict) -> ParsedDesign:
     )
 
 
+class _FloatMemo(dict):
+    """``parse_float`` for ``json.loads`` that converts each distinct decimal
+    string once.  Equal strings give bit-identical floats, so the result is
+    exactly what ``float`` gives; one memo per file keeps it bounded."""
+
+    def __missing__(self, text: str) -> float:
+        value = self[text] = float(text)
+        return value
+
+
 def load_design_file(path: str) -> ParsedDesign:
     try:
         text = Path(path).read_text()
     except OSError as exc:
         raise ValueError(f"cannot read design file {path!r}: {exc}") from exc
     try:
-        doc = json.loads(text)
+        doc = json.loads(text, parse_float=_FloatMemo().__getitem__)
     except json.JSONDecodeError as exc:
         raise ValueError(f"design file {path!r} is not valid JSON: {exc}") from exc
     return parse_design_document(doc)

@@ -292,13 +292,21 @@ def feasibility(m: int, eta: float) -> FeasibilityReport:
 def min_feasible_even_eta(m: int) -> int:
     """Smallest even ``eta >= 2`` that admits a design for ``m`` bystanders.
 
-    The upward scan always terminates: the polynomial's minimum drops without
-    bound as eta grows at fixed m.
+    At fixed m the sign of ``g_min`` flips once as eta grows (its minimum
+    drops without bound), so doubling brackets the threshold and a bisection
+    over even eta finds it in O(log m) feasibility tests.
     """
-    eta = 2
-    while not feasibility(m, eta).feasible:
-        eta += 2
-    return eta
+    hi = 2
+    while not feasibility(m, hi).feasible:
+        hi *= 2
+    lo = hi // 2  # infeasible, or 1 when eta = 2 is already feasible
+    while hi - lo > 2:
+        mid = (lo + hi) // 4 * 2
+        if feasibility(m, mid).feasible:
+            hi = mid
+        else:
+            lo = mid
+    return hi
 
 
 def design(request: DesignInput) -> DesignSolution:
@@ -308,7 +316,8 @@ def design(request: DesignInput) -> DesignSolution:
     recovers the hub/bystander potentials, and realizes the star network in
     coupling units (``coupling = c = 1``).  The solve (a cubic plus a 4x4
     eigendecomposition) takes constant time; realizing and checking the
-    ``m + 3`` potentials takes O(m).
+    ``m + 3`` potentials takes O(m), in C (builtins and numpy, no per-node
+    Python loop).
     """
     m, eta = request.m, request.eta
     roots = solve_e(m, eta)

@@ -19,7 +19,7 @@ from .model import (
     build_arrowhead,
     build_reduced,
     check_int,
-    exchange_operator,
+    exchange_permutation,
     reduced_matrix,
 )
 
@@ -177,7 +177,7 @@ def exchange_parities(evals: np.ndarray, vecs: np.ndarray, i: int, j: int,
     evals = np.asarray(evals, dtype=float)
     vecs = np.asarray(vecs, dtype=float)
     n = evals.size
-    p = exchange_operator(n, i, j)
+    swapped = exchange_permutation(n, i, j)
     gap = degeneracy_tol * max(1.0, float(np.max(np.abs(evals))))
     parities = np.empty(n)
     start = 0
@@ -185,7 +185,7 @@ def exchange_parities(evals: np.ndarray, vecs: np.ndarray, i: int, j: int,
         if stop < n and evals[stop] - evals[stop - 1] <= gap:
             continue
         block = vecs[:, start:stop]
-        overlap = block.T @ p @ block
+        overlap = block[swapped].T @ block
         parities[start:stop] = np.linalg.eigvalsh(overlap)
         start = stop
     return parities

@@ -70,14 +70,14 @@ class StarSpec:
         object.__setattr__(self, "coupling", float(self.coupling))
         if not math.isfinite(self.coupling) or self.coupling <= 0:
             raise ValueError("coupling must be positive and finite")
-        pots = tuple(float(x) for x in self.potentials)
+        pots = tuple(map(float, self.potentials))
         object.__setattr__(self, "potentials", pots)
         if len(pots) != self.edge_count + 1:
             raise ValueError(
                 f"potentials must have exactly edge_count + 1 = {self.edge_count + 1} "
                 f"entries, got {len(pots)}"
             )
-        if not all(math.isfinite(x) for x in pots):
+        if not all(map(math.isfinite, pots)):
             raise ValueError("potentials must all be finite")
 
     @property
@@ -98,15 +98,15 @@ class ArrowheadMatrix:
     def __post_init__(self):
         object.__setattr__(self, "dimension", int(self.dimension))
         object.__setattr__(self, "hub_value", float(self.hub_value))
-        object.__setattr__(self, "arm_couplings", tuple(float(x) for x in self.arm_couplings))
-        object.__setattr__(self, "arm_values", tuple(float(x) for x in self.arm_values))
+        object.__setattr__(self, "arm_couplings", tuple(map(float, self.arm_couplings)))
+        object.__setattr__(self, "arm_values", tuple(map(float, self.arm_values)))
         n = self.dimension - 1
         if n < 1:
             raise ValueError("dimension must be at least 2")
         if len(self.arm_couplings) != n or len(self.arm_values) != n:
             raise ValueError(f"arm_couplings and arm_values must each have {n} entries")
         values = (self.hub_value,) + self.arm_couplings + self.arm_values
-        if not all(math.isfinite(x) for x in values):
+        if not all(map(math.isfinite, values)):
             raise ValueError("all entries must be finite")
 
     def to_dense(self) -> np.ndarray:
@@ -212,7 +212,7 @@ def check_route(spec: StarSpec, params: ReducedParams, source, target) -> tuple[
     if source == target:
         raise ValueError("source and target must differ")
     # In place: at m = 1e6 each per-node array is 8 MB.
-    dev = np.array(spec.potentials)
+    dev = np.fromiter(spec.potentials, float, n + 1)
     want = np.full(n + 1, params.d)
     want[[0, source, target]] = params.a, params.e, params.e
     dev -= want
@@ -292,18 +292,16 @@ def build_reduced(spec: StarSpec, source: int, target: int) -> ReducedParams:
             f"potentials of source ({lam[source]!r}) and target ({lam[target]!r}) "
             "must match for the reduction to apply"
         )
-    bystanders = [j for j in range(1, n + 1) if j != source and j != target]
-    values = [lam[j] for j in bystanders]
-    if max(values) - min(values) > POTENTIAL_MATCH_TOL:
-        raise SymmetryError(
-            f"bystander potentials must all match; spread is {max(values) - min(values)!r}"
-        )
+    bystanders = np.delete(np.fromiter(lam, float, n + 1), [0, source, target])
+    spread = float(bystanders.max() - bystanders.min())
+    if spread > POTENTIAL_MATCH_TOL:
+        raise SymmetryError(f"bystander potentials must all match; spread is {spread!r}")
     m = n - 2
     return ReducedParams(
         a=lam[0],
         b=math.sqrt(m) * spec.coupling,
         c=spec.coupling,
-        d=values[0],
+        d=float(bystanders[0]),
         e=lam[source],
         m=m,
     )
@@ -383,19 +381,25 @@ def single_excitation_indices(edge_count: int) -> np.ndarray:
 # Exchange symmetry
 # ---------------------------------------------------------------------------
 
-def exchange_operator(dimension: int, i: int, j: int) -> np.ndarray:
-    """Permutation matrix swapping basis vectors ``i`` and ``j``.
-
-    Implemented as a genuine transposition, so it is self-inverse: P @ P = I.
-    """
+def exchange_permutation(dimension: int, i: int, j: int) -> np.ndarray:
+    """Indices ``0..dimension-1`` with ``i`` and ``j`` swapped: ``x[perm]``
+    is ``exchange_operator(dimension, i, j) @ x`` without the dense matrix."""
     dimension = int(dimension)
     i = check_int(i, "i", 0, dimension - 1)
     j = check_int(j, "j", 0, dimension - 1)
     if i == j:
         raise ValueError("i and j must differ")
-    p = np.eye(dimension)
-    p[[i, j]] = p[[j, i]]
-    return p
+    perm = np.arange(dimension)
+    perm[[i, j]] = j, i
+    return perm
+
+
+def exchange_operator(dimension: int, i: int, j: int) -> np.ndarray:
+    """Permutation matrix swapping basis vectors ``i`` and ``j``.
+
+    Implemented as a genuine transposition, so it is self-inverse: P @ P = I.
+    """
+    return np.eye(int(dimension))[exchange_permutation(dimension, i, j)]
 
 
 def is_exchange_symmetric(h: np.ndarray, i: int, j: int, tol: float = POTENTIAL_MATCH_TOL) -> bool:

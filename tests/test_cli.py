@@ -5,10 +5,13 @@ import csv
 import json
 import math
 
+import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from spinstar import dynamics
-from spinstar.cli import execute
+from spinstar import SMALLEST, DesignInput, cli, design, dynamics, min_feasible_even_eta
+from spinstar.cli import design_document, execute, render_design
 
 E_SMALL = 2.0 / math.sqrt(15.0)
 
@@ -148,6 +151,19 @@ def test_verify_and_retarget_accept_the_same_files(design_file, tmp_path, capsys
     assert execute(["retarget", "--design", str(design_file), "--target", "3",
                     "--out", str(tmp_path / "x.json")]) == 1
     assert "potentials" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("root", [None, [1e-12], {"value": 1e-12}, "1e-12", True])
+def test_residuals_root_must_be_a_number(design_file, tmp_path, capsys, root):
+    doc = json.loads(design_file.read_text())
+    doc["residuals"]["root"] = root
+    design_file.write_text(json.dumps(doc))
+    out = str(tmp_path / "out")
+    for argv in (["verify"], ["simulate", "--out", out], ["retarget", "--target", "3", "--out", out]):
+        assert execute(argv + ["--design", str(design_file)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: design file: field 'root' must be a number")
+        assert err.count("\n") == 1
 
 
 def test_verify_refuses_dense_star_above_limit(tmp_path, capsys):
@@ -314,3 +330,78 @@ def test_sweep_validation(capsys):
     assert execute(["sweep", "--m-min", "0", "--m-max", "3"]) == 1
     assert execute(["sweep", "--m-min", "5", "--m-max", "3"]) == 1
     capsys.readouterr()
+
+
+# ---------------------------------------------------------------------------
+# design file encoding
+# ---------------------------------------------------------------------------
+
+_EDGE_FLOATS = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e308, -1e308,
+                1.7976931348623157e308, 0.1, -1.0 / 3.0]
+_FLOATS = st.one_of(st.sampled_from(_EDGE_FLOATS),
+                    st.floats(allow_nan=False, allow_infinity=False))
+_RUNS = st.lists(st.tuples(_FLOATS, st.integers(1, 300)), min_size=1, max_size=8).map(
+    lambda runs: [x for x, count in runs for _ in range(count)])
+_ALL_DISTINCT = st.lists(_FLOATS, min_size=1, max_size=400, unique_by=float.hex)
+
+
+@settings(deadline=None)
+@given(potentials=st.one_of(_RUNS, _ALL_DISTINCT, st.lists(_FLOATS, min_size=1, max_size=50)))
+@example(potentials=[0.0, -0.0, 5e-324, 1e308, -1e308, -0.0] + [0.5] * 1000 + [0.0])
+def test_render_design_matches_reference_encoder(potentials):
+    sol = design(DesignInput(m=2, eta=4))
+    doc = {**design_document(sol, 1, 2, sol.realized, SMALLEST), "potentials": potentials}
+    assert render_design(doc) == json.dumps(doc, indent=2) + "\n"
+
+
+def test_load_design_file_decodes_floats_exactly(tmp_path, monkeypatch):
+    rng = np.random.default_rng(11)
+    values = rng.integers(-(2**63), 2**63 - 1, size=2000, dtype=np.int64).view(float).tolist()
+    texts = [fmt.format(x) for x in values if math.isfinite(x)
+             for fmt in ("{!r}", "{:.17e}", "{:.6g}")]
+    texts += ["0.1", "0.10", "1e-1", "0.0", "-0.0", "5e-324", "2.4703282292062328e-324",
+              "1.7976931348623157e308", "1e400", "-1e400", "2", "-0"]
+    text = "[" + ", ".join(texts * 2) + "]"  # repeats go through the memo
+    path = tmp_path / "floats.json"
+    path.write_text(text)
+    monkeypatch.setattr(cli, "parse_design_document", lambda doc: doc)
+    decoded = cli.load_design_file(str(path))
+    reference = json.loads(text)
+    assert [type(x) for x in decoded] == [type(x) for x in reference]
+    assert [x.hex() if isinstance(x, float) else x for x in decoded] == \
+        [x.hex() if isinstance(x, float) else x for x in reference]
+
+
+def test_retarget_round_trip_keeps_signed_zeros(design_file, tmp_path):
+    doc = json.loads(design_file.read_text())
+    doc["d"] = 0.0
+    doc["potentials"][3:] = [0.0, -0.0]
+    design_file.write_text(json.dumps(doc))
+    parsed = cli.load_design_file(str(design_file))
+    doc = design_document(parsed.solution, parsed.source, parsed.target, parsed.spec,
+                          parsed.root_choice)  # residuals recomputed for d = 0
+    design_file.write_text(json.dumps(doc, indent=2) + "\n")
+    moved, back = tmp_path / "moved.json", tmp_path / "back.json"
+    assert execute(["retarget", "--design", str(design_file), "--target", "4",
+                    "--out", str(moved)]) == 0
+    text = moved.read_text()
+    assert json.loads(text)["potentials"][2:4] == [-0.0, 0.0]
+    assert text == json.dumps(json.loads(text), indent=2) + "\n"
+    assert execute(["retarget", "--design", str(moved), "--target", "2",
+                    "--out", str(back)]) == 0
+    assert back.read_bytes() == design_file.read_bytes()
+
+
+def test_large_design_file_bytes_match_reference_encoder(tmp_path):
+    m = 100_000
+    eta = min_feasible_even_eta(m)
+    path, moved, back = tmp_path / "big.json", tmp_path / "moved.json", tmp_path / "back.json"
+    assert execute(["design", "--bystanders", str(m), "--eta", str(eta), "--out", str(path)]) == 0
+    sol = design(DesignInput(m=m, eta=eta))
+    assert path.read_text() == json.dumps(
+        design_document(sol, 1, 2, sol.realized, SMALLEST), indent=2) + "\n"
+    assert execute(["retarget", "--design", str(path), "--target", "77777",
+                    "--out", str(moved)]) == 0
+    assert execute(["retarget", "--design", str(moved), "--target", "2",
+                    "--out", str(back)]) == 0
+    assert back.read_bytes() == path.read_bytes()

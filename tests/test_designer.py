@@ -226,6 +226,26 @@ def test_min_feasible_even_eta_matches_definition():
         assert eta == 2 or not feasibility(m, eta - 2).feasible
 
 
+def _scan_min_feasible_even_eta(m):
+    """The upward scan over even eta, kept as the reference for the bisection."""
+    eta = 2
+    while not feasibility(m, eta).feasible:
+        eta += 2
+    return eta
+
+
+def test_min_feasible_even_eta_equals_linear_scan():
+    for m in range(1, 301):
+        assert min_feasible_even_eta(m) == _scan_min_feasible_even_eta(m), m
+
+
+def test_min_feasible_even_eta_is_the_threshold_up_to_large_m():
+    for m in [*range(1, 10_001), 100_000, 1_000_000]:
+        eta = min_feasible_even_eta(m)
+        assert eta % 2 == 0 and feasibility(m, eta).feasible, m
+        assert eta == 2 or not feasibility(m, eta - 2).feasible, m
+
+
 def test_feasibility_monotonicity_observed():
     # Not a proven property; violations are reported, never asserted.
     violations = []

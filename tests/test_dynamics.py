@@ -15,6 +15,7 @@ from spinstar import (
     StarSpec,
     build_arrowhead,
     design,
+    exchange_operator,
     exchange_parities,
     fidelity_trace,
     propagate,
@@ -224,6 +225,18 @@ def test_exchange_parities_degenerate_cluster():
     parities = exchange_parities(evals, vecs, 0, 1)
     assert sorted(np.round(parities[:2]).tolist()) == [-1.0, 1.0]
     assert np.allclose(parities[2:], 1.0)
+
+
+def test_exchange_parities_match_dense_operator():
+    # generic spectra: every cluster is one vector v, whose parity is v.P.v
+    rng = np.random.default_rng(5)
+    for dim in (4, 7, 12):
+        for i, j in ((0, 1), (dim - 1, 1)):
+            p = exchange_operator(dim, i, j)
+            h = _random_symmetric_matrix(rng, dim)
+            evals, vecs = np.linalg.eigh(h + p @ h @ p)
+            want = np.einsum("ik,ij,jk->k", vecs, p, vecs)
+            assert np.max(np.abs(exchange_parities(evals, vecs, i, j) - want)) < 1e-12
 
 
 def test_verify_design_passes_for_both_roots():
