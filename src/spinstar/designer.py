@@ -8,7 +8,11 @@ untouched, which is exactly a perfect source-to-target swap.
 
 Everything is measured in units of the hub-edge coupling (``c = 1``), which
 also fixes ``b = sqrt(m)``.  The problem collapses to a single cubic in
-``e**2``, so the work to solve it does not grow with network size.
+``e**2``, so the work to solve it does not grow with network size.  The
+same elimination leaves the bystander and hub potentials in closed form,
+``d = e + (1 - eta**2) e**3 / 2`` and ``a = -e - d``.  One relative rule
+decides what counts as a root: ``|g(u)| <= ROOT_RESIDUAL_TOL * sum |terms|``
+over the four terms of the cubic in ``u = e**2``.
 """
 
 from __future__ import annotations
@@ -21,12 +25,8 @@ import numpy as np
 from .errors import InfeasibleDesignError, NoRealDesignError
 from .model import DesignSolution, ReducedParams, StarSpec, check_int, reduced_matrix
 
-# Residual bound on accepted roots, scaled by the constant coefficient m + 2.
+# Residual bound on accepted roots, relative to the sizes of the cubic's terms.
 ROOT_RESIDUAL_TOL = 1e-10
-
-# Bound on the characteristic-coefficient residuals of a returned (a, d)
-# pair, relative to the size of the terms being cancelled.
-LAMBDA_RESIDUAL_TOL = 1e-9
 
 # Deviation allowed between the spectrum of a designed matrix and its target.
 SPECTRUM_TOL = 1e-9
@@ -56,8 +56,9 @@ class RootChoice:
             return SMALLEST
         if text == "largest":
             return LARGEST
-        if text.startswith("index:"):
-            return cls("index", int(text.split(":", 1)[1]))
+        kind, _, k = text.partition(":")
+        if kind == "index" and k.isdecimal():
+            return cls("index", int(k))
         raise ValueError(f"root choice must be 'smallest', 'largest' or 'index:k', got {text!r}")
 
     def select(self, roots: list[float]) -> float:
@@ -113,6 +114,14 @@ class GPolynomial:
 
     def derivative_u(self, u: float) -> float:
         return self.x2 + u * (2.0 * self.x4 + 3.0 * u * self.x6)
+
+
+def _is_root(poly: GPolynomial, u: float) -> bool:
+    """The root rule: ``|g(u)| <= ROOT_RESIDUAL_TOL * sum |terms|`` over the
+    four terms of the cubic in ``u = e**2``."""
+    u2 = u * u
+    scale = abs(poly.x0) + abs(poly.x2 * u) + abs(poly.x4 * u2) + abs(poly.x6 * u2 * u)
+    return abs(poly.evaluate_u(u)) <= ROOT_RESIDUAL_TOL * scale
 
 
 @dataclass(frozen=True)
@@ -177,8 +186,10 @@ def solve_e(m: int, eta: float) -> list[float]:
     """All positive real roots of the design polynomial, ascending.
 
     Substituting ``u = e**2`` turns the polynomial into a cubic, solved via
-    the companion matrix and then polished with a few Newton steps so every
-    returned root satisfies ``|g(e)| < 1e-10 * (m + 2)``.
+    the companion matrix and then polished with a few Newton steps.  A
+    candidate is kept when it passes the module's root rule,
+    ``|g(e)| <= ROOT_RESIDUAL_TOL * sum |terms|``: the coefficients grow like
+    ``eta**4``, so only a test relative to the terms is scale-free.
 
     Raises :class:`InfeasibleDesignError` (carrying the feasibility analysis)
     when no positive real root exists.
@@ -204,7 +215,7 @@ def solve_e(m: int, eta: float) -> list[float]:
             if u <= 0.0:
                 continue
             e = math.sqrt(u)
-            if abs(poly.evaluate(e)) < ROOT_RESIDUAL_TOL * (m + 2):
+            if _is_root(poly, e * e):
                 roots.append(e)
     roots.sort()
     # Newton can pull two companion estimates of the same root together.
@@ -225,43 +236,24 @@ def solve_e(m: int, eta: float) -> list[float]:
 def back_solve(e: float, m: int, eta: float) -> tuple[float, float]:
     """Recover the hub and bystander potentials ``(a, d)`` from a root ``e``.
 
-    Their sum and product follow from the prescribed characteristic
-    coefficients (``a + d = -e`` and ``a*d = m + 2 + (1 - eta**2) e**2`` in
-    units ``c = 1``, ``b**2 = m``); the constant-term condition then picks
-    which quadratic root is which.
+    In units ``c = 1``, ``b**2 = m``, the trace condition gives
+    ``a = -e - d``, and eliminating ``a*d`` between the other two
+    characteristic conditions gives ``d = e + (1 - eta**2) e**3 / 2``.  Both
+    are closed forms; what is left of the three conditions is the design
+    cubic, so an ``e`` that fails the root rule raises
+    :class:`NoRealDesignError`.
     """
     e = float(e)
     if e == 0.0:
         raise ValueError("e must be nonzero")
-    eta2 = float(eta) * float(eta)
-    product = m + 2 + (1.0 - eta2) * e * e
-    disc = e * e - 4.0 * product  # equals (a - d)**2 for exact roots
-    if disc < 0.0:
+    poly = g_polynomial(m, eta)
+    if not _is_root(poly, e * e):
         raise NoRealDesignError(
-            f"no real potentials for e={e!r}, m={m}, eta={eta}: discriminant {disc!r} < 0"
+            f"e={e!r} is not a root of the design polynomial for m={m}, eta={eta} "
+            f"(residual {poly.evaluate(e)!r})"
         )
-    r = math.sqrt(disc)
-    t_hi = (-e + r) / 2.0
-    t_lo = (-e - r) / 2.0
-
-    def constant_term_residual(a: float, d: float) -> tuple[float, float]:
-        terms = (a * d * e, -m * e, -2.0 * d)
-        residual = abs(sum(terms)) / abs(e) ** 3
-        scale = sum(abs(t) for t in terms) / abs(e) ** 3
-        return residual, scale
-
-    res_fwd, scale_fwd = constant_term_residual(t_hi, t_lo)
-    res_rev, scale_rev = constant_term_residual(t_lo, t_hi)
-    if res_fwd <= res_rev:
-        a, d, residual, scale = t_hi, t_lo, res_fwd, scale_fwd
-    else:
-        a, d, residual, scale = t_lo, t_hi, res_rev, scale_rev
-    if residual > LAMBDA_RESIDUAL_TOL * max(1.0, scale):
-        raise NoRealDesignError(
-            f"neither (a, d) assignment satisfies the constant-term condition "
-            f"for e={e!r} (best residual {residual!r}); e is not a root"
-        )
-    return a, d
+    d = e + (1.0 - float(eta) * float(eta)) * e**3 / 2.0
+    return -e - d, d
 
 
 def feasibility(m: int, eta: float) -> FeasibilityReport:

@@ -83,6 +83,13 @@ def test_design_usage_errors_exit_1(capsys):
     capsys.readouterr()
 
 
+def test_design_malformed_root_index_is_one_error_line(capsys):
+    assert execute(["design", "--bystanders", "2", "--eta", "4", "--root", "index:abc"]) == 1
+    assert capsys.readouterr().err == (
+        "error: root choice must be 'smallest', 'largest' or 'index:k', got 'index:abc'\n"
+    )
+
+
 def test_design_root_largest(capsys):
     assert execute(["design", "--bystanders", "2", "--eta", "4", "--root", "largest"]) == 0
     doc = json.loads(capsys.readouterr().out)

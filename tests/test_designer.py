@@ -13,22 +13,28 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spinstar import (
     LARGEST,
     SMALLEST,
     DesignInput,
+    EvolutionCache,
     InfeasibleDesignError,
     NoRealDesignError,
+    ReducedParams,
     RootChoice,
     back_solve,
     design,
+    exchange_parities,
     feasibility,
     g_polynomial,
     lambda_coefficients,
     min_feasible_even_eta,
     reduced_matrix,
     solve_e,
+    verify_design,
 )
 
 E_SMALL = 2.0 / math.sqrt(15.0)
@@ -369,6 +375,52 @@ def test_root_choice_parse_and_select():
     assert RootChoice("index", 1).select(roots) == 0.8
     with pytest.raises(ValueError):
         RootChoice("index", 2).select(roots)
+
+
+@pytest.mark.parametrize("text", ["index:abc", "index:1.5", "index:", "index:-1"])
+def test_root_choice_parse_names_the_allowed_forms(text):
+    with pytest.raises(ValueError, match="root choice must be 'smallest', 'largest' or 'index:k'"):
+        RootChoice.parse(text)
+
+
+@pytest.mark.parametrize("m, eta", [(1, 200), (1, 1000), (1, 10**5), (1, 10**6), (10, 10**6)])
+def test_design_smallest_root_at_large_eta(m, eta):
+    sol = design(DesignInput(m=m, eta=eta, root_choice=SMALLEST))
+    assert sol.params.e == solve_e(m, eta)[0]
+    assert verify_design(sol).passed
+
+
+def test_design_largest_root_at_large_eta_is_the_true_larger_root():
+    # the terms of the cubic reach ~eta at the larger root e ~ sqrt(2/eta)
+    sol = design(DesignInput(m=2, eta=10**6, root_choice=LARGEST))
+    assert abs(sol.params.e - 1.41421e-3) < 1e-8
+    assert verify_design(sol).passed
+
+
+@settings(deadline=None, derandomize=True, max_examples=200)
+@given(log_m=st.floats(0.0, 6.0), frac=st.floats(0.0, 1.0))
+def test_design_core_over_the_envelope(log_m, frac):
+    # m log-uniform in [1, 1e6], even eta log-uniform in [eta_min(m), 1e6]
+    # (eta_min(m) alone where it exceeds 1e6); the O(1) core only.
+    m = max(1, round(10.0**log_m))
+    lo = min_feasible_even_eta(m)
+    hi = max(lo, 10**6)
+    eta = max(lo, round(lo * (hi / lo) ** frac / 2) * 2)
+    roots = solve_e(m, eta)
+    assert roots[0] < feasibility(m, eta).e_star < roots[-1]
+    assert LARGEST.select(roots) == max(roots)
+    for policy in (SMALLEST, LARGEST):
+        e = policy.select(roots)
+        a, d = back_solve(e, m, eta)
+        params = ReducedParams(a=a, b=math.sqrt(m), c=1.0, d=d, e=e, m=m)
+        cache = EvolutionCache.from_hamiltonian(reduced_matrix(params))
+        target = np.sort([0.0, e, eta * e, -eta * e])
+        assert np.max(np.abs(cache.eigenvalues - target)) <= 1e-9
+        assert abs(cache.amplitude(math.pi / e, 2, 3) - 1.0) <= 1e-9
+        parities = exchange_parities(cache.eigenvalues, cache.eigenvectors, 2, 3)
+        antisymmetric = np.argmin(np.abs(cache.eigenvalues - e))
+        expected = np.where(np.arange(4) == antisymmetric, -1.0, 1.0)
+        assert np.max(np.abs(parities - expected)) < 1e-6
 
 
 def test_design_with_index_policy():
