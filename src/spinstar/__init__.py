@@ -25,6 +25,7 @@ from .designer import (
 )
 from .dynamics import (
     EvolutionCache,
+    StarEvolution,
     VerificationReport,
     exchange_parities,
     fidelity_trace,
@@ -45,10 +46,12 @@ from .model import (
     ArrowheadMatrix,
     DesignSolution,
     FidelityTrace,
+    GroupedStar,
     ReducedParams,
     StarSpec,
     build_arrowhead,
     build_full_spin_hamiltonian,
+    build_grouped,
     build_reduced,
     exchange_operator,
     is_exchange_symmetric,
@@ -67,6 +70,7 @@ __all__ = [
     "FeasibilityReport",
     "FidelityTrace",
     "GPolynomial",
+    "GroupedStar",
     "InfeasibleDesignError",
     "LARGEST",
     "NoRealDesignError",
@@ -76,6 +80,7 @@ __all__ = [
     "RoutingState",
     "SMALLEST",
     "SpinStarError",
+    "StarEvolution",
     "StarSpec",
     "SymmetryError",
     "VerificationReport",
@@ -83,6 +88,7 @@ __all__ = [
     "back_solve",
     "build_arrowhead",
     "build_full_spin_hamiltonian",
+    "build_grouped",
     "build_reduced",
     "design",
     "exchange_operator",

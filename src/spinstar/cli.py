@@ -249,8 +249,8 @@ def _cmd_simulate(ns) -> int:
     tau = parsed.solution.transfer_time
     grid = dynamics.transfer_time_grid(tau, t_max=ns.t_max, steps=ns.steps)
     if ns.full:
-        h = model.build_arrowhead(parsed.spec).to_dense()
-        trace = dynamics.fidelity_trace(h, grid, source, target)
+        amps = dynamics.StarEvolution.from_spec(parsed.spec).amplitudes(grid, source, target)
+        trace = model.FidelityTrace(times=grid, values=np.abs(amps) ** 2)
     else:
         params = model.build_reduced(parsed.spec, source, target)
         h4 = model.reduced_matrix(params)

@@ -6,7 +6,9 @@ at three levels of resolution:
 
 * the full spin space of ``2**(N+1)`` states (brute-force oracle only),
 * the single-excitation subspace, where the Hamiltonian is an arrowhead
-  matrix in the basis ``(hub, edge 1, ..., edge N)``,
+  matrix in the basis ``(hub, edge 1, ..., edge N)``; grouping the edges by
+  potential shrinks it to a ``(k+1)``-level arrowhead for ``k`` distinct
+  edge potentials, plus dark modes that never reach the hub,
 * the four-level reduction ``(hub, symmetric bystander combination, source,
   target)`` that applies when source and target share a potential and all
   bystanders share another.
@@ -32,9 +34,11 @@ POTENTIAL_MATCH_TOL = 1e-12
 # The full spin space exists only as an oracle; 2**(N+1) <= 2048.
 FULL_SPACE_MAX_EDGES = 10
 
-# A dense star matrix takes 8*(N+1)**2 bytes, about 80 GB at N = 1e5, before
-# the O(N**3) eigendecomposition.  Refuse anything larger.
-DENSE_MAX_EDGES = 100_000
+# A dense arrowhead with n arms takes 8*(n+1)**2 bytes, about 134 MB at
+# n = 4096, before its O(n**3) eigendecomposition.  Refuse anything larger:
+# dense star matrices above this many edges, and grouped stars above this
+# many distinct edge potentials.
+DENSE_MAX_EDGES = 4096
 
 
 def check_int(value, name: str, lo: int | None = None, hi: int | None = None) -> int:
@@ -273,6 +277,54 @@ def build_arrowhead(spec: StarSpec) -> ArrowheadMatrix:
     )
 
 
+@dataclass(frozen=True)
+class GroupedStar:
+    """A star's single-excitation Hamiltonian with its edges grouped by equal
+    potential.
+
+    The ``g`` edges of a group at potential ``lam`` span one bright mode, the
+    normalized sum of their states, which couples to the hub with
+    ``sqrt(g) * coupling``, and ``g - 1`` dark modes orthogonal to it: exact
+    eigenvectors at ``lam`` that never reach the hub.  ``bright`` is the
+    arrowhead on (hub, bright mode of group 0, ..., group k-1), with the
+    group potentials ascending; edge ``j`` lies in group ``group_of[j - 1]``
+    of size ``sizes[group_of[j - 1]]``.
+    """
+
+    bright: ArrowheadMatrix
+    group_of: np.ndarray
+    sizes: np.ndarray
+
+
+def build_grouped(spec: StarSpec) -> GroupedStar:
+    """Group the edges of ``spec`` by exact potential value (``0.0`` and
+    ``-0.0`` are one value), in ``O(N log N)`` in C.
+
+    Raises :class:`ResourceLimitError` above ``DENSE_MAX_EDGES`` distinct
+    edge potentials, before anything of size ``(k+1)**2`` exists.
+    """
+    edges = np.fromiter(spec.potentials, float, spec.edge_count + 1)[1:]
+    # Not np.unique: its plain form imports numpy.ma on first use (~15 ms per
+    # process) and its inverse and counts cost three to six times as much.
+    ordered = np.sort(edges)
+    values = ordered[np.concatenate(([True], ordered[1:] != ordered[:-1]))]
+    k = values.size
+    if k > DENSE_MAX_EDGES:
+        raise ResourceLimitError(
+            f"grouped star dynamics is limited to {DENSE_MAX_EDGES} distinct edge "
+            f"potentials (a dense (k+1)^2 eigensolve); got k={k}"
+        )
+    group_of = np.searchsorted(values, edges)
+    sizes = np.bincount(group_of, minlength=k)
+    bright = ArrowheadMatrix(
+        dimension=k + 1,
+        hub_value=spec.potentials[0],
+        arm_couplings=(spec.coupling * np.sqrt(sizes)).tolist(),
+        arm_values=values.tolist(),
+    )
+    return GroupedStar(bright=bright, group_of=group_of, sizes=sizes)
+
+
 def build_reduced(spec: StarSpec, source: int, target: int) -> ReducedParams:
     """Collapse the star onto the four-level basis for a source/target pair.
 
@@ -325,25 +377,6 @@ def reduced_matrix(params: ReducedParams) -> np.ndarray:
 # Full spin space (oracle scale)
 # ---------------------------------------------------------------------------
 
-# Local operators in the per-site basis (|0>, |1>).  The flipped sign of the
-# z operator keeps |0> the -1 eigenstate, so _NUMBER = (sigma_z + 1)/2
-# annihilates unexcited sites.
-_ID = np.eye(2)
-_SX = np.array([[0.0, 1.0], [1.0, 0.0]])
-_SY = np.array([[0.0, 1.0j], [-1.0j, 0.0]])
-_SZ = np.array([[-1.0, 0.0], [0.0, 1.0]])
-_NUMBER = np.array([[0.0, 0.0], [0.0, 1.0]])
-
-
-def _chain_operator(site_ops: dict, n_sites: int, dtype=float) -> np.ndarray:
-    """Kronecker chain with ``site_ops[site]`` inserted and identities
-    elsewhere; site 0 is the most significant factor."""
-    out = np.ones((1, 1), dtype=dtype)
-    for site in range(n_sites):
-        out = np.kron(out, site_ops.get(site, _ID))
-    return out
-
-
 def build_full_spin_hamiltonian(spec: StarSpec) -> np.ndarray:
     """Brute-force star Hamiltonian on all ``2**(N+1)`` spin states.
 
@@ -358,15 +391,15 @@ def build_full_spin_hamiltonian(spec: StarSpec) -> np.ndarray:
             f"(dimension 2**{FULL_SPACE_MAX_EDGES + 1}); got edge_count={n}"
         )
     sites = n + 1
-    dim = 2**sites
-    h = np.zeros((dim, dim))
-    half = 0.5 * spec.coupling
+    states = np.arange(2**sites)
+    # Site j is bit n - j of a basis index, so the hub is the most significant.
+    bits = (states[:, None] >> (n - np.arange(sites))) & 1
+    h = np.zeros((states.size, states.size))
+    h[states, states] = bits @ np.asarray(spec.potentials)
     for j in range(1, sites):
-        xx = _chain_operator({0: _SX, j: _SX}, sites, dtype=complex)
-        yy = _chain_operator({0: _SY, j: _SY}, sites, dtype=complex)
-        h += half * (xx + yy).real
-    for j, lam in enumerate(spec.potentials):
-        h += lam * _chain_operator({j: _NUMBER}, sites)
+        # (xx + yy)/2 maps |01> <-> |10> on (hub, edge j) and kills |00>, |11>.
+        flip = states[bits[:, 0] != bits[:, j]]
+        h[flip, flip ^ ((1 << n) | (1 << (n - j)))] = spec.coupling
     return h
 
 

@@ -173,14 +173,44 @@ def test_residuals_root_must_be_a_number(design_file, tmp_path, capsys, root):
         assert err.count("\n") == 1
 
 
-def test_verify_refuses_dense_star_above_limit(tmp_path, capsys):
-    # N = m + 2 = 100001 edges: one past the dense-matrix limit (~80 GB)
-    path = tmp_path / "big.json"
+def test_verify_and_simulate_full_at_a_hundred_thousand_edges(tmp_path, capsys):
+    # N = m + 2 = 100001 edges; the dense star matrix would take ~80 GB
+    path, trace = tmp_path / "big.json", tmp_path / "big.csv"
     assert execute(["design", "--bystanders", "99999", "--eta", "140000",
                     "--out", str(path)]) == 0
-    assert execute(["verify", "--design", str(path)]) == 1
+    assert execute(["verify", "--design", str(path)]) == 0
+    assert capsys.readouterr().out.splitlines()[-1].endswith("PASS")
+    assert execute(["simulate", "--design", str(path), "--full", "--steps", "11",
+                    "--out", str(trace)]) == 0
+    tau = json.loads(path.read_text())["tau"]
+    samples = dict(_read_trace(trace))
+    assert tau in samples and samples[tau] >= 1.0 - 1e-9
+
+
+def test_simulate_full_refuses_too_many_distinct_potentials(tmp_path, capsys):
+    # 5000 bystanders on distinct floats next to d, all within the 1e-12
+    # relative match of d: 5001 distinct edge potentials, past the 4096 limit.
+    m = 5000
+    path, trace = tmp_path / "spread.json", tmp_path / "spread.csv"
+    assert execute(["design", "--bystanders", str(m), "--eta",
+                    str(min_feasible_even_eta(m)), "--out", str(path)]) == 0
+    doc = json.loads(path.read_text())
+    d = doc["d"]
+    below, above = [d], [d]
+    for _ in range(m // 2):
+        below.append(float(np.nextafter(below[-1], -np.inf)))
+        above.append(float(np.nextafter(above[-1], np.inf)))
+    spread = below[:0:-1] + above[:-1]
+    assert len(set(spread)) == m
+    assert max(abs(x - d) for x in spread) <= 1e-12 * max(1.0, abs(d))
+    doc["potentials"][3:] = spread
+    path.write_text(json.dumps(doc))
+    assert execute(["verify", "--design", str(path)]) == 0
+    capsys.readouterr()
+    assert execute(["simulate", "--design", str(path), "--full", "--out", str(trace)]) == 1
     err = capsys.readouterr().err
-    assert err.startswith("error: ") and "limited to 100000 edges" in err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "limited to 4096 distinct edge potentials" in err and "k=5001" in err
 
 
 def test_memory_error_is_one_error_line(design_file, monkeypatch, capsys):

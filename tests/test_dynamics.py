@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spinstar import (
     LARGEST,
@@ -12,8 +14,11 @@ from spinstar import (
     DesignSolution,
     EvolutionCache,
     ReducedParams,
+    ResourceLimitError,
+    StarEvolution,
     StarSpec,
     build_arrowhead,
+    build_grouped,
     design,
     exchange_operator,
     exchange_parities,
@@ -201,6 +206,62 @@ def test_transfer_time_grid_validation():
         transfer_time_grid(1.0, t_max=-2.0)
     with pytest.raises(ValueError):
         transfer_time_grid(-1.0)
+
+
+# ---------------------------------------------------------------------------
+# Grouped star dynamics
+# ---------------------------------------------------------------------------
+
+@settings(deadline=None, derandomize=True, max_examples=120)
+@given(data=st.data(), n=st.integers(3, 200), extra=st.integers(0, 200),
+       few=st.lists(st.floats(-5.0, 5.0), max_size=3),
+       hub=st.floats(-5.0, 5.0), coupling=st.floats(0.05, 5.0), t_max=st.floats(0.1, 60.0),
+       seed=st.integers(0, 2**32 - 1))
+def test_star_evolution_matches_dense(data, n, extra, few, hub, coupling, t_max, seed):
+    # Edge potentials drawn from a palette with both zeros, a few chosen
+    # values and up to 200 random ones: from one group to all N distinct.
+    rng = np.random.default_rng(seed)
+    palette = np.array([0.0, -0.0, *few, *rng.uniform(-5.0, 5.0, extra)])
+    edges = palette[rng.integers(0, palette.size, n)]
+    spec = StarSpec(n, coupling, (hub, *edges.tolist()))
+    src = data.draw(st.one_of(st.just(0), st.integers(0, n)))
+    dst = data.draw(st.one_of(st.just(src), st.just(0), st.integers(0, n)))
+    grid = np.linspace(0.0, t_max, 9)
+
+    h = build_arrowhead(spec).to_dense()
+    want = EvolutionCache.from_hamiltonian(h).amplitudes(grid, src, dst)
+    star = StarEvolution.from_spec(spec)
+    got = star.amplitudes(grid, src, dst)
+    norm = float(np.max(np.abs(np.linalg.eigvalsh(h))))
+    assert np.max(np.abs(got - want)) <= 1e-10 * max(1.0, norm * t_max)
+    assert star.amplitude(t_max, src, dst) == pytest.approx(got[-1], abs=1e-15)
+    assert star.star.bright.dimension == np.unique(edges).size + 1
+
+
+def test_star_evolution_state_validation():
+    star = StarEvolution.from_spec(StarSpec(3, 1.0, (0.0, 0.5, 0.5, -0.5)))
+    assert star.dimension == 4
+    with pytest.raises(ValueError, match=r"src must lie in 0\.\.3, got 4"):
+        star.amplitude(1.0, 4, 1)
+    with pytest.raises(ValueError, match=r"dst must lie in 0\.\.3, got -1"):
+        star.amplitudes([0.0, 1.0], 1, -1)
+    with pytest.raises(ValueError, match="src must be an integer"):
+        star.amplitude(1.0, 1.0, 1)
+
+
+def test_grouped_star_limits_distinct_potentials():
+    def spread(k):
+        return StarSpec(k, 1.0, (0.0, *np.arange(k, dtype=float).tolist()))
+
+    assert build_grouped(spread(4096)).bright.dimension == 4097
+    with pytest.raises(ResourceLimitError, match="limited to 4096 distinct edge potentials"):
+        build_grouped(spread(4097))
+
+
+def test_verify_design_at_large_star_without_dense_matrix():
+    sol = design(DesignInput(m=10**6, eta=1_300_006, root_choice=SMALLEST))
+    report = verify_design(sol)
+    assert report.passed
 
 
 # ---------------------------------------------------------------------------

@@ -142,6 +142,38 @@ def test_arrowhead_matches_full_space_block():
         assert np.max(np.abs(block - build_arrowhead(spec).to_dense())) < 1e-12
 
 
+def _kron_full_spin_hamiltonian(spec):
+    """Reference: the star Hamiltonian as a sum of Kronecker chains, site 0
+    the most significant factor, c/2 (xx + yy) per hub-edge pair plus the
+    local number operators."""
+    sx = np.array([[0.0, 1.0], [1.0, 0.0]])
+    sy = np.array([[0.0, 1.0j], [-1.0j, 0.0]])
+    number = np.array([[0.0, 0.0], [0.0, 1.0]])
+    sites = spec.edge_count + 1
+
+    def chain(site_ops):
+        out = np.ones((1, 1), dtype=complex)
+        for site in range(sites):
+            out = np.kron(out, site_ops.get(site, np.eye(2)))
+        return out
+
+    h = np.zeros((2**sites, 2**sites), dtype=complex)
+    for j in range(1, sites):
+        h += 0.5 * spec.coupling * (chain({0: sx, j: sx}) + chain({0: sy, j: sy}))
+    for j, lam in enumerate(spec.potentials):
+        h += lam * chain({j: number})
+    assert np.max(np.abs(h.imag)) == 0.0
+    return h.real
+
+
+def test_full_space_matches_kron_reference():
+    rng = np.random.default_rng(37)
+    for n in (3, 4, 6, 8):
+        spec = StarSpec(n, float(rng.uniform(0.2, 2.0)), tuple(rng.uniform(-2.0, 2.0, n + 1)))
+        ref = _kron_full_spin_hamiltonian(spec)
+        assert np.max(np.abs(build_full_spin_hamiltonian(spec) - ref)) < 1e-12
+
+
 def test_full_space_vacuum_is_stationary():
     rng = np.random.default_rng(29)
     spec, _, _ = _random_symmetric_spec(rng, 3)
