@@ -9,7 +9,9 @@ Routes are switched by swapping potentials (:mod:`spinstar.switchboard`);
 """
 
 from .designer import (
+    ETA_MAX,
     LARGEST,
+    M_MAX,
     SMALLEST,
     DesignInput,
     FeasibilityReport,
@@ -36,6 +38,7 @@ from .dynamics import (
     verify_design,
 )
 from .errors import (
+    EnvelopeError,
     InfeasibleDesignError,
     NoRealDesignError,
     ResourceLimitError,
@@ -66,6 +69,8 @@ __all__ = [
     "ArrowheadMatrix",
     "DesignInput",
     "DesignSolution",
+    "ETA_MAX",
+    "EnvelopeError",
     "EvolutionCache",
     "FeasibilityReport",
     "FidelityTrace",
@@ -73,6 +78,7 @@ __all__ = [
     "GroupedStar",
     "InfeasibleDesignError",
     "LARGEST",
+    "M_MAX",
     "NoRealDesignError",
     "ReducedParams",
     "ResourceLimitError",

@@ -4,7 +4,7 @@ Subcommands::
 
     design    solve for the local potentials given bystander count and ratio
     simulate  sample a transfer-fidelity trace to CSV
-    verify    re-check a design file by exact dynamics
+    verify    re-check a design file's own star and route by exact dynamics
     sweep     tabulate minimal feasible designs across bystander counts
     retarget  redirect a design file to a new target node
 
@@ -12,6 +12,13 @@ Design files are JSON (schema_version 1); traces are two-column CSV with a
 ``t,fidelity`` header.  All numbers are written in full round-trip precision
 and nothing in the output depends on the clock or on randomness, so reruns
 with the same arguments are byte-identical.
+
+A design file spells out all ``m + 3`` potentials, so reading and writing
+one is ``O(m)`` in file bytes (24 MB at ``m = 10**6``), done in C.  Everything
+else a command does works on the star's hub, background and exceptions and
+is ``O(1)`` in ``m``.  ``verify`` evolves the file's own star along the
+file's own route.  Requests beyond the envelope ``m <= 10**6``,
+``eta <= 1 400 000`` are refused before any work that grows with them.
 
 Exit codes: 0 success, 1 usage or file errors, 2 infeasible design requests.
 """
@@ -22,7 +29,9 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from itertools import chain
+from operator import itemgetter
 from pathlib import Path
 
 import numpy as np
@@ -48,13 +57,25 @@ class _Parser(argparse.ArgumentParser):
 @dataclass(frozen=True)
 class ParsedDesign:
     """A design file brought back to life: canonical solution plus the route
-    and potentials the file is currently wired for."""
+    and potentials the file is currently wired for.
+
+    Construction checks the route once, by building ``routing``.
+    """
 
     solution: model.DesignSolution
     source: int
     target: int
     spec: model.StarSpec
     root_choice: designer.RootChoice
+    routing: switchboard.RoutingState = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        routing = switchboard.RoutingState(
+            base=self.solution, source=self.source, target=self.target, realized_spec=self.spec
+        )
+        object.__setattr__(self, "routing", routing)
+        object.__setattr__(self, "source", routing.source)
+        object.__setattr__(self, "target", routing.target)
 
 
 # ---------------------------------------------------------------------------
@@ -64,7 +85,16 @@ class ParsedDesign:
 def design_document(sol: model.DesignSolution, source: int, target: int,
                     spec: model.StarSpec, root_choice: designer.RootChoice) -> dict:
     """JSON-ready dictionary for a design routed source -> target with the
-    given realized potentials."""
+    given realized potentials, spelled out node by node (``O(N)``)."""
+    doc = _document(sol, source, target, spec, root_choice)
+    doc["potentials"] = list(spec.potentials)
+    return doc
+
+
+def _document(sol: model.DesignSolution, source: int, target: int,
+              spec: model.StarSpec, root_choice: designer.RootChoice) -> dict:
+    """:func:`design_document` with the star itself under ``potentials``,
+    for :func:`render_design`; ``O(1)``."""
     params = sol.params
     spectrum_dev, lambda_dev = designer.design_residuals(params, sol.eta, sol.target_spectrum)
     return {
@@ -82,7 +112,7 @@ def design_document(sol: model.DesignSolution, source: int, target: int,
         "tau": sol.transfer_time,
         "spectrum": list(sol.target_spectrum),
         "coupling": spec.coupling,
-        "potentials": list(spec.potentials),
+        "potentials": spec,
         "residuals": {
             "root": sol.root_residual,
             "spectrum": spectrum_dev,
@@ -91,25 +121,48 @@ def design_document(sol: model.DesignSolution, source: int, target: int,
     }
 
 
-def render_design(doc: dict) -> str:
-    """``json.dumps(doc, indent=2) + "\n"``, with each distinct potential
-    formatted once.
+class _ItemTexts(dict):
+    """A list item's text, ``",\n    " + repr(x)``, for each float looked up,
+    formatted once per distinct value.  A zero is formatted every time:
+    ``0.0 == -0.0``, so one entry would serve both."""
 
-    A design holds three distinct potentials however large ``m`` is, and the
-    pure-Python indenting encoder would format every one of the ``m + 3``
-    entries.  ``doc["potentials"]`` must be a non-empty list of finite floats,
-    as :func:`design_document` makes it.
+    def __missing__(self, value: float) -> str:
+        text = ",\n    " + float.__repr__(value)
+        if value:
+            self[value] = text
+        return text
+
+
+def render_design(doc: dict) -> str:
+    """``json.dumps(doc, indent=2) + "\n"``, in time linear in the output
+    bytes and ``O(len(exceptions))`` in Python.
+
+    ``doc["potentials"]`` is a :class:`~spinstar.model.StarSpec` (what the
+    commands write) or a non-empty list of finite floats, which is split into
+    the same hub, background and exceptions in one pass.  The hub, the
+    background and each exception are formatted once, and each run of
+    background entries is one string repetition.
     """
-    potentials = doc["potentials"]
-    # Group by bit pattern, not by value: 0.0 == -0.0 but their reprs differ.
-    bits = np.fromiter(potentials, float, len(potentials)).view(np.int64)
-    distinct, which = np.unique(bits, return_inverse=True)
-    texts = np.array(list(map(float.__repr__, distinct.view(float).tolist())), dtype=object)
+    star = doc["potentials"]
+    if isinstance(star, model.StarSpec):
+        count, hub, background, exceptions = (
+            star.edge_count + 1, star.hub, star.background, star.exceptions)
+    else:
+        count = len(star)
+        hub, background, exceptions = model.split_potentials(star)
+    sep = ",\n    "
+    run = sep + float.__repr__(background)
+    nodes = [0, *map(itemgetter(0), exceptions), count]
+    runs = [run * (b - a - 1) for a, b in zip(nodes, nodes[1:])]
+    texts = map(_ItemTexts().__getitem__, map(itemgetter(1), exceptions))
     # Only a top-level key follows a newline and exactly two spaces.
     key = '\n  "potentials": '
     head, tail = json.dumps({**doc, "potentials": []}, indent=2).split(key + "[]")
-    items = ",\n    ".join(texts[which].tolist())
-    return "".join((head, key, "[\n    ", items, "\n  ]", tail, "\n"))
+    return "".join(chain(
+        (head, key, "[\n    ", float.__repr__(hub)),
+        chain.from_iterable(zip(runs, texts)),  # each exception after its run
+        (runs[-1], "\n  ]", tail, "\n"),
+    ))
 
 
 def _field(doc: dict, name: str, kind) -> object:
@@ -178,19 +231,14 @@ def parse_design_document(doc: dict) -> ParsedDesign:
             transfer_time=tau,
             target_spectrum=tuple(float(x) for x in spectrum),
             root_residual=root_residual,
-            realized=model.StarSpec(
-                edge_count=m + 2,
-                coupling=c,
-                potentials=(a, e, e) + (d,) * m,
-            ),
+            realized=model.routed_star(params),
         )
         spec = model.StarSpec(edge_count=m + 2, coupling=coupling, potentials=potentials)
-        source, target = model.check_route(spec, params, source, target)
+        return ParsedDesign(
+            solution=solution, source=source, target=target, spec=spec, root_choice=root_choice
+        )
     except ValueError as exc:
         raise ValueError(f"design file: {exc}") from exc
-    return ParsedDesign(
-        solution=solution, source=source, target=target, spec=spec, root_choice=root_choice
-    )
 
 
 class _FloatMemo(dict):
@@ -237,7 +285,7 @@ def _cmd_design(ns) -> int:
     root_choice = designer.RootChoice.parse(ns.root)
     request = designer.DesignInput(m=ns.bystanders, eta=ns.eta, root_choice=root_choice)
     sol = designer.design(request)
-    doc = design_document(sol, source=1, target=2, spec=sol.realized, root_choice=root_choice)
+    doc = _document(sol, source=1, target=2, spec=sol.realized, root_choice=root_choice)
     _write_output(render_design(doc), ns.out)
     return 0
 
@@ -261,7 +309,8 @@ def _cmd_simulate(ns) -> int:
 
 def _cmd_verify(ns) -> int:
     parsed = load_design_file(ns.design)
-    report = dynamics.verify_design(parsed.solution, tol=ns.tol)
+    report = dynamics.verify_design(parsed.solution, tol=ns.tol, spec=parsed.spec,
+                                    source=parsed.source, target=parsed.target)
     print(f"verification report (tol={ns.tol!r})")
     print(f"  spectrum deviation  : {report.spectrum_deviation:.6e}")
     print(f"  fidelity at tau     : {report.fidelity_at_tau:.15f}")
@@ -277,6 +326,7 @@ def _cmd_sweep(ns) -> int:
         raise ValueError("--m-min must be at least 1")
     if ns.m_max < ns.m_min:
         raise ValueError("--m-max must be at least --m-min")
+    designer.check_envelope(m=ns.m_max)
     print("m,eta,e,a,d,tau,abs_a_over_sqrt_m,abs_d_over_sqrt_m")
     for m in range(ns.m_min, ns.m_max + 1):
         eta = designer.min_feasible_even_eta(m)
@@ -295,14 +345,8 @@ def _cmd_sweep(ns) -> int:
 
 def _cmd_retarget(ns) -> int:
     parsed = load_design_file(ns.design)
-    state = switchboard.RoutingState(
-        base=parsed.solution,
-        source=parsed.source,
-        target=parsed.target,
-        realized_spec=parsed.spec,
-    )
-    new_state = switchboard.retarget(state, ns.target)
-    doc = design_document(
+    new_state = switchboard.retarget(parsed.routing, ns.target)
+    doc = _document(
         parsed.solution,
         source=new_state.source,
         target=new_state.target,

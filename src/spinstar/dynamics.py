@@ -6,10 +6,11 @@ propagator is unitary up to rounding and the one eigendecomposition is reused
 across an entire time grid.
 
 A whole star never needs its dense ``(N+1)**2`` matrix: :class:`StarEvolution`
-groups the edges by potential (one sort of the ``N`` potentials, in C) and
-diagonalizes only the ``(k+1)``-level bright arrowhead, ``O(k**3)`` for ``k``
-distinct edge potentials (``k = 2`` for every design file) and refused above
-``DENSE_MAX_EDGES`` groups.  The dark modes contribute in closed form.
+groups the edges by potential (the star's background plus its sparse
+exceptions) and diagonalizes only the ``(k+1)``-level bright arrowhead,
+``O(k**3)`` for ``k`` distinct edge potentials (``k = 2`` for every design
+file) and refused above ``DENSE_MAX_EDGES`` groups.  The dark modes
+contribute in closed form.
 """
 
 from __future__ import annotations
@@ -118,15 +119,15 @@ class StarEvolution:
 
     @property
     def dimension(self) -> int:
-        return int(self.star.group_of.size) + 1
+        return self.star.edge_count + 1
 
     def _bright_mode(self, state: int) -> tuple[int, int]:
         """Index of the bright mode ``state`` overlaps, and the size of its
         group (1 for the hub)."""
         if state == 0:
             return 0, 1
-        group = int(self.star.group_of[state - 1])
-        return group + 1, int(self.star.sizes[group])
+        group = self.star.group(state)
+        return group + 1, self.star.sizes[group]
 
     def _terms(self, src, dst) -> tuple[int, int, float, float, float]:
         """Bright modes of ``src`` and ``dst``, the inverse product of their
@@ -270,7 +271,9 @@ def _parity_pattern_ok(cache: EvolutionCache, e_value: float) -> bool:
     return antisymmetric == closest_to_e
 
 
-def verify_design(sol: DesignSolution, tol: float = DEFAULT_VERIFY_TOL) -> VerificationReport:
+def verify_design(sol: DesignSolution, tol: float = DEFAULT_VERIFY_TOL,
+                  spec: StarSpec | None = None, source: int = 1,
+                  target: int = 2) -> VerificationReport:
     """Re-derive everything a design promises from exact dynamics.
 
     Checks, all at ``tol``: the realized four-level spectrum; transfer
@@ -279,20 +282,24 @@ def verify_design(sol: DesignSolution, tol: float = DEFAULT_VERIFY_TOL) -> Verif
     parity pattern (one antisymmetric mode at eigenvalue ``e``); and agreement
     between reduced and full amplitudes.  Failures are reported, not raised.
 
-    The full star goes through :class:`StarEvolution`: a grouping of the
-    realized potentials (one sort, in C), then an eigensolve of at most 3x3 (the hub
-    plus the bright modes of the source/target and bystander groups), so no
-    dense ``(N+1)**2`` matrix is built at any size.
+    The full star is ``spec`` evolved from ``source`` to ``target``; by
+    default the canonical ``sol.realized`` wired 1 -> 2.  The CLI passes a
+    design file's own star and route.  It goes through
+    :class:`StarEvolution`: a grouping of the star's background and
+    exceptions, then an eigensolve of the hub plus one bright mode per
+    distinct edge potential (at most 3x3 for a design), so no dense
+    ``(N+1)**2`` matrix is built and the cost does not grow with ``N``.
     """
     tol = float(tol)
     params = sol.params
     cache4 = EvolutionCache.from_hamiltonian(reduced_matrix(params))
-    target = np.sort(np.asarray(sol.target_spectrum, dtype=float))
-    spectrum_deviation = float(np.max(np.abs(cache4.eigenvalues - target)))
+    wanted = np.sort(np.asarray(sol.target_spectrum, dtype=float))
+    spectrum_deviation = float(np.max(np.abs(cache4.eigenvalues - wanted)))
 
     tau = sol.transfer_time
     amp_reduced = cache4.amplitude(tau, 2, 3)
-    amp_full = StarEvolution.from_spec(sol.realized).amplitude(tau, 1, 2)
+    star = sol.realized if spec is None else spec
+    amp_full = StarEvolution.from_spec(star).amplitude(tau, source, target)
 
     fidelity_at_tau = float(min(abs(amp_reduced) ** 2, abs(amp_full) ** 2))
     phase_deviation = float(abs(amp_reduced - 1.0))

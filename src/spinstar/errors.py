@@ -17,6 +17,12 @@ class ResourceLimitError(SpinStarError):
     materialize (it would allocate an impractically large dense matrix)."""
 
 
+class EnvelopeError(SpinStarError):
+    """A design request lies beyond the supported envelope (``M_MAX``,
+    ``ETA_MAX`` in :mod:`spinstar.designer`); raised before any work that
+    grows with the request."""
+
+
 class NoRealDesignError(SpinStarError):
     """The hub/bystander potentials implied by a candidate root are not real,
     or neither assignment satisfies the constant-term condition."""

@@ -21,7 +21,11 @@ acquires a phase.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
+from collections import Counter
 from dataclasses import dataclass
+from functools import cached_property
+from operator import itemgetter
 
 import numpy as np
 
@@ -56,37 +60,189 @@ def check_int(value, name: str, lo: int | None = None, hi: int | None = None) ->
     return value
 
 
-@dataclass(frozen=True)
-class StarSpec:
-    """Full description of an (N+1)-spin star.
+def _sparse_get(pairs: tuple, node: int, default):
+    """The value paired with ``node`` in sorted ``(node, value)`` pairs, or
+    ``default``; ``O(log len(pairs))``."""
+    i = bisect_left(pairs, (node,))
+    return pairs[i][1] if i < len(pairs) and pairs[i][0] == node else default
 
-    ``potentials[0]`` is the hub energy, ``potentials[j]`` the energy of edge
-    node ``j``.  ``edge_count >= 3`` because routing needs a source, a target
-    and at least one bystander.
+
+def _bits_equal(x: float, y: float) -> bool:
+    """``x`` and ``y`` are the same float, bit for bit (both finite)."""
+    return x == y and math.copysign(1.0, x) == math.copysign(1.0, y)
+
+
+# Up to this many nodes a Python scan beats numpy's fixed per-call cost.
+_SCAN_IN_PYTHON = 64
+
+
+def split_potentials(potentials) -> tuple[float, float, tuple[tuple[int, float], ...]]:
+    """``(hub, background, exceptions)`` of a non-empty per-node sequence of
+    floats (entry 0 the hub): the exceptions are the sorted ``(node, value)``
+    pairs of the edges that differ from the background bit for bit.
+
+    One pass, no sort.  The background is voted from a few sampled edges,
+    so a star with at most two edges off a common value, as every design
+    is, yields at most two exceptions.  Up to 64 nodes the scan runs in
+    Python (the first of edges 1, N and 2 that more than half the edges
+    share); above, one compare and one scan of an array in C (the commonest
+    bit pattern of edges 1, 2, 3, N-1 and N).  Without edges the background
+    is the hub.
+    """
+    count = len(potentials)
+    if count <= _SCAN_IN_PYTHON:
+        hub, *edges = potentials
+        if not edges:
+            return hub, hub, ()
+        for background in (edges[0], edges[-1], edges[1 % len(edges)]):
+            if 2 * edges.count(background) > len(edges):
+                break
+        sign = math.copysign(1.0, background)
+        # == is bit equality except between 0.0 and -0.0.
+        return hub, background, tuple([
+            (j, value) for j, value in enumerate(edges, 1)
+            if value != background or (not value and math.copysign(1.0, value) != sign)
+        ])
+    n = count - 1
+    values = np.fromiter(potentials, float, count)
+    bits = values.view(np.int64)
+    positions = [1, 2, 3, n - 1, n]
+    samples = bits[positions].tolist()
+    common = max(samples, key=samples.count)
+    background = float(values[positions[samples.index(common)]])
+    nodes = (bits != common).nonzero()[0].tolist()
+    if nodes and nodes[0] == 0:
+        del nodes[0]
+    return float(values[0]), background, tuple(zip(nodes, values[nodes].tolist()))
+
+
+@dataclass(frozen=True, init=False, eq=False)
+class StarSpec:
+    """Full description of an (N+1)-spin star, stored sparsely.
+
+    The hub carries ``hub``; every edge node ``j`` carries ``background``
+    except the nodes listed in ``exceptions``, sorted ``(node, value)`` pairs
+    whose values differ from the background bit for bit.  A designed or
+    retargeted star has at most two exceptions, so it costs ``O(1)`` memory
+    and everything built from it runs in ``O(1)`` whatever ``N``.
+    ``edge_count >= 3`` because routing needs a source, a target and at least
+    one bystander.
+
+    ``StarSpec(edge_count, coupling, potentials)`` takes the per-node list
+    (``potentials[0]`` the hub, ``potentials[j]`` edge ``j``) and splits it
+    in one pass (:func:`split_potentials`); :meth:`sparse` takes the parts
+    directly.  The per-node tuple :attr:`potentials` is built on first use
+    and cached (at once for stars of fewer than 64 edges).
     """
 
     edge_count: int
     coupling: float
-    potentials: tuple[float, ...]
+    hub: float
+    background: float
+    exceptions: tuple[tuple[int, float], ...]
 
-    def __post_init__(self):
-        object.__setattr__(self, "edge_count", check_int(self.edge_count, "edge_count", lo=3))
-        object.__setattr__(self, "coupling", float(self.coupling))
-        if not math.isfinite(self.coupling) or self.coupling <= 0:
-            raise ValueError("coupling must be positive and finite")
-        pots = tuple(map(float, self.potentials))
-        object.__setattr__(self, "potentials", pots)
-        if len(pots) != self.edge_count + 1:
+    def __init__(self, edge_count, coupling, potentials):
+        n, coupling = self._check_size(edge_count, coupling)
+        if not hasattr(potentials, "__len__"):
+            potentials = tuple(potentials)
+        if len(potentials) != n + 1:
             raise ValueError(
-                f"potentials must have exactly edge_count + 1 = {self.edge_count + 1} "
-                f"entries, got {len(pots)}"
+                f"potentials must have exactly edge_count + 1 = {n + 1} "
+                f"entries, got {len(potentials)}"
             )
-        if not all(map(math.isfinite, pots)):
+        if n < _SCAN_IN_PYTHON:
+            # A small star keeps its per-node tuple; building it later costs more.
+            potentials = self.__dict__["potentials"] = tuple(map(float, potentials))
+        # float() semantics per entry: the tuple above, or np.fromiter.
+        self._set_parts(n, coupling, *split_potentials(potentials))
+
+    @classmethod
+    def sparse(cls, edge_count, coupling, hub, background, exceptions=()) -> "StarSpec":
+        """The star with ``hub`` at the hub, ``background`` on every edge and
+        the ``(node, value)`` pairs of ``exceptions`` (nodes strictly
+        increasing in ``1..edge_count``) on top; ``O(len(exceptions))``.
+        Exceptions equal to the background bit for bit are dropped."""
+        n, coupling = cls._check_size(edge_count, coupling)
+        background = float(background)
+        kept, last = [], 0
+        for node, value in exceptions:
+            node, value = check_int(node, "exception node", last + 1, n), float(value)
+            if not _bits_equal(value, background):
+                kept.append((node, value))
+            last = node
+        star = cls.__new__(cls)
+        star._set_parts(n, coupling, float(hub), background, tuple(kept))
+        return star
+
+    @staticmethod
+    def _check_size(edge_count, coupling) -> tuple[int, float]:
+        n = check_int(edge_count, "edge_count", lo=3)
+        coupling = float(coupling)
+        if not math.isfinite(coupling) or coupling <= 0:
+            raise ValueError("coupling must be positive and finite")
+        return n, coupling
+
+    def _set_parts(self, edge_count, coupling, hub, background, exceptions) -> None:
+        # Every node carries the hub, the background or an exception value.
+        if not (math.isfinite(hub) and math.isfinite(background)
+                and all(map(math.isfinite, map(itemgetter(1), exceptions)))):
             raise ValueError("potentials must all be finite")
+        self.__dict__.update(edge_count=edge_count, coupling=coupling, hub=hub,
+                             background=background, exceptions=exceptions)
 
     @property
     def bystander_count(self) -> int:
         return self.edge_count - 2
+
+    @cached_property
+    def potentials(self) -> tuple[float, ...]:
+        """Per-node potentials ``(hub, edge 1, ..., edge N)``; ``O(N)``."""
+        pots = [self.background] * (self.edge_count + 1)
+        pots[0] = self.hub
+        for node, value in self.exceptions:
+            pots[node] = value
+        return tuple(pots)
+
+    def potential(self, node: int) -> float:
+        """Potential of ``node`` (0 is the hub), in ``O(log len(exceptions))``."""
+        return self.hub if node == 0 else _sparse_get(self.exceptions, node, self.background)
+
+    def _background_bystanders(self, source: int, target: int) -> int:
+        """How many edges other than ``source`` and ``target`` carry the
+        background."""
+        on_route = sum(_sparse_get(self.exceptions, j, None) is not None for j in (source, target))
+        return self.edge_count - 2 - (len(self.exceptions) - on_route)
+
+    def replace(self, values: dict[int, float]) -> "StarSpec":
+        """This star with the edge potentials in ``values`` (node -> value)
+        replaced; ``O(len(exceptions))`` in C plus ``O(len(values))``."""
+        merged = dict(self.exceptions)
+        for node, value in values.items():
+            node, value = check_int(node, "node", 1, self.edge_count), float(value)
+            if _bits_equal(value, self.background):
+                merged.pop(node, None)
+            else:
+                merged[node] = value
+        star = StarSpec.__new__(StarSpec)
+        star._set_parts(self.edge_count, self.coupling, self.hub, self.background,
+                        tuple(sorted(merged.items())))
+        return star
+
+    def _parts(self) -> tuple:
+        return (self.edge_count, self.coupling, self.hub, self.background, self.exceptions)
+
+    def __eq__(self, other):
+        """Equal sizes, couplings and per-node potentials (compared with
+        ``==``, like tuples of floats); ``O(1)`` when the parts agree."""
+        if not isinstance(other, StarSpec):
+            return NotImplemented
+        if self._parts() == other._parts():
+            return True
+        return (self.edge_count == other.edge_count and self.coupling == other.coupling
+                and self.potentials == other.potentials)
+
+    def __hash__(self):
+        return hash((self.edge_count, self.coupling, self.hub))
 
 
 @dataclass(frozen=True)
@@ -194,7 +350,18 @@ class DesignSolution:
         if any(abs(x - y) > 1e-9 * scale for x, y in zip(sorted(spectrum), expected)):
             raise ValueError("target_spectrum must be {0, e, +eta*e, -eta*e}")
         object.__setattr__(self, "root_residual", float(self.root_residual))
-        check_route(self.realized, self.params, 1, 2)
+        # The canonical star passes by construction; anything else is checked.
+        p = self.params
+        if self.realized._parts() != (p.m + 2, p.c, p.a, p.d, ((1, p.e), (2, p.e))):
+            check_route(self.realized, p, 1, 2)
+
+
+def routed_star(params: ReducedParams) -> StarSpec:
+    """The star that realizes ``params`` wired for ``1 -> 2``: ``a`` at the
+    hub, ``e`` at edges 1 and 2, ``d`` on every other edge, coupling ``c``;
+    ``O(1)``."""
+    return StarSpec.sparse(params.m + 2, params.c, params.a, params.d,
+                           ((1, params.e), (2, params.e)))
 
 
 def check_route(spec: StarSpec, params: ReducedParams, source, target) -> tuple[int, int]:
@@ -202,9 +369,11 @@ def check_route(spec: StarSpec, params: ReducedParams, source, target) -> tuple[
 
     ``spec`` must have ``m + 2`` edges and coupling ``c``, and node by node
     its potentials must match ``a`` at the hub, ``e`` at source and target
-    and ``d`` elsewhere, each within ``POTENTIAL_MATCH_TOL * max(1, |wanted|)``.
-    Returns the validated ``(source, target)``; raises ``ValueError``
-    otherwise.
+    and ``d`` elsewhere, each within ``POTENTIAL_MATCH_TOL * max(1, |wanted|)``;
+    the first node that does not is named.  Runs in
+    ``O(len(spec.exceptions))``: the background is one value however many
+    nodes carry it.  Returns the validated ``(source, target)``; raises
+    ``ValueError`` otherwise.
     """
     n = spec.edge_count
     if n != params.m + 2:
@@ -215,23 +384,35 @@ def check_route(spec: StarSpec, params: ReducedParams, source, target) -> tuple[
     target = check_int(target, "target", 1, n)
     if source == target:
         raise ValueError("source and target must differ")
-    # In place: at m = 1e6 each per-node array is 8 MB.
-    dev = np.fromiter(spec.potentials, float, n + 1)
-    want = np.full(n + 1, params.d)
-    want[[0, source, target]] = params.a, params.e, params.e
-    dev -= want
-    np.abs(dev, out=dev)
-    limit = np.abs(want)
-    np.maximum(limit, 1.0, out=limit)
-    limit *= POTENTIAL_MATCH_TOL
-    bad = np.flatnonzero(dev > limit)
-    if bad.size:
-        j = int(bad[0])
+    a, d, e = params.a, params.d, params.e
+    route = (source, target)
+
+    def off(value: float, want: float) -> bool:
+        return abs(value - want) > max(abs(want), 1.0) * POTENTIAL_MATCH_TOL
+
+    bad = [j for j, want in ((0, a), (source, e), (target, e)) if off(spec.potential(j), want)]
+    limit = max(abs(d), 1.0) * POTENTIAL_MATCH_TOL
+    bad += [j for j, value in spec.exceptions if abs(value - d) > limit and j not in route]
+    if off(spec.background, d) and spec._background_bystanders(source, target):
+        bad.append(_first_background_bystander(spec, source, target))
+    if bad:
+        j = min(bad)
+        want = a if j == 0 else e if j in route else d
         raise ValueError(
             f"potentials do not realize the route (source={source}, target={target}): "
-            f"node {j} carries {spec.potentials[j]!r} where {float(want[j])!r} is required"
+            f"node {j} carries {spec.potential(j)!r} where {want!r} is required"
         )
     return source, target
+
+
+def _first_background_bystander(spec: StarSpec, source: int, target: int) -> int:
+    """Smallest edge node other than ``source`` and ``target`` that carries
+    the background (one must); ``O(len(spec.exceptions))``."""
+    taken = {source, target, *map(itemgetter(0), spec.exceptions)}
+    j = 1
+    while j in taken:
+        j += 1
+    return j
 
 
 @dataclass(frozen=True)
@@ -271,7 +452,7 @@ def build_arrowhead(spec: StarSpec) -> ArrowheadMatrix:
     n = spec.edge_count
     return ArrowheadMatrix(
         dimension=n + 1,
-        hub_value=spec.potentials[0],
+        hub_value=spec.hub,
         arm_couplings=(spec.coupling,) * n,
         arm_values=spec.potentials[1:],
     )
@@ -287,42 +468,61 @@ class GroupedStar:
     ``sqrt(g) * coupling``, and ``g - 1`` dark modes orthogonal to it: exact
     eigenvectors at ``lam`` that never reach the hub.  ``bright`` is the
     arrowhead on (hub, bright mode of group 0, ..., group k-1), with the
-    group potentials ascending; edge ``j`` lies in group ``group_of[j - 1]``
-    of size ``sizes[group_of[j - 1]]``.
+    group potentials ascending, and group ``i`` has ``sizes[i]`` edges.
+    Like the star, the edge-to-group map is sparse: :meth:`group` gives
+    ``background_group`` except at the nodes of ``exception_groups``, sorted
+    ``(node, group)`` pairs.
     """
 
     bright: ArrowheadMatrix
-    group_of: np.ndarray
-    sizes: np.ndarray
+    sizes: tuple[int, ...]
+    edge_count: int
+    background_group: int
+    exception_groups: tuple[tuple[int, int], ...]
+
+    def group(self, node: int) -> int:
+        """Group of edge ``node`` (``1..edge_count``)."""
+        return _sparse_get(self.exception_groups, node, self.background_group)
 
 
 def build_grouped(spec: StarSpec) -> GroupedStar:
     """Group the edges of ``spec`` by exact potential value (``0.0`` and
-    ``-0.0`` are one value), in ``O(N log N)`` in C.
+    ``-0.0`` are one value), in ``O(e log e)`` for ``e`` exceptions: the
+    background nodes are one count, however many they are.
 
     Raises :class:`ResourceLimitError` above ``DENSE_MAX_EDGES`` distinct
     edge potentials, before anything of size ``(k+1)**2`` exists.
     """
-    edges = np.fromiter(spec.potentials, float, spec.edge_count + 1)[1:]
-    # Not np.unique: its plain form imports numpy.ma on first use (~15 ms per
-    # process) and its inverse and counts cost three to six times as much.
-    ordered = np.sort(edges)
-    values = ordered[np.concatenate(([True], ordered[1:] != ordered[:-1]))]
-    k = values.size
+    exceptions = spec.exceptions
+    values = list(map(itemgetter(1), exceptions))
+    # Keys compare with ==, so 0.0 and -0.0 fall into one group.
+    counts = Counter(values)
+    rest = spec.edge_count - len(exceptions)
+    if rest:
+        counts[spec.background] += rest
+    k = len(counts)
     if k > DENSE_MAX_EDGES:
         raise ResourceLimitError(
             f"grouped star dynamics is limited to {DENSE_MAX_EDGES} distinct edge "
             f"potentials (a dense (k+1)^2 eigensolve); got k={k}"
         )
-    group_of = np.searchsorted(values, edges)
-    sizes = np.bincount(group_of, minlength=k)
+    levels = sorted(counts)
+    sizes = tuple(map(counts.__getitem__, levels))
+    index = dict(zip(levels, range(k)))
     bright = ArrowheadMatrix(
         dimension=k + 1,
-        hub_value=spec.potentials[0],
-        arm_couplings=(spec.coupling * np.sqrt(sizes)).tolist(),
-        arm_values=values.tolist(),
+        hub_value=spec.hub,
+        arm_couplings=[spec.coupling * math.sqrt(g) for g in sizes],
+        arm_values=levels,
     )
-    return GroupedStar(bright=bright, group_of=group_of, sizes=sizes)
+    return GroupedStar(
+        bright=bright,
+        sizes=sizes,
+        edge_count=spec.edge_count,
+        background_group=index[spec.background] if rest else -1,
+        exception_groups=tuple(zip(map(itemgetter(0), exceptions),
+                                   map(index.__getitem__, values))),
+    )
 
 
 def build_reduced(spec: StarSpec, source: int, target: int) -> ReducedParams:
@@ -331,30 +531,32 @@ def build_reduced(spec: StarSpec, source: int, target: int) -> ReducedParams:
     Requires the source and target potentials to match and all remaining edge
     (bystander) potentials to match, both within ``POTENTIAL_MATCH_TOL``; the
     bystanders then act as a single renormalized node coupled with strength
-    ``sqrt(m) * coupling``.
+    ``sqrt(m) * coupling``.  ``O(len(spec.exceptions))``.
     """
     n = spec.edge_count
     source = check_int(source, "source", 1, n)
     target = check_int(target, "target", 1, n)
     if source == target:
         raise ValueError("source and target must be different nodes")
-    lam = spec.potentials
-    if abs(lam[source] - lam[target]) > POTENTIAL_MATCH_TOL:
+    lam_s, lam_t = spec.potential(source), spec.potential(target)
+    if abs(lam_s - lam_t) > POTENTIAL_MATCH_TOL:
         raise SymmetryError(
-            f"potentials of source ({lam[source]!r}) and target ({lam[target]!r}) "
+            f"potentials of source ({lam_s!r}) and target ({lam_t!r}) "
             "must match for the reduction to apply"
         )
-    bystanders = np.delete(np.fromiter(lam, float, n + 1), [0, source, target])
-    spread = float(bystanders.max() - bystanders.min())
+    levels = [value for j, value in spec.exceptions if j != source and j != target]
+    if spec._background_bystanders(source, target):
+        levels.append(spec.background)
+    spread = max(levels) - min(levels)
     if spread > POTENTIAL_MATCH_TOL:
         raise SymmetryError(f"bystander potentials must all match; spread is {spread!r}")
     m = n - 2
     return ReducedParams(
-        a=lam[0],
+        a=spec.hub,
         b=math.sqrt(m) * spec.coupling,
         c=spec.coupling,
-        d=float(bystanders[0]),
-        e=lam[source],
+        d=spec.potential(min({1, 2, 3} - {source, target})),  # the first bystander
+        e=lam_s,
         m=m,
     )
 

@@ -18,7 +18,8 @@ from .model import DesignSolution, StarSpec, check_int, check_route
 @dataclass(frozen=True)
 class RoutingState:
     """A design together with the source/target pair it is currently wired
-    for; ``realized_spec`` holds the actual per-node potentials."""
+    for; ``realized_spec`` holds the actual potentials.  Construction checks
+    the route once, in ``O(len(realized_spec.exceptions))``."""
 
     base: DesignSolution
     source: int
@@ -38,32 +39,28 @@ def initial_routing(sol: DesignSolution) -> RoutingState:
 
 def retarget(state: RoutingState, new_target: int) -> RoutingState:
     """Redirect the transfer to ``new_target`` by exchanging its local
-    potential with the current target's.
+    potential with the current target's, in ``O(len(exceptions))``.
 
     Retargeting to the current target is a no-op; swapping back restores the
-    original potentials exactly (the swap moves float values verbatim).
+    original potentials exactly (the swap moves float values verbatim).  The
+    swap keeps the route valid (the target's value moves to the new target,
+    a bystander's to the old target), so the new state is not re-checked.
     """
-    n = state.realized_spec.edge_count
-    new_target = check_int(new_target, "new_target", 1, n)
+    spec = state.realized_spec
+    new_target = check_int(new_target, "new_target", 1, spec.edge_count)
     if new_target == state.source:
         raise ValueError("new_target must differ from the source")
-    pots = list(state.realized_spec.potentials)
-    pots[state.target], pots[new_target] = pots[new_target], pots[state.target]
-    new_spec = StarSpec(
-        edge_count=n,
-        coupling=state.realized_spec.coupling,
-        potentials=tuple(pots),
-    )
-    return RoutingState(
-        base=state.base,
-        source=state.source,
-        target=new_target,
-        realized_spec=new_spec,
-    )
+    old_target = state.target
+    new_spec = spec.replace({old_target: spec.potential(new_target),
+                             new_target: spec.potential(old_target)})
+    moved = object.__new__(RoutingState)
+    moved.__dict__.update(base=state.base, source=state.source, target=new_target,
+                          realized_spec=new_spec)
+    return moved
 
 
 def apply_offset(spec: StarSpec, delta: float) -> StarSpec:
-    """Shift every local potential by ``delta``.
+    """Shift every local potential by ``delta``, in ``O(len(exceptions))``.
 
     Transfer probabilities are unchanged: the shift multiplies the evolution
     by a global phase.  Useful to park the bystanders at zero potential.
@@ -71,8 +68,10 @@ def apply_offset(spec: StarSpec, delta: float) -> StarSpec:
     delta = float(delta)
     if not math.isfinite(delta):
         raise ValueError("delta must be finite")
-    return StarSpec(
-        edge_count=spec.edge_count,
-        coupling=spec.coupling,
-        potentials=tuple(x + delta for x in spec.potentials),
+    return StarSpec.sparse(
+        spec.edge_count,
+        spec.coupling,
+        spec.hub + delta,
+        spec.background + delta,
+        [(j, value + delta) for j, value in spec.exceptions],
     )

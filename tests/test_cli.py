@@ -205,12 +205,47 @@ def test_simulate_full_refuses_too_many_distinct_potentials(tmp_path, capsys):
     assert max(abs(x - d) for x in spread) <= 1e-12 * max(1.0, abs(d))
     doc["potentials"][3:] = spread
     path.write_text(json.dumps(doc))
-    assert execute(["verify", "--design", str(path)]) == 0
-    capsys.readouterr()
+    assert execute(["verify", "--design", str(path)]) == 1
+    verify_err = capsys.readouterr().err
     assert execute(["simulate", "--design", str(path), "--full", "--out", str(trace)]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
     assert "limited to 4096 distinct edge potentials" in err and "k=5001" in err
+    assert verify_err == err
+
+
+def test_verify_evolves_the_files_own_star_and_route(design_file, tmp_path, monkeypatch, capsys):
+    moved = tmp_path / "moved.json"
+    assert execute(["retarget", "--design", str(design_file), "--target", "4",
+                    "--out", str(moved)]) == 0
+    evolved = []
+    amplitude = dynamics.StarEvolution.amplitude
+
+    def spy(self, t, src, dst):
+        evolved.append((self.star, src, dst))
+        return amplitude(self, t, src, dst)
+
+    monkeypatch.setattr(dynamics.StarEvolution, "amplitude", spy)
+    assert execute(["verify", "--design", str(moved)]) == 0
+    assert capsys.readouterr().out.splitlines()[-1].endswith("PASS")
+    (star, src, dst), = evolved
+    assert (src, dst) == (1, 4)
+    # the file's star: source and target share a group, node 2 is a bystander
+    assert star.group(1) == star.group(4) != star.group(2) == star.group(3)
+
+
+def test_design_beyond_the_envelope_is_one_error_line(capsys):
+    assert execute(["design", "--bystanders", "1000001", "--eta", "1300000"]) == 1
+    assert capsys.readouterr().err == (
+        "error: m=1000001 lies beyond the supported envelope m <= M_MAX = 1000000\n")
+    assert execute(["design", "--bystanders", "2", "--eta", "1400002"]) == 1
+    assert capsys.readouterr().err == (
+        "error: eta=1400002 lies beyond the supported envelope eta <= ETA_MAX = 1400000\n")
+    assert execute(["sweep", "--m-min", "999999", "--m-max", "1000001"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "error: m=1000001 lies beyond the supported envelope m <= M_MAX = 1000000\n")
 
 
 def test_memory_error_is_one_error_line(design_file, monkeypatch, capsys):

@@ -36,6 +36,8 @@ from spinstar import (
     solve_e,
     verify_design,
 )
+from spinstar.designer import ETA_MAX, M_MAX, _companion_roots
+from spinstar.errors import EnvelopeError
 
 E_SMALL = 2.0 / math.sqrt(15.0)
 E_LARGE = math.sqrt((1.0 + math.sqrt(61.0)) / 15.0)
@@ -363,6 +365,27 @@ def test_design_input_validation():
         DesignInput(m=2, eta=4, root_choice="smallest")
 
 
+def test_design_input_refuses_requests_beyond_the_envelope():
+    assert min_feasible_even_eta(M_MAX) <= ETA_MAX
+    with pytest.raises(EnvelopeError, match=r"m <= M_MAX = 1000000"):
+        DesignInput(m=M_MAX + 1, eta=ETA_MAX)
+    with pytest.raises(EnvelopeError, match=r"eta <= ETA_MAX = 1400000"):
+        DesignInput(m=1, eta=ETA_MAX + 2)
+    for policy in (SMALLEST, LARGEST):
+        for m, eta in ((1, 10**6), (7, ETA_MAX), (M_MAX, ETA_MAX)):
+            assert verify_design(design(DesignInput(m=m, eta=eta, root_choice=policy))).passed
+
+
+def test_companion_roots_match_numpy_polyroots():
+    rng = np.random.default_rng(41)
+    for _ in range(500):
+        m = int(10 ** rng.uniform(0, 6))
+        eta = int(rng.integers(1, ETA_MAX // 2)) * 2
+        p = g_polynomial(m, eta)
+        coeffs = [p.x0, p.x2, p.x4, p.x6]
+        assert _companion_roots(coeffs) == np.polynomial.polynomial.polyroots(coeffs).tolist()
+
+
 def test_root_choice_parse_and_select():
     assert RootChoice.parse("smallest") is SMALLEST
     assert RootChoice.parse("largest") is LARGEST
@@ -400,12 +423,13 @@ def test_design_largest_root_at_large_eta_is_the_true_larger_root():
 @settings(deadline=None, derandomize=True, max_examples=200)
 @given(log_m=st.floats(0.0, 6.0), frac=st.floats(0.0, 1.0))
 def test_design_core_over_the_envelope(log_m, frac):
-    # m log-uniform in [1, 1e6], even eta log-uniform in [eta_min(m), 1e6]
-    # (eta_min(m) alone where it exceeds 1e6); the O(1) core only.
+    # m log-uniform in [1, M_MAX], even eta log-uniform in [eta_min(m), ETA_MAX]
     m = max(1, round(10.0**log_m))
     lo = min_feasible_even_eta(m)
-    hi = max(lo, 10**6)
-    eta = max(lo, round(lo * (hi / lo) ** frac / 2) * 2)
+    eta = max(lo, round(lo * (ETA_MAX / lo) ** frac / 2) * 2)
+    assert m <= M_MAX and eta <= ETA_MAX
+    for policy in (SMALLEST, LARGEST):
+        assert verify_design(design(DesignInput(m=m, eta=eta, root_choice=policy))).passed
     roots = solve_e(m, eta)
     assert roots[0] < feasibility(m, eta).e_star < roots[-1]
     assert LARGEST.select(roots) == max(roots)

@@ -23,8 +23,10 @@ from spinstar import (
     exchange_operator,
     exchange_parities,
     fidelity_trace,
+    initial_routing,
     propagate,
     reduced_matrix,
+    retarget,
     transfer_time_grid,
     transition_amplitude,
     verify_design,
@@ -308,6 +310,15 @@ def test_verify_design_passes_for_both_roots():
         assert report.fidelity_at_tau >= 1.0 - 1e-9
         assert report.spectrum_deviation <= 1e-9
         assert report.parity_check
+
+
+def test_verify_design_evolves_the_given_star_and_route():
+    sol = design(DesignInput(m=3, eta=6))
+    moved = retarget(initial_routing(sol), 4).realized_spec
+    assert verify_design(sol, spec=moved, source=1, target=4).passed
+    report = verify_design(sol, spec=moved, source=1, target=2)
+    assert not report.passed and report.reduction_deviation > 0.1
+    assert verify_design(sol) == verify_design(sol, spec=sol.realized, source=1, target=2)
 
 
 def test_verify_design_detects_detuned_potential():
