@@ -20,6 +20,11 @@ is ``O(1)`` in ``m``.  ``verify`` evolves the file's own star along the
 file's own route.  Requests beyond the envelope ``m <= 10**6``,
 ``eta <= 1 400 000`` are refused before any work that grows with them.
 
+The argument parser is built once, when this module is imported.  A
+``spinstar`` process pays for that build once, as it always has; a caller
+that runs :func:`execute` many times in one process pays only for parsing
+and for the command.
+
 Exit codes: 0 success, 1 usage or file errors, 2 infeasible design requests.
 """
 
@@ -253,21 +258,21 @@ class _FloatMemo(dict):
 
 def load_design_file(path: str) -> ParsedDesign:
     try:
-        text = Path(path).read_text()
+        data = Path(path).read_bytes()
     except OSError as exc:
         raise ValueError(f"cannot read design file {path!r}: {exc}") from exc
+    # One UTF-8 decode, without read_text's newline translation: JSON reads
+    # "\r" as whitespace, so the document is the same.
     try:
-        doc = json.loads(text, parse_float=_FloatMemo().__getitem__)
-    except json.JSONDecodeError as exc:
+        doc = json.loads(data.decode("utf-8"), parse_float=_FloatMemo().__getitem__)
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise ValueError(f"design file {path!r} is not valid JSON: {exc}") from exc
     return parse_design_document(doc)
 
 
 def render_trace(trace: model.FidelityTrace) -> str:
-    lines = ["t,fidelity"]
-    for t, value in zip(trace.times, trace.values):
-        lines.append(f"{float(t)!r},{float(value)!r}")
-    return "\n".join(lines) + "\n"
+    rows = map("{!r},{!r}\n".format, trace.times.tolist(), trace.values.tolist())
+    return "t,fidelity\n" + "".join(rows)
 
 
 def _write_output(text: str, out: str | None) -> None:
@@ -362,6 +367,7 @@ def _cmd_retarget(ns) -> int:
 # ---------------------------------------------------------------------------
 
 def build_parser() -> argparse.ArgumentParser:
+    """A fresh ``spinstar`` parser; :func:`execute` shares one built at import."""
     parser = _Parser(
         prog="spinstar",
         description="Design star networks that transfer single-excitation states "
@@ -413,11 +419,20 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# Built once per process, at import.  Parsing keeps no state in the parser:
+# each parse_args call fills a fresh namespace, ``prog`` is fixed, the help
+# width is read when help is printed, and usage errors raise.
+_PARSER = build_parser()
+
+
 def execute(argv=None) -> int:
-    """Run one invocation; returns the exit status instead of exiting."""
-    parser = build_parser()
+    """Run one invocation; returns the exit status instead of exiting.
+
+    Uses the parser built at import, so an in-process caller pays only for
+    parsing ``argv`` and for the command itself.
+    """
     try:
-        ns = parser.parse_args(argv)
+        ns = _PARSER.parse_args(argv)
     except _UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -4,13 +4,14 @@ and byte-for-byte determinism."""
 import csv
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from spinstar import SMALLEST, DesignInput, cli, design, dynamics, min_feasible_even_eta
+from spinstar import SMALLEST, DesignInput, cli, design, dynamics, min_feasible_even_eta, model
 from spinstar.cli import design_document, execute, render_design
 
 E_SMALL = 2.0 / math.sqrt(15.0)
@@ -100,6 +101,61 @@ def test_design_root_largest(capsys):
 def test_help_exits_0(capsys):
     assert execute(["--help"]) == 0
     capsys.readouterr()
+
+
+# ---------------------------------------------------------------------------
+# the parser shared by every call
+# ---------------------------------------------------------------------------
+
+GOLDEN = Path(__file__).parent / "data" / "golden"
+
+
+def test_execute_builds_no_parser(design_file, monkeypatch, capsys):
+    def refuse():
+        raise AssertionError("execute built a parser")
+
+    monkeypatch.setattr(cli, "build_parser", refuse)
+    assert execute(["design", "--bystanders", "2", "--eta", "4"]) == 0
+    assert execute(["verify", "--design", str(design_file)]) == 0
+    capsys.readouterr()
+
+
+def test_build_parser_returns_a_fresh_parser():
+    first, second = cli.build_parser(), cli.build_parser()
+    assert first is not second
+    assert cli._PARSER not in (first, second)
+
+
+def test_shared_parser_carries_nothing_from_one_call_to_the_next(tmp_path, monkeypatch, capsys):
+    golden_design = str(GOLDEN / "design_m2_smallest.json")
+
+    def run(argv, fresh=False):
+        with monkeypatch.context() as patch:
+            if fresh:
+                patch.setattr(cli, "_PARSER", cli.build_parser())
+            code = execute(argv)
+        captured = capsys.readouterr()
+        return code, captured.out, captured.err
+
+    # Each call made on the shared parser, in one process, against a fresh parser.
+    help_run = run(["--help"])
+    assert help_run[0] == 0 and help_run == run(["--help"], fresh=True)
+    usage = run(["design", "--bystanders", "2"])
+    assert usage[0] == 1 and usage == run(["design", "--bystanders", "2"], fresh=True)
+    for name, fresh in (("full.csv", False), ("full_fresh.csv", True)):
+        assert run(["simulate", "--design", golden_design, "--full", "--source", "3",
+                    "--target", "4", "--steps", "50", "--out", str(tmp_path / name)],
+                   fresh=fresh)[0] == 0
+    assert (tmp_path / "full.csv").read_bytes() == (tmp_path / "full_fresh.csv").read_bytes()
+
+    # No --full, --source or --target left behind by the calls above.
+    trace = tmp_path / "trace.csv"
+    assert run(["simulate", "--design", golden_design, "--steps", "50",
+                "--out", str(trace)])[0] == 0
+    assert trace.read_bytes() == (GOLDEN / "simulate_m2.csv").read_bytes()
+    designed = tmp_path / "design.json"
+    assert run(["design", "--bystanders", "2", "--eta", "4", "--out", str(designed)])[0] == 0
+    assert designed.read_bytes() == (GOLDEN / "design_m2_smallest.json").read_bytes()
 
 
 # ---------------------------------------------------------------------------
@@ -477,3 +533,31 @@ def test_large_design_file_bytes_match_reference_encoder(tmp_path):
     assert execute(["retarget", "--design", str(moved), "--target", "2",
                     "--out", str(back)]) == 0
     assert back.read_bytes() == path.read_bytes()
+
+
+def test_design_file_line_endings_do_not_matter(tmp_path, capsys):
+    crlf = tmp_path / "crlf.json"
+    crlf.write_bytes((GOLDEN / "design_m2_smallest.json").read_bytes().replace(b"\n", b"\r\n"))
+    assert execute(["verify", "--design", str(crlf)]) == 0
+    assert capsys.readouterr().out.encode() == (GOLDEN / "verify_m2.txt").read_bytes()
+
+
+@pytest.mark.parametrize("head", [b"\xff", b"\xef\xbb\xbf"], ids=["not-utf8", "bom"])
+def test_undecodable_design_file_is_one_error_line(tmp_path, capsys, head):
+    path = tmp_path / "design.json"
+    path.write_bytes(head + (GOLDEN / "design_m2_smallest.json").read_bytes())
+    for argv in (["verify"], ["simulate", "--out", str(tmp_path / "t.csv")],
+                 ["retarget", "--target", "3", "--out", str(tmp_path / "r.json")]):
+        assert execute(argv + ["--design", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("error: design file ")
+        assert "is not valid JSON" in err
+
+
+@settings(deadline=None)
+@given(values=st.lists(st.sampled_from(_EDGE_FLOATS[:4] + [1.0, 0.1 + 0.2, 1e-300]) |
+                       st.floats(0.0, 1.0), min_size=1, max_size=60))
+def test_render_trace_matches_row_by_row_repr(values):
+    trace = model.FidelityTrace(times=np.arange(len(values)) * 0.1, values=np.abs(values))
+    rows = [f"{float(t)!r},{float(v)!r}" for t, v in zip(trace.times, trace.values)]
+    assert cli.render_trace(trace) == "\n".join(["t,fidelity", *rows]) + "\n"
