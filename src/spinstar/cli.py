@@ -13,12 +13,18 @@ Design files are JSON (schema_version 1); traces are two-column CSV with a
 and nothing in the output depends on the clock or on randomness, so reruns
 with the same arguments are byte-identical.
 
-A design file spells out all ``m + 3`` potentials, so reading and writing
-one is ``O(m)`` in file bytes (24 MB at ``m = 10**6``), done in C.  Everything
-else a command does works on the star's hub, background and exceptions and
-is ``O(1)`` in ``m``.  ``verify`` evolves the file's own star along the
-file's own route.  Requests beyond the envelope ``m <= 10**6``,
-``eta <= 1 400 000`` are refused before any work that grows with them.
+A design file spells out all ``m + 3`` potentials (24 MB at ``m = 10**6``).
+Writing one repeats the background's text once per run.  Reading one that
+the commands wrote decodes only its header: the hub, the background and the
+route's items are read at their offsets, and the file's bytes are compared
+with the rendering of that star.  Both are ``O(1)`` in Python, and the
+``O(m)`` byte work is done in C.  Files under 8 KiB, and any file that is
+not exactly such a rendering, are decoded whole by ``json.loads`` with the
+same result.  Everything else a command does works on the star's hub,
+background and exceptions and is ``O(1)`` in ``m``.  ``verify`` evolves the
+file's own star along the file's own route.  Requests beyond the envelope
+``m <= 10**6``, ``eta <= 1 400 000``, ``--steps <= 10**6`` are refused
+before any work that grows with them.
 
 The argument parser is built once, when this module is imported.  A
 ``spinstar`` process pays for that build once, as it always has; a caller
@@ -35,8 +41,8 @@ import json
 import math
 import sys
 from dataclasses import dataclass, field
-from itertools import chain
-from operator import itemgetter
+from itertools import chain, repeat, starmap
+from operator import itemgetter, mul
 from pathlib import Path
 
 import numpy as np
@@ -126,16 +132,49 @@ def _document(sol: model.DesignSolution, source: int, target: int,
     }
 
 
+# Only a top-level key follows a newline and exactly two spaces.
+_KEY = '\n  "potentials": '
+_SEP = ",\n    "
+
+
 class _ItemTexts(dict):
     """A list item's text, ``",\n    " + repr(x)``, for each float looked up,
     formatted once per distinct value.  A zero is formatted every time:
     ``0.0 == -0.0``, so one entry would serve both."""
 
     def __missing__(self, value: float) -> str:
-        text = ",\n    " + float.__repr__(value)
+        text = _SEP + float.__repr__(value)
         if value:
             self[value] = text
         return text
+
+
+def _layout(doc: dict):
+    """The design-file layout of ``doc``: an iterator of ``(text, repeat)``
+    pieces whose ``text * repeat`` concatenate to ``render_design(doc)``.
+
+    The pieces are the header through the hub's potential, each run of
+    background entries followed by the exception that ends it, the last run,
+    and the rest of the header.  ``O(len(exceptions))`` in Python.
+    """
+    star = doc["potentials"]
+    if isinstance(star, model.StarSpec):
+        count, hub, background, exceptions = (
+            star.edge_count + 1, star.hub, star.background, star.exceptions)
+    else:
+        count = len(star)
+        hub, background, exceptions = model.split_potentials(star)
+    nodes = [0, *map(itemgetter(0), exceptions), count]
+    repeats = [b - a - 1 for a, b in zip(nodes, nodes[1:])]
+    texts = map(_ItemTexts().__getitem__, map(itemgetter(1), exceptions))
+    run = _SEP + float.__repr__(background)
+    head, tail = json.dumps({**doc, "potentials": []}, indent=2).split(_KEY + "[]")
+    return chain(
+        ((head + _KEY + "[\n    " + float.__repr__(hub), 1),),
+        # each run of background entries, then the exception after it
+        chain.from_iterable(zip(zip(repeat(run), repeats), zip(texts, repeat(1)))),
+        ((run, repeats[-1]), ("\n  ]" + tail + "\n", 1)),
+    )
 
 
 def render_design(doc: dict) -> str:
@@ -146,28 +185,9 @@ def render_design(doc: dict) -> str:
     commands write) or a non-empty list of finite floats, which is split into
     the same hub, background and exceptions in one pass.  The hub, the
     background and each exception are formatted once, and each run of
-    background entries is one string repetition.
+    background entries is one string repetition (:func:`_layout`).
     """
-    star = doc["potentials"]
-    if isinstance(star, model.StarSpec):
-        count, hub, background, exceptions = (
-            star.edge_count + 1, star.hub, star.background, star.exceptions)
-    else:
-        count = len(star)
-        hub, background, exceptions = model.split_potentials(star)
-    sep = ",\n    "
-    run = sep + float.__repr__(background)
-    nodes = [0, *map(itemgetter(0), exceptions), count]
-    runs = [run * (b - a - 1) for a, b in zip(nodes, nodes[1:])]
-    texts = map(_ItemTexts().__getitem__, map(itemgetter(1), exceptions))
-    # Only a top-level key follows a newline and exactly two spaces.
-    key = '\n  "potentials": '
-    head, tail = json.dumps({**doc, "potentials": []}, indent=2).split(key + "[]")
-    return "".join(chain(
-        (head, key, "[\n    ", float.__repr__(hub)),
-        chain.from_iterable(zip(runs, texts)),  # each exception after its run
-        (runs[-1], "\n  ]", tail, "\n"),
-    ))
+    return "".join(starmap(mul, _layout(doc)))
 
 
 def _field(doc: dict, name: str, kind) -> object:
@@ -186,7 +206,12 @@ def _field(doc: dict, name: str, kind) -> object:
 
 
 def parse_design_document(doc: dict) -> ParsedDesign:
-    """Validate and reconstruct a design file, naming any offending field."""
+    """Validate and reconstruct a design file, naming any offending field.
+
+    ``doc["potentials"]`` is the per-node list of a decoded file or, as for
+    :func:`render_design`, a :class:`~spinstar.model.StarSpec`, whose
+    per-node potentials are taken with the document's ``coupling``.
+    """
     if not isinstance(doc, dict):
         raise ValueError("design file: top level must be a JSON object")
     version = _field(doc, "schema_version", int)
@@ -212,14 +237,15 @@ def parse_design_document(doc: dict) -> ParsedDesign:
     ):
         raise ValueError("design file: field 'spectrum' must hold four numbers")
     coupling = _field(doc, "coupling", float)
-    potentials = _field(doc, "potentials", list)
+    potentials = _field(doc, "potentials", (list, model.StarSpec))
+    is_star = isinstance(potentials, model.StarSpec)
     # type(True) is bool, so booleans are refused here too.
-    if not set(map(type, potentials)) <= {int, float}:
+    if not is_star and not set(map(type, potentials)) <= {int, float}:
         raise ValueError("design file: field 'potentials' must hold numbers")
-    if len(potentials) != m + 3:
+    count = potentials.edge_count + 1 if is_star else len(potentials)
+    if count != m + 3:
         raise ValueError(
-            f"design file: field 'potentials' must hold m + 3 = {m + 3} entries, "
-            f"got {len(potentials)}"
+            f"design file: field 'potentials' must hold m + 3 = {m + 3} entries, got {count}"
         )
     residuals = _field(doc, "residuals", dict)
     if "root" not in residuals:
@@ -238,7 +264,11 @@ def parse_design_document(doc: dict) -> ParsedDesign:
             root_residual=root_residual,
             realized=model.routed_star(params),
         )
-        spec = model.StarSpec(edge_count=m + 2, coupling=coupling, potentials=potentials)
+        if is_star:
+            spec = model.StarSpec.sparse(m + 2, coupling, potentials.hub,
+                                         potentials.background, potentials.exceptions)
+        else:
+            spec = model.StarSpec(edge_count=m + 2, coupling=coupling, potentials=potentials)
         return ParsedDesign(
             solution=solution, source=source, target=target, spec=spec, root_choice=root_choice
         )
@@ -256,17 +286,105 @@ class _FloatMemo(dict):
         return value
 
 
+# Files shorter than this are decoded whole: below it, re-rendering the
+# header (``json.dumps(indent=2)`` runs in Python) costs more than decoding
+# the array.  Timed through load_design_file, both reads cost the same near
+# m = 300 (8 KB), and the byte comparison wins from about m = 400.
+_FAST_READ_MIN_BYTES = 8192
+
+
+def _item(data: bytes, start: int) -> tuple[float, int]:
+    """The list item whose text starts at ``start`` (it ends at the next
+    comma or newline) as a float, and the index where its text ends."""
+    end = data.index(b"\n", start)
+    if data[end - 1] == ord(","):
+        end -= 1
+    return float(data[start:end]), end
+
+
+def _read_rendered(data: bytes) -> dict | None:
+    """The document of ``data`` with a :class:`~spinstar.model.StarSpec`
+    under ``"potentials"``, if ``data`` is exactly what :func:`render_design`
+    writes for a star whose only exceptions sit at the file's own source
+    and target; ``None`` otherwise.
+
+    Only the header is decoded.  The hub, the first bystander among nodes
+    1-3 (the background) and the items at source and target are read at
+    their offsets, and every byte of ``data`` is then compared with the
+    pieces of :func:`_layout` for that star.  A file that matches is the
+    rendering of this document, so ``json.loads`` would give the same one.
+    """
+    opening = (_KEY + "[\n    ").encode()
+    start = data.find(opening)
+    end = data.rfind(b"\n  ]")
+    if start < 0 or end < start:
+        return None
+    try:
+        doc = json.loads((data[:start] + (_KEY + "[]").encode() + data[end + 4:]).decode())
+        source, target = doc["source"], doc["target"]
+        step = len(_SEP)
+        hub, hub_end = _item(data, start + len(opening))
+        pos, firsts = hub_end, []
+        for _ in range(3):
+            value, pos = _item(data, pos + step)
+            firsts.append(value)
+        background = firsts[min({1, 2, 3} - {source, target}) - 1]
+        # Every item before the lower route node is the background.
+        run = step + len(float.__repr__(background))
+        low, high = sorted((source, target))
+        low_value, pos = _item(data, hub_end + (low - 1) * run + step)
+        high_value, _ = _item(data, pos + (high - low - 1) * run + step)
+        doc["potentials"] = model.StarSpec.sparse(
+            doc["m"] + 2, doc["coupling"], hub, background,
+            ((low, low_value), (high, high_value)))
+    except (ValueError, TypeError, KeyError, IndexError, RecursionError):
+        return None
+    pos = 0
+    for text, count in _layout(doc):
+        text = text.encode()
+        if not _repeats_at(data, pos, text, count):
+            return None
+        pos += len(text) * count
+    return doc if pos == len(data) else None
+
+
+def _repeats_at(data: bytes, pos: int, text: bytes, count: int) -> bool:
+    """Whether ``text * count`` sits at ``data[pos:]``, compared one block of
+    about 64 KiB at a time: repeating ``text`` over the whole span would
+    write a copy of the file into fresh memory first, 5-8 times slower
+    at 24 MB."""
+    copies = max(1, min(count, 65536 // len(text)))
+    block = text * copies
+    for _ in range(count // copies):
+        if not data.startswith(block, pos):
+            return False
+        pos += len(block)
+    return data.startswith(text * (count % copies), pos)
+
+
 def load_design_file(path: str) -> ParsedDesign:
+    """Read, validate and reconstruct the design file at ``path``.
+
+    A file of at least ``_FAST_READ_MIN_BYTES`` bytes that is exactly what
+    the commands write for a design or a retargeted design is read by
+    comparing its bytes with the rendering of the star its header and four
+    of its items name (:func:`_read_rendered`): ``O(1)`` in Python, the rest
+    byte comparisons in C.  Every other file, and every file that does not
+    match, is decoded whole by ``json.loads``, so both reads give the same
+    :class:`ParsedDesign` and every error comes from the full decode.
+    """
     try:
         data = Path(path).read_bytes()
     except OSError as exc:
         raise ValueError(f"cannot read design file {path!r}: {exc}") from exc
-    # One UTF-8 decode, without read_text's newline translation: JSON reads
-    # "\r" as whitespace, so the document is the same.
-    try:
-        doc = json.loads(data.decode("utf-8"), parse_float=_FloatMemo().__getitem__)
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise ValueError(f"design file {path!r} is not valid JSON: {exc}") from exc
+    doc = _read_rendered(data) if len(data) >= _FAST_READ_MIN_BYTES else None
+    if doc is None:
+        # One UTF-8 decode, without read_text's newline translation: JSON
+        # reads "\r" as whitespace, so the document is the same.
+        try:
+            doc = json.loads(data.decode("utf-8"), parse_float=_FloatMemo().__getitem__)
+        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+            raise ValueError(f"design file {path!r} is not valid JSON: {exc}") from exc
     return parse_design_document(doc)
 
 

@@ -21,6 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import EnvelopeError
 from .model import (
     DesignSolution,
     FidelityTrace,
@@ -41,6 +42,12 @@ DEFAULT_VERIFY_TOL = 1e-9
 # Eigenvalues closer than this (relative to the spectral radius) are treated
 # as one degenerate cluster when assigning exchange parities.
 DEGENERACY_TOL = 1e-8
+
+# The longest time grid :func:`transfer_time_grid` builds.  A trace takes
+# 16*(k+1) bytes per step for k distinct edge potentials, plus its grid,
+# values and CSV text; at this cap ``simulate`` of a design file peaks
+# near 250 MB and writes 38 MB.
+STEPS_MAX = 10**6
 
 
 def _require_symmetric(h) -> np.ndarray:
@@ -214,10 +221,16 @@ def transfer_time_grid(tau: float, t_max: float | None = None, steps: int = 1000
     A blind uniform grid can miss the fidelity peak by half a spacing, which
     already costs ~1e-5 in sampled fidelity at typical peak curvatures;
     pinning ``tau`` keeps the sampled maximum at the true peak.  When ``tau``
-    falls outside the window the grid is a plain ``linspace``.
+    falls outside the window the grid is a plain ``linspace``.  More than
+    ``STEPS_MAX`` steps raise :class:`EnvelopeError` before anything is
+    allocated.
     """
     tau = float(tau)
     steps = check_int(steps, "steps", lo=2)
+    if steps > STEPS_MAX:
+        raise EnvelopeError(
+            f"steps={steps} lies beyond the supported envelope steps <= STEPS_MAX = {STEPS_MAX}"
+        )
     if t_max is None:
         if not tau > 0:
             raise ValueError("t_max is required when tau is not positive")

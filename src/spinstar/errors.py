@@ -18,9 +18,9 @@ class ResourceLimitError(SpinStarError):
 
 
 class EnvelopeError(SpinStarError):
-    """A design request lies beyond the supported envelope (``M_MAX``,
-    ``ETA_MAX`` in :mod:`spinstar.designer`); raised before any work that
-    grows with the request."""
+    """A request lies beyond the supported envelope (``M_MAX``, ``ETA_MAX``
+    in :mod:`spinstar.designer`, ``STEPS_MAX`` in :mod:`spinstar.dynamics`);
+    raised before any work that grows with the request."""
 
 
 class NoRealDesignError(SpinStarError):

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from spinstar import SMALLEST, DesignInput, cli, design, dynamics, min_feasible_even_eta, model
@@ -388,6 +388,17 @@ def test_simulate_custom_window(design_file, tmp_path):
     assert data[-1][0] <= 2.0 + 1e-9
 
 
+def test_simulate_steps_beyond_the_envelope_is_one_error_line(design_file, tmp_path, capsys):
+    out = tmp_path / "trace.csv"
+    steps = dynamics.STEPS_MAX + 1
+    assert execute(["simulate", "--design", str(design_file), "--steps", str(steps),
+                    "--out", str(out)]) == 1
+    assert capsys.readouterr().err == (
+        f"error: steps={steps} lies beyond the supported envelope "
+        f"steps <= STEPS_MAX = {dynamics.STEPS_MAX}\n")
+    assert not out.exists()
+
+
 # ---------------------------------------------------------------------------
 # retarget
 # ---------------------------------------------------------------------------
@@ -561,3 +572,180 @@ def test_render_trace_matches_row_by_row_repr(values):
     trace = model.FidelityTrace(times=np.arange(len(values)) * 0.1, values=np.abs(values))
     rows = [f"{float(t)!r},{float(v)!r}" for t, v in zip(trace.times, trace.values)]
     assert cli.render_trace(trace) == "\n".join(["t,fidelity", *rows]) + "\n"
+
+
+# ---------------------------------------------------------------------------
+# reading written files without decoding the array
+# ---------------------------------------------------------------------------
+
+_SIZES = (300, 1000, 100_000)
+_BASES = [(m, kind) for m in _SIZES for kind in ("smallest", "largest", "zeros")]
+
+
+@pytest.fixture(scope="module")
+def written(tmp_path_factory):
+    """Paths of design files as the commands write them, keyed by
+    ``(m, root)``, and a work directory.  ``(m, "zeros")`` is a design whose
+    hub and background are -0.0 (header ``a = d = 0.0``), rendered as the
+    commands render."""
+    work = tmp_path_factory.mktemp("written")
+    files = {}
+    for m in _SIZES:
+        eta = min_feasible_even_eta(m) + 2
+        for root in ("smallest", "largest"):
+            path = work / f"design_{m}_{root}.json"
+            assert execute(["design", "--bystanders", str(m), "--eta", str(eta),
+                            "--root", root, "--out", str(path)]) == 0
+            files[m, root] = path
+        doc = json.loads(files[m, "smallest"].read_bytes())
+        star = model.StarSpec.sparse(m + 2, 1.0, -0.0, -0.0, ((1, doc["e"]), (2, doc["e"])))
+        doc.update(a=0.0, d=0.0, potentials=star)
+        doc["residuals"] = {"root": 0.0}
+        files[m, "zeros"] = work / f"design_{m}_zeros.json"
+        files[m, "zeros"].write_text(render_design(doc))
+    return files, work
+
+
+def _bits(parsed):
+    """Everything a read reconstructs, floats as hex so that 0.0 and -0.0
+    differ.  Equal parts mean equal per-node potentials, bit for bit."""
+    def hexes(*values):
+        return tuple(x.hex() if isinstance(x, float) else x for x in values)
+    spec, sol = parsed.spec, parsed.solution
+    p = sol.params
+    return (hexes(spec.edge_count, spec.coupling, spec.hub, spec.background),
+            tuple(hexes(*pair) for pair in spec.exceptions),
+            hexes(p.a, p.b, p.c, p.d, p.e, p.m, sol.eta, sol.transfer_time,
+                  sol.root_residual, *sol.target_spectrum),
+            sol.realized._parts(), parsed.source, parsed.target, parsed.root_choice)
+
+
+def _outcomes(path):
+    """``load_design_file`` of ``path`` by the fast read and by ``json.loads``:
+    what each reconstructs, or the error line ``execute`` would print."""
+    outcomes = []
+    saved = cli._FAST_READ_MIN_BYTES
+    for limit in (0, math.inf):
+        cli._FAST_READ_MIN_BYTES = limit
+        try:
+            outcomes.append(_bits(cli.load_design_file(str(path))))
+        except ValueError as exc:
+            outcomes.append(f"error: {exc}")
+        finally:
+            cli._FAST_READ_MIN_BYTES = saved
+    return outcomes
+
+
+@settings(deadline=None, max_examples=20)
+@given(base=st.sampled_from(_BASES),
+       moves=st.lists(st.sampled_from(["3", "N", "any", "back"]), max_size=4), data=st.data())
+def test_fast_read_of_written_files_matches_the_full_decode(written, base, moves, data):
+    files, work = written
+    m, _ = base
+    path = files[base]
+    targets = [2]
+    for step, move in enumerate(["stay", *moves], 1):
+        assert cli._read_rendered(path.read_bytes()) is not None
+        fast, slow = _outcomes(path)
+        assert isinstance(fast, tuple) and fast == slow
+        new = {"stay": targets[-1], "3": 3, "N": m + 2, "back": targets[-2:][0],
+               "any": data.draw(st.integers(2, m + 2)) if move == "any" else None}[move]
+        targets.append(new)
+        moved = work / f"chain_{step}.json"
+        assert execute(["retarget", "--design", str(path), "--target", str(new),
+                        "--out", str(moved)]) == 0
+        path = moved
+    assert cli._read_rendered(path.read_bytes()) is not None
+    fast, slow = _outcomes(path)
+    assert fast == slow and fast[-2] == targets[-1]
+
+
+def _mutate(text: str, kind: str, node: int) -> str:
+    lines = text.split("\n")
+    first = lines.index('  "potentials": [') + 1  # line of the hub
+    last = lines.index("  ],", first)  # line after the last item
+    i = first + node % (last - first - 1)  # an item line with a comma after it
+    item = lines[i]
+    if kind == "trailing zero":
+        lines[i] = item[:-1] + "0,"
+    elif kind == "space":
+        lines[i] = item + " "
+    elif kind in ("true", "2", "NaN"):
+        lines[i] = "    " + kind + ","
+    elif kind == "third exception":  # on a bystander: node 4 or later, before node N
+        i = max(i, first + 4)
+        lines[i] = "    " + repr(math.nextafter(float(lines[i][:-1]), math.inf)) + ","
+    elif kind == "one item too many":
+        lines.insert(i, item)
+    elif kind == "one item too few":
+        del lines[i]
+    elif kind == "duplicate key":
+        lines[last + 1:last + 1] = lines[first - 1:last + 1]
+    elif kind in ("m + 1", "m - 1"):
+        j = next(j for j, line in enumerate(lines) if line.startswith('  "m": '))
+        lines[j] = f'  "m": {int(lines[j][7:-1]) + (1 if kind == "m + 1" else -1)},'
+    elif kind == "space at the end":
+        lines[-1] += " "
+    elif kind == "crlf":
+        return "\r\n".join(lines)
+    elif kind == "compact":
+        return json.dumps(json.loads(text), separators=(",", ":"))
+    return "\n".join(lines)
+
+
+_MUTATIONS = ["trailing zero", "space", "crlf", "compact", "true", "2", "NaN", "third exception",
+              "one item too many", "one item too few", "duplicate key", "m + 1", "m - 1",
+              "space at the end"]
+
+
+@pytest.mark.parametrize("kind", _MUTATIONS)
+@settings(deadline=None, max_examples=4,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(base=st.sampled_from(_BASES),
+       node=st.integers(0, 10**6), target=st.sampled_from([2, 3, "N"]))
+def test_mutated_files_read_as_the_full_decode_reads_them(written, kind, base, node, target):
+    files, work = written
+    m, _ = base
+    path = work / f"mutated_{kind}.json"
+    path.write_bytes(files[base].read_bytes())
+    if target != 2:
+        assert execute(["retarget", "--design", str(path), "--target",
+                        str(m + 2 if target == "N" else target), "--out", str(path)]) == 0
+    path.write_bytes(_mutate(path.read_text(), kind, node).encode())
+    assert cli._read_rendered(path.read_bytes()) is None
+    fast, slow = _outcomes(path)
+    assert fast == slow
+
+
+def test_parse_design_document_takes_a_star_as_render_design_does(design_file):
+    doc = json.loads(design_file.read_text())
+    parsed = cli.parse_design_document(doc)
+    star = model.StarSpec.sparse(4, 2.0, *parsed.spec._parts()[2:])  # coupling from the doc
+    assert _bits(cli.parse_design_document({**doc, "potentials": star})) == _bits(parsed)
+    bigger = model.StarSpec.sparse(5, 1.0, *parsed.spec._parts()[2:])
+    with pytest.raises(ValueError) as from_list:
+        cli.parse_design_document({**doc, "potentials": list(bigger.potentials)})
+    with pytest.raises(ValueError, match="must hold m \\+ 3 = 5 entries, got 6") as from_star:
+        cli.parse_design_document({**doc, "potentials": bigger})
+    assert str(from_star.value) == str(from_list.value)
+
+
+def test_written_file_array_is_never_decoded(tmp_path, monkeypatch, capsys):
+    m = 100_000
+    path, moved = tmp_path / "design.json", tmp_path / "moved.json"
+    assert execute(["design", "--bystanders", str(m), "--eta", str(min_feasible_even_eta(m)),
+                    "--out", str(path)]) == 0
+    decoded = []
+    loads = json.loads
+    monkeypatch.setattr(cli.json, "loads", lambda s, **kw: decoded.append(len(s)) or loads(s, **kw))
+    assert execute(["retarget", "--design", str(path), "--target", "77777",
+                    "--out", str(moved)]) == 0
+    assert execute(["verify", "--design", str(moved)]) == 0
+    assert "PASS" in capsys.readouterr().out
+    assert len(decoded) == 2 and max(decoded) < 4096
+    size = len(moved.read_bytes())
+    for limit, whole in ((size, False), (size + 1, True)):
+        monkeypatch.setattr(cli, "_FAST_READ_MIN_BYTES", limit)
+        decoded.clear()
+        assert cli.load_design_file(str(moved)).target == 77777
+        assert (decoded == [size]) if whole else max(decoded) < 4096
