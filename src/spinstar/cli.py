@@ -26,10 +26,9 @@ file's own star along the file's own route.  Requests beyond the envelope
 ``m <= 10**6``, ``eta <= 1 400 000``, ``--steps <= 10**6`` are refused
 before any work that grows with them.
 
-The argument parser is built once, when this module is imported.  A
-``spinstar`` process pays for that build once, as it always has; a caller
-that runs :func:`execute` many times in one process pays only for parsing
-and for the command.
+The argument parser is built once, when this module is imported, so a
+caller that runs :func:`execute` many times in one process pays only for
+parsing and for the command.
 
 Exit codes: 0 success, 1 usage or file errors, 2 infeasible design requests.
 """
@@ -40,7 +39,7 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import chain, repeat, starmap
 from operator import itemgetter, mul
 from pathlib import Path
@@ -66,27 +65,20 @@ class _Parser(argparse.ArgumentParser):
 
 
 @dataclass(frozen=True)
-class ParsedDesign:
-    """A design file brought back to life: canonical solution plus the route
-    and potentials the file is currently wired for.
+class ParsedDesign(switchboard.RoutingState):
+    """A design file brought back to life: the routed design it holds, plus
+    the root policy it was solved with.  Construction checks the route once
+    (:class:`~spinstar.switchboard.RoutingState`)."""
 
-    Construction checks the route once, by building ``routing``.
-    """
-
-    solution: model.DesignSolution
-    source: int
-    target: int
-    spec: model.StarSpec
     root_choice: designer.RootChoice
-    routing: switchboard.RoutingState = field(init=False, repr=False, compare=False)
 
-    def __post_init__(self):
-        routing = switchboard.RoutingState(
-            base=self.solution, source=self.source, target=self.target, realized_spec=self.spec
-        )
-        object.__setattr__(self, "routing", routing)
-        object.__setattr__(self, "source", routing.source)
-        object.__setattr__(self, "target", routing.target)
+    @property
+    def solution(self) -> model.DesignSolution:
+        return self.base
+
+    @property
+    def spec(self) -> model.StarSpec:
+        return self.realized_spec
 
 
 # ---------------------------------------------------------------------------
@@ -269,9 +261,8 @@ def parse_design_document(doc: dict) -> ParsedDesign:
                                          potentials.background, potentials.exceptions)
         else:
             spec = model.StarSpec(edge_count=m + 2, coupling=coupling, potentials=potentials)
-        return ParsedDesign(
-            solution=solution, source=source, target=target, spec=spec, root_choice=root_choice
-        )
+        return ParsedDesign(base=solution, source=source, target=target, realized_spec=spec,
+                            root_choice=root_choice)
     except ValueError as exc:
         raise ValueError(f"design file: {exc}") from exc
 
@@ -383,7 +374,7 @@ def load_design_file(path: str) -> ParsedDesign:
         # reads "\r" as whitespace, so the document is the same.
         try:
             doc = json.loads(data.decode("utf-8"), parse_float=_FloatMemo().__getitem__)
-        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
             raise ValueError(f"design file {path!r} is not valid JSON: {exc}") from exc
     return parse_design_document(doc)
 
@@ -417,13 +408,13 @@ def _cmd_simulate(ns) -> int:
     parsed = load_design_file(ns.design)
     source = parsed.source if ns.source is None else ns.source
     target = parsed.target if ns.target is None else ns.target
-    tau = parsed.solution.transfer_time
-    grid = dynamics.transfer_time_grid(tau, t_max=ns.t_max, steps=ns.steps)
+    star = parsed.realized_spec
+    grid = dynamics.transfer_time_grid(parsed.base.transfer_time, t_max=ns.t_max, steps=ns.steps)
     if ns.full:
-        amps = dynamics.StarEvolution.from_spec(parsed.spec).amplitudes(grid, source, target)
+        amps = dynamics.StarEvolution.from_spec(star).amplitudes(grid, source, target)
         trace = model.FidelityTrace(times=grid, values=np.abs(amps) ** 2)
     else:
-        params = model.build_reduced(parsed.spec, source, target)
+        params = model.build_reduced(star, source, target)
         h4 = model.reduced_matrix(params)
         trace = dynamics.fidelity_trace(h4, grid, 2, 3)
     _write_output(render_trace(trace), ns.out)
@@ -432,7 +423,7 @@ def _cmd_simulate(ns) -> int:
 
 def _cmd_verify(ns) -> int:
     parsed = load_design_file(ns.design)
-    report = dynamics.verify_design(parsed.solution, tol=ns.tol, spec=parsed.spec,
+    report = dynamics.verify_design(parsed.base, tol=ns.tol, spec=parsed.realized_spec,
                                     source=parsed.source, target=parsed.target)
     print(f"verification report (tol={ns.tol!r})")
     print(f"  spectrum deviation  : {report.spectrum_deviation:.6e}")
@@ -468,14 +459,9 @@ def _cmd_sweep(ns) -> int:
 
 def _cmd_retarget(ns) -> int:
     parsed = load_design_file(ns.design)
-    new_state = switchboard.retarget(parsed.routing, ns.target)
-    doc = _document(
-        parsed.solution,
-        source=new_state.source,
-        target=new_state.target,
-        spec=new_state.realized_spec,
-        root_choice=parsed.root_choice,
-    )
+    moved = switchboard.retarget(parsed, ns.target)
+    doc = _document(moved.base, source=moved.source, target=moved.target,
+                    spec=moved.realized_spec, root_choice=parsed.root_choice)
     _write_output(render_design(doc), ns.out)
     return 0
 

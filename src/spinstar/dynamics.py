@@ -43,10 +43,10 @@ DEFAULT_VERIFY_TOL = 1e-9
 # as one degenerate cluster when assigning exchange parities.
 DEGENERACY_TOL = 1e-8
 
-# The longest time grid :func:`transfer_time_grid` builds.  A trace takes
-# 16*(k+1) bytes per step for k distinct edge potentials, plus its grid,
-# values and CSV text; at this cap ``simulate`` of a design file peaks
-# near 250 MB and writes 38 MB.
+# The longest time grid :func:`transfer_time_grid` builds.  A trace's phase
+# factors take under 64 MiB at any length (:meth:`EvolutionCache.amplitudes`);
+# its grid, values and CSV text grow with it.  At this cap ``simulate`` of a
+# design file peaks near 250 MB and writes 38 MB.
 STEPS_MAX = 10**6
 
 
@@ -91,11 +91,29 @@ class EvolutionCache:
         return complex(np.sum(weights * np.exp(-1j * self.eigenvalues * float(t))))
 
     def amplitudes(self, t_grid, src: int, dst: int) -> np.ndarray:
-        """Transition amplitudes over a whole grid in one shot."""
+        """Transition amplitudes over a whole grid.
+
+        The ``steps x dimension`` phase factors are evaluated in blocks of
+        rows of at most 63 MiB; with numpy's ufunc buffers the temporaries
+        stay under 64 MiB beyond the result, however long the grid.  A grid
+        of ``STEPS_MAX`` steps on a 4x4 is one block.
+        """
         src, dst = _check_states(self.dimension, src, dst)
-        grid = np.asarray(t_grid, dtype=float)
+        grid = np.asarray(t_grid, dtype=float).ravel()
         weights = self.eigenvectors[dst] * self.eigenvectors[src]
-        return np.exp(-1j * np.outer(grid, self.eigenvalues)) @ weights
+        rows = max(1, (63 << 20) // (16 * self.dimension))
+        block = np.empty((min(rows, grid.size), self.dimension), complex)
+        out = np.empty(grid.size, complex)
+        for start in range(0, grid.size, rows):
+            times = grid[start:start + rows]
+            phases = block[:times.size]
+            # exp(-i E t) with the imaginary part written in place: the same
+            # bits as np.exp(-1j * np.outer(times, E)), without its temporaries.
+            phases.real = 0.0
+            np.multiply.outer(times, -self.eigenvalues, out=phases.imag)
+            np.exp(phases, out=phases)
+            np.matmul(phases, weights, out=out[start:start + times.size])
+        return out
 
 
 def _check_states(dimension: int, src, dst) -> tuple[int, int]:
@@ -155,8 +173,11 @@ class StarEvolution:
     def amplitudes(self, t_grid, src: int, dst: int) -> np.ndarray:
         """Transition amplitudes over a whole grid in one shot."""
         p, q, norm, dark, lam = self._terms(src, dst)
-        grid = np.asarray(t_grid, dtype=float)
-        return self.bright.amplitudes(grid, p, q) / norm + dark * np.exp(-1j * lam * grid)
+        grid = np.asarray(t_grid, dtype=float).ravel()
+        amps = self.bright.amplitudes(grid, p, q)
+        amps /= norm
+        amps += dark * np.exp(-1j * lam * grid)
+        return amps
 
 
 @dataclass(frozen=True)
@@ -194,9 +215,12 @@ def lift_reduced_amplitude(spec: StarSpec, source: int, target: int, t: float) -
     """Source-to-target transition amplitude at time ``t`` computed entirely
     inside the four-level reduction.
 
-    Whenever :func:`build_reduced` accepts the spec, this equals the amplitude
-    obtained from the full (N+1)-dimensional arrowhead dynamics (to 1e-10 or
-    better); the reduced subspace is exactly invariant.
+    :func:`build_reduced` accepts the spec when the route rule holds: the
+    target within ``POTENTIAL_MATCH_TOL * max(1, |e|)`` of the source and
+    every bystander within ``POTENTIAL_MATCH_TOL * max(1, |d|)`` of the
+    first.  Then this equals the amplitude obtained from the full
+    (N+1)-dimensional arrowhead dynamics (to 1e-10 or better); the reduced
+    subspace is exactly invariant.
     """
     h4 = reduced_matrix(build_reduced(spec, source, target))
     return EvolutionCache.from_hamiltonian(h4).amplitude(t, 2, 3)

@@ -24,8 +24,7 @@ class EnvelopeError(SpinStarError):
 
 
 class NoRealDesignError(SpinStarError):
-    """The hub/bystander potentials implied by a candidate root are not real,
-    or neither assignment satisfies the constant-term condition."""
+    """The hub/bystander potentials implied by a candidate root are not real."""
 
 
 class InfeasibleDesignError(SpinStarError):

@@ -31,8 +31,9 @@ import numpy as np
 
 from .errors import ResourceLimitError, SymmetryError
 
-# Absolute tolerance used by every potential-equality precondition; inputs
-# are user-specified reals, not measured data.
+# Tolerance of the route rule (:func:`check_route`), relative to
+# ``max(1, |wanted|)``; inputs are user-specified reals, not measured data.
+# It is absolute only as the default of :func:`is_exchange_symmetric`.
 POTENTIAL_MATCH_TOL = 1e-12
 
 # The full spin space exists only as an oracle; 2**(N+1) <= 2048.
@@ -190,10 +191,6 @@ class StarSpec:
         self.__dict__.update(edge_count=edge_count, coupling=coupling, hub=hub,
                              background=background, exceptions=exceptions)
 
-    @property
-    def bystander_count(self) -> int:
-        return self.edge_count - 2
-
     @cached_property
     def potentials(self) -> tuple[float, ...]:
         """Per-node potentials ``(hub, edge 1, ..., edge N)``; ``O(N)``."""
@@ -206,12 +203,6 @@ class StarSpec:
     def potential(self, node: int) -> float:
         """Potential of ``node`` (0 is the hub), in ``O(log len(exceptions))``."""
         return self.hub if node == 0 else _sparse_get(self.exceptions, node, self.background)
-
-    def _background_bystanders(self, source: int, target: int) -> int:
-        """How many edges other than ``source`` and ``target`` carry the
-        background."""
-        on_route = sum(_sparse_get(self.exceptions, j, None) is not None for j in (source, target))
-        return self.edge_count - 2 - (len(self.exceptions) - on_route)
 
     def replace(self, values: dict[int, float]) -> "StarSpec":
         """This star with the edge potentials in ``values`` (node -> value)
@@ -393,7 +384,9 @@ def check_route(spec: StarSpec, params: ReducedParams, source, target) -> tuple[
     bad = [j for j, want in ((0, a), (source, e), (target, e)) if off(spec.potential(j), want)]
     limit = max(abs(d), 1.0) * POTENTIAL_MATCH_TOL
     bad += [j for j, value in spec.exceptions if abs(value - d) > limit and j not in route]
-    if off(spec.background, d) and spec._background_bystanders(source, target):
+    # Edges off the route that carry the background: all but the exceptions there.
+    on_route = sum(_sparse_get(spec.exceptions, j, None) is not None for j in route)
+    if off(spec.background, d) and n - 2 > len(spec.exceptions) - on_route:
         bad.append(_first_background_bystander(spec, source, target))
     if bad:
         j = min(bad)
@@ -528,37 +521,33 @@ def build_grouped(spec: StarSpec) -> GroupedStar:
 def build_reduced(spec: StarSpec, source: int, target: int) -> ReducedParams:
     """Collapse the star onto the four-level basis for a source/target pair.
 
-    Requires the source and target potentials to match and all remaining edge
-    (bystander) potentials to match, both within ``POTENTIAL_MATCH_TOL``; the
-    bystanders then act as a single renormalized node coupled with strength
-    ``sqrt(m) * coupling``.  ``O(len(spec.exceptions))``.
+    Reads ``a`` off the hub, ``e`` off the source and ``d`` off the first
+    bystander, then applies the route rule (:func:`check_route`): every
+    other node must match its value within
+    ``POTENTIAL_MATCH_TOL * max(1, |wanted|)``.  The bystanders then act as
+    a single renormalized node coupled with strength ``sqrt(m) * coupling``.
+    Raises :class:`SymmetryError` naming the first node that does not match.
+    ``O(len(spec.exceptions))``.
     """
     n = spec.edge_count
     source = check_int(source, "source", 1, n)
     target = check_int(target, "target", 1, n)
     if source == target:
         raise ValueError("source and target must be different nodes")
-    lam_s, lam_t = spec.potential(source), spec.potential(target)
-    if abs(lam_s - lam_t) > POTENTIAL_MATCH_TOL:
-        raise SymmetryError(
-            f"potentials of source ({lam_s!r}) and target ({lam_t!r}) "
-            "must match for the reduction to apply"
-        )
-    levels = [value for j, value in spec.exceptions if j != source and j != target]
-    if spec._background_bystanders(source, target):
-        levels.append(spec.background)
-    spread = max(levels) - min(levels)
-    if spread > POTENTIAL_MATCH_TOL:
-        raise SymmetryError(f"bystander potentials must all match; spread is {spread!r}")
     m = n - 2
-    return ReducedParams(
+    params = ReducedParams(
         a=spec.hub,
         b=math.sqrt(m) * spec.coupling,
         c=spec.coupling,
         d=spec.potential(min({1, 2, 3} - {source, target})),  # the first bystander
-        e=lam_s,
+        e=spec.potential(source),
         m=m,
     )
+    try:
+        check_route(spec, params, source, target)
+    except ValueError as exc:
+        raise SymmetryError(f"the four-level reduction does not apply: {exc}") from exc
+    return params
 
 
 def reduced_matrix(params: ReducedParams) -> np.ndarray:

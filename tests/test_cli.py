@@ -11,7 +11,8 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from spinstar import SMALLEST, DesignInput, cli, design, dynamics, min_feasible_even_eta, model
+from spinstar import (SMALLEST, DesignInput, cli, design, dynamics, min_feasible_even_eta, model,
+                      switchboard)
 from spinstar.cli import design_document, execute, render_design
 
 E_SMALL = 2.0 / math.sqrt(15.0)
@@ -313,6 +314,40 @@ def test_memory_error_is_one_error_line(design_file, monkeypatch, capsys):
     assert capsys.readouterr().err == "error: MemoryError\n"
 
 
+def test_every_command_takes_a_bystander_within_the_relative_route_rule(tmp_path, capsys):
+    # |d| is about 70, so a nudge of 5e-13 |d| is inside the route rule's
+    # relative 1e-12 but 35 times an absolute 1e-12.
+    m = 10**4
+    path = tmp_path / "nudged.json"
+    assert execute(["design", "--bystanders", str(m), "--eta", str(min_feasible_even_eta(m)),
+                    "--out", str(path)]) == 0
+    doc = json.loads(path.read_text())
+    d = doc["d"]
+    nudged = d + 5e-13 * abs(d)
+    assert abs(d) > 60 and nudged - d > 30e-12
+    doc["potentials"][5] = nudged
+    path.write_text(json.dumps(doc, indent=2) + "\n")
+    assert execute(["verify", "--design", str(path)]) == 0
+    assert capsys.readouterr().out.splitlines()[-1].endswith("PASS")
+    for extra in ([], ["--full"]):
+        assert execute(["simulate", "--design", str(path), "--steps", "50",
+                        "--out", str(tmp_path / "t.csv"), *extra]) == 0
+    moved = tmp_path / "moved.json"
+    assert execute(["retarget", "--design", str(path), "--target", "7", "--out", str(moved)]) == 0
+    assert json.loads(moved.read_text())["potentials"][5] == nudged
+    assert capsys.readouterr().err == ""
+
+
+def test_a_parsed_design_is_a_routing_state(design_file):
+    parsed = cli.load_design_file(str(design_file))
+    assert isinstance(parsed, switchboard.RoutingState)
+    assert parsed.solution is parsed.base and parsed.spec is parsed.realized_spec
+    moved = switchboard.retarget(parsed, 3)
+    assert (moved.base, moved.source, moved.target) == (parsed.base, 1, 3)
+    back = switchboard.retarget(moved, 2)
+    assert back.realized_spec._parts() == parsed.realized_spec._parts()
+
+
 def test_verify_detuned_but_consistent_design_fails(design_file, capsys):
     # scale e everywhere so the file is self-consistent but the dynamics are wrong
     doc = json.loads(design_file.read_text())
@@ -553,10 +588,12 @@ def test_design_file_line_endings_do_not_matter(tmp_path, capsys):
     assert capsys.readouterr().out.encode() == (GOLDEN / "verify_m2.txt").read_bytes()
 
 
-@pytest.mark.parametrize("head", [b"\xff", b"\xef\xbb\xbf"], ids=["not-utf8", "bom"])
-def test_undecodable_design_file_is_one_error_line(tmp_path, capsys, head):
+@pytest.mark.parametrize("head, body", [
+    (b"\xff", None), (b"\xef\xbb\xbf", None), (b"[" * 100_000, b"]" * 100_000),
+], ids=["not-utf8", "bom", "nested"])
+def test_undecodable_design_file_is_one_error_line(tmp_path, capsys, head, body):
     path = tmp_path / "design.json"
-    path.write_bytes(head + (GOLDEN / "design_m2_smallest.json").read_bytes())
+    path.write_bytes(head + (body or (GOLDEN / "design_m2_smallest.json").read_bytes()))
     for argv in (["verify"], ["simulate", "--out", str(tmp_path / "t.csv")],
                  ["retarget", "--target", "3", "--out", str(tmp_path / "r.json")]):
         assert execute(argv + ["--design", str(path)]) == 1

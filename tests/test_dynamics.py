@@ -1,6 +1,7 @@
 """Spectral time evolution, fidelity traces, and design verification."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -353,3 +354,23 @@ def test_phase_cancellation_at_transfer_time():
             phase = np.exp(-1j * energy * tau)
             expected = -1.0 if k == antisym else 1.0
             assert abs(phase - expected) < 1e-9
+
+
+def test_star_amplitudes_keep_their_phase_factors_under_64_mib():
+    # 200 distinct edge potentials over 50 000 steps: the whole
+    # steps x (k+1) phase array would take about 160 MB.
+    n = 400
+    spec = StarSpec(n, 1.0, [0.3] + [1.0 + 0.01 * (j % 200) for j in range(n)])
+    evolution = StarEvolution.from_spec(spec)
+    assert evolution.star.bright.dimension == 201
+    grid = np.linspace(0.0, 50.0, 50_000)
+    evolution.amplitudes(grid[:10], 1, 201)  # warm up numpy
+    tracemalloc.start()
+    try:
+        amps = evolution.amplitudes(grid, 1, 201)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < (64 << 20) + amps.nbytes
+    for row in (0, 20_540, 20_541, 41_082, 49_999):  # 20 541 rows a block
+        assert abs(amps[row] - evolution.amplitude(grid[row], 1, 201)) <= 1e-12

@@ -285,6 +285,18 @@ def test_build_reduced_rejects_broken_symmetry():
         build_reduced(spec2, 1, 2)
 
 
+def test_build_reduced_applies_the_route_rule():
+    # the tolerance is relative to max(1, |wanted|): 1e-12 * 70 here
+    d, e = -70.0, 0.5
+    nudged = StarSpec(5, 1.0, (0.0, e, e, d, d + 3.5e-11, d))
+    assert build_reduced(nudged, 1, 2).d == d
+    broken = StarSpec(5, 1.0, (0.0, e, e, d, d + 1e-9, d))
+    with pytest.raises(SymmetryError, match="^the four-level reduction does not apply: "
+                       "potentials do not realize the route \\(source=1, target=2\\): "
+                       "node 4 carries "):
+        build_reduced(broken, 1, 2)
+
+
 def test_build_reduced_rejects_bad_nodes():
     spec = StarSpec(4, 1.0, (0.0, 0.5, 0.5, -0.5, -0.5))
     with pytest.raises(ValueError):

@@ -76,16 +76,15 @@ def _build_grouped_per_node(spec):
 def _build_reduced_per_node(spec, source, target):
     n = spec.edge_count
     lam = spec.potentials
-    if abs(lam[source] - lam[target]) > POTENTIAL_MATCH_TOL:
-        raise SymmetryError(
-            f"potentials of source ({lam[source]!r}) and target ({lam[target]!r}) "
-            "must match for the reduction to apply"
-        )
-    bystanders = np.delete(np.fromiter(lam, float, n + 1), [0, source, target])
-    spread = float(bystanders.max() - bystanders.min())
-    if spread > POTENTIAL_MATCH_TOL:
-        raise SymmetryError(f"bystander potentials must all match; spread is {spread!r}")
-    return lam[0], lam[source], float(bystanders[0])
+    bystanders = np.delete(np.arange(n + 1), [0, source, target])
+    a, e, d = lam[0], lam[source], lam[int(bystanders[0])]
+    params = ReducedParams(a=a, b=math.sqrt(n - 2) * spec.coupling, c=spec.coupling,
+                           d=d, e=e, m=n - 2)
+    try:
+        _check_route_per_node(spec, params, source, target)
+    except ValueError as exc:
+        raise SymmetryError(f"the four-level reduction does not apply: {exc}") from exc
+    return a, e, d
 
 
 def _render_design_by_unique(doc):
