@@ -13,18 +13,21 @@ Design files are JSON (schema_version 1); traces are two-column CSV with a
 and nothing in the output depends on the clock or on randomness, so reruns
 with the same arguments are byte-identical.
 
-A design file spells out all ``m + 3`` potentials (24 MB at ``m = 10**6``).
-Writing one repeats the background's text once per run.  Reading one that
-the commands wrote decodes only its header: the hub, the background and the
-route's items are read at their offsets, and the file's bytes are compared
-with the rendering of that star.  Both are ``O(1)`` in Python, and the
-``O(m)`` byte work is done in C.  Files under 8 KiB, and any file that is
-not exactly such a rendering, are decoded whole by ``json.loads`` with the
-same result.  Everything else a command does works on the star's hub,
-background and exceptions and is ``O(1)`` in ``m``.  ``verify`` evolves the
-file's own star along the file's own route.  Requests beyond the envelope
-``m <= 10**6``, ``eta <= 1 400 000``, ``--steps <= 10**6`` are refused
-before any work that grows with them.
+A design file spells out all ``m + 3`` potentials (24 MB at ``m = 10**6``),
+but no command holds a whole file that the commands wrote in memory.
+Writing one streams blocks of about 64 KiB to the output, a run of
+background entries being one block repeated.  Reading one decodes only its
+header and what follows the array: the hub, the background and the route's
+items are read at their offsets, and the file is compared, one read per
+block, with the same blocks for that star.  Both take one Python step per
+block and a few blocks of memory; the byte work is done in C.  Files under
+8 KiB, and any file that is not exactly such a rendering, are read whole
+and decoded by ``json.loads`` with the same result.  Everything else a
+command does works on the star's hub, background and exceptions and is
+``O(1)`` in ``m``.
+``verify`` evolves the file's own star along the file's own route.  Requests
+beyond the envelope ``m <= 10**6``, ``eta <= 1 400 000``,
+``--steps <= 10**6`` are refused before any work that grows with them.
 
 The argument parser is built once, when this module is imported, so a
 caller that runs :func:`execute` many times in one process pays only for
@@ -38,10 +41,11 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 from dataclasses import dataclass
-from itertools import chain, repeat, starmap
-from operator import itemgetter, mul
+from itertools import chain, repeat
+from operator import itemgetter
 from pathlib import Path
 
 import numpy as np
@@ -97,9 +101,12 @@ def design_document(sol: model.DesignSolution, source: int, target: int,
 def _document(sol: model.DesignSolution, source: int, target: int,
               spec: model.StarSpec, root_choice: designer.RootChoice) -> dict:
     """:func:`design_document` with the star itself under ``potentials``,
-    for :func:`render_design`; ``O(1)``."""
+    for :func:`render_design`; ``O(1)``.  The spectrum and lambda residuals
+    are the solution's own, computed here only if it carries none."""
     params = sol.params
-    spectrum_dev, lambda_dev = designer.design_residuals(params, sol.eta, sol.target_spectrum)
+    spectrum_dev, lambda_dev = sol.spectrum_residual, sol.lambda_residual
+    if spectrum_dev is None or lambda_dev is None:
+        spectrum_dev, lambda_dev = designer.design_residuals(params, sol.eta, sol.target_spectrum)
     return {
         "schema_version": SCHEMA_VERSION,
         "m": params.m,
@@ -169,9 +176,44 @@ def _layout(doc: dict):
     )
 
 
+# Design files are written, and compared when read, in blocks of about this
+# many bytes, so no command holds a whole design file in memory.
+_BLOCK_BYTES = 65536
+
+
+def _blocks(doc: dict):
+    """The bytes of the design file of ``doc`` as an iterator of blocks of at
+    most about ``_BLOCK_BYTES`` bytes; together they are
+    ``render_design(doc).encode()``.
+
+    Inside a run of background entries every block is the same object, built
+    once.  Python work is ``O(len(exceptions))`` plus one step per block.
+    """
+    buf, size = [], 0
+    for text, count in _layout(doc):
+        text = text.encode()
+        width = len(text)
+        if size + width * count < _BLOCK_BYTES:
+            buf.append(text * count)
+            size += width * count
+            continue
+        # Top up the pending block, then emit whole blocks of this text.
+        fill = (_BLOCK_BYTES - size) // width
+        buf.append(text * fill)
+        yield b"".join(buf)
+        count -= fill
+        copies = max(1, _BLOCK_BYTES // width)
+        block = text * copies
+        for _ in range(count // copies):
+            yield block
+        size = width * (count % copies)
+        buf = [text * (count % copies)]
+    yield b"".join(buf)
+
+
 def render_design(doc: dict) -> str:
     """``json.dumps(doc, indent=2) + "\n"``, in time linear in the output
-    bytes and ``O(len(exceptions))`` in Python.
+    bytes and ``O(len(exceptions))`` in Python: the join of :func:`_blocks`.
 
     ``doc["potentials"]`` is a :class:`~spinstar.model.StarSpec` (what the
     commands write) or a non-empty list of finite floats, which is split into
@@ -179,7 +221,19 @@ def render_design(doc: dict) -> str:
     background and each exception are formatted once, and each run of
     background entries is one string repetition (:func:`_layout`).
     """
-    return "".join(starmap(mul, _layout(doc)))
+    return b"".join(_blocks(doc)).decode()
+
+
+def _write_design(doc: dict, out: str | None) -> None:
+    """Write the design file of ``doc`` to ``out`` (standard output if
+    ``None``) block by block, never holding the whole file."""
+    blocks = _blocks(doc)
+    if out is None:
+        for block in blocks:
+            sys.stdout.write(block.decode())
+        return
+    with open(out, "wb") as fh:
+        fh.writelines(blocks)
 
 
 def _field(doc: dict, name: str, kind) -> object:
@@ -284,6 +338,13 @@ class _FloatMemo(dict):
 _FAST_READ_MIN_BYTES = 8192
 
 
+# A file is first read this far; its header, hub and first items lie inside.
+_HEAD_BYTES = 4096
+# Longer than any list item's text with the comma and newline after it
+# (``-2.2250738585072014e-308,``), and than what follows a written array.
+_PEEK_BYTES = 256
+
+
 def _item(data: bytes, start: int) -> tuple[float, int]:
     """The list item whose text starts at ``start`` (it ends at the next
     comma or newline) as a float, and the index where its text ends."""
@@ -293,64 +354,67 @@ def _item(data: bytes, start: int) -> tuple[float, int]:
     return float(data[start:end]), end
 
 
-def _read_rendered(data: bytes) -> dict | None:
-    """The document of ``data`` with a :class:`~spinstar.model.StarSpec`
-    under ``"potentials"``, if ``data`` is exactly what :func:`render_design`
-    writes for a star whose only exceptions sit at the file's own source
-    and target; ``None`` otherwise.
+def _item_at(fh, head: bytes, pos: int) -> tuple[float, int]:
+    """:func:`_item` at offset ``pos`` of the file ``fh``, whose first bytes
+    are ``head``: taken from ``head`` when it lies there, else one small read."""
+    if pos + _PEEK_BYTES <= len(head):
+        return _item(head, pos)
+    fh.seek(pos)
+    value, end = _item(fh.read(_PEEK_BYTES), 0)
+    return value, pos + end
 
-    Only the header is decoded.  The hub, the first bystander among nodes
-    1-3 (the background) and the items at source and target are read at
-    their offsets, and every byte of ``data`` is then compared with the
-    pieces of :func:`_layout` for that star.  A file that matches is the
-    rendering of this document, so ``json.loads`` would give the same one.
+
+def _read_rendered(fh, size: int) -> dict | None:
+    """The document of the ``size``-byte file ``fh`` (binary, at offset 0)
+    with a :class:`~spinstar.model.StarSpec` under ``"potentials"``, if the
+    file is exactly what :func:`render_design` writes for a star whose only
+    exceptions sit at the file's own source and target; ``None`` otherwise.
+
+    Only the header and what follows the array are decoded.  The hub, the
+    first bystander among nodes 1-3 (the background) and the items at source
+    and target are read at their offsets, mostly from the first read, and
+    the file is then compared with :func:`_blocks` of that document, one
+    read per block.  A file that matches is the rendering of this document,
+    so ``json.loads`` would give the same one.
     """
+    head = fh.read(_HEAD_BYTES)
     opening = (_KEY + "[\n    ").encode()
-    start = data.find(opening)
-    end = data.rfind(b"\n  ]")
-    if start < 0 or end < start:
+    start = head.find(opening)
+    if start < 0:
         return None
     try:
-        doc = json.loads((data[:start] + (_KEY + "[]").encode() + data[end + 4:]).decode())
+        fh.seek(max(0, size - _PEEK_BYTES))
+        tail = fh.read(_PEEK_BYTES)
+        end = tail.rfind(b"\n  ]")
+        if end < 0:
+            return None
+        doc = json.loads((head[:start] + (_KEY + "[]").encode() + tail[end + 4:]).decode())
         source, target = doc["source"], doc["target"]
         step = len(_SEP)
-        hub, hub_end = _item(data, start + len(opening))
+        hub, hub_end = _item_at(fh, head, start + len(opening))
         pos, firsts = hub_end, []
         for _ in range(3):
-            value, pos = _item(data, pos + step)
+            value, pos = _item_at(fh, head, pos + step)
             firsts.append(value)
         background = firsts[min({1, 2, 3} - {source, target}) - 1]
         # Every item before the lower route node is the background.
         run = step + len(float.__repr__(background))
         low, high = sorted((source, target))
-        low_value, pos = _item(data, hub_end + (low - 1) * run + step)
-        high_value, _ = _item(data, pos + (high - low - 1) * run + step)
+        low_value, pos = _item_at(fh, head, hub_end + (low - 1) * run + step)
+        high_value, _ = _item_at(fh, head, pos + (high - low - 1) * run + step)
         doc["potentials"] = model.StarSpec.sparse(
             doc["m"] + 2, doc["coupling"], hub, background,
             ((low, low_value), (high, high_value)))
-    except (ValueError, TypeError, KeyError, IndexError, RecursionError):
+        fh.seek(0)
+        pos = 0
+        for block in _blocks(doc):
+            if fh.read(len(block)) != block:
+                return None
+            pos += len(block)
+    except (ValueError, TypeError, KeyError, IndexError, OverflowError, RecursionError,
+            OSError):
         return None
-    pos = 0
-    for text, count in _layout(doc):
-        text = text.encode()
-        if not _repeats_at(data, pos, text, count):
-            return None
-        pos += len(text) * count
-    return doc if pos == len(data) else None
-
-
-def _repeats_at(data: bytes, pos: int, text: bytes, count: int) -> bool:
-    """Whether ``text * count`` sits at ``data[pos:]``, compared one block of
-    about 64 KiB at a time: repeating ``text`` over the whole span would
-    write a copy of the file into fresh memory first, 5-8 times slower
-    at 24 MB."""
-    copies = max(1, min(count, 65536 // len(text)))
-    block = text * copies
-    for _ in range(count // copies):
-        if not data.startswith(block, pos):
-            return False
-        pos += len(block)
-    return data.startswith(text * (count % copies), pos)
+    return doc if pos == size else None
 
 
 def load_design_file(path: str) -> ParsedDesign:
@@ -358,17 +422,23 @@ def load_design_file(path: str) -> ParsedDesign:
 
     A file of at least ``_FAST_READ_MIN_BYTES`` bytes that is exactly what
     the commands write for a design or a retargeted design is read by
-    comparing its bytes with the rendering of the star its header and four
-    of its items name (:func:`_read_rendered`): ``O(1)`` in Python, the rest
-    byte comparisons in C.  Every other file, and every file that does not
-    match, is decoded whole by ``json.loads``, so both reads give the same
-    :class:`ParsedDesign` and every error comes from the full decode.
+    comparing it, block by block, with the rendering of the star its header
+    and four of its items name (:func:`_read_rendered`): ``O(1)`` in Python
+    and in memory, the rest byte comparisons in C.  Every other file, and
+    every file that does not match, is read whole and decoded by
+    ``json.loads``, so both reads give the same :class:`ParsedDesign` and
+    every error comes from the full decode.
     """
     try:
-        data = Path(path).read_bytes()
+        with open(path, "rb", buffering=0) as fh:
+            size, doc = os.fstat(fh.fileno()).st_size, None
+            if size >= _FAST_READ_MIN_BYTES:
+                doc = _read_rendered(fh, size)
+                fh.seek(0)
+            if doc is None:
+                data = fh.read()
     except OSError as exc:
         raise ValueError(f"cannot read design file {path!r}: {exc}") from exc
-    doc = _read_rendered(data) if len(data) >= _FAST_READ_MIN_BYTES else None
     if doc is None:
         # One UTF-8 decode, without read_text's newline translation: JSON
         # reads "\r" as whitespace, so the document is the same.
@@ -384,13 +454,6 @@ def render_trace(trace: model.FidelityTrace) -> str:
     return "t,fidelity\n" + "".join(rows)
 
 
-def _write_output(text: str, out: str | None) -> None:
-    if out is None:
-        sys.stdout.write(text)
-    else:
-        Path(out).write_text(text)
-
-
 # ---------------------------------------------------------------------------
 # Subcommands
 # ---------------------------------------------------------------------------
@@ -400,7 +463,7 @@ def _cmd_design(ns) -> int:
     request = designer.DesignInput(m=ns.bystanders, eta=ns.eta, root_choice=root_choice)
     sol = designer.design(request)
     doc = _document(sol, source=1, target=2, spec=sol.realized, root_choice=root_choice)
-    _write_output(render_design(doc), ns.out)
+    _write_design(doc, ns.out)
     return 0
 
 
@@ -414,10 +477,13 @@ def _cmd_simulate(ns) -> int:
         amps = dynamics.StarEvolution.from_spec(star).amplitudes(grid, source, target)
         trace = model.FidelityTrace(times=grid, values=np.abs(amps) ** 2)
     else:
-        params = model.build_reduced(star, source, target)
+        # On the file's own route, loading has checked the star against the
+        # header's (a, b, c, d, e) by the route rule; evolve those.
+        own_route = (source, target) == (parsed.source, parsed.target)
+        params = parsed.base.params if own_route else model.build_reduced(star, source, target)
         h4 = model.reduced_matrix(params)
         trace = dynamics.fidelity_trace(h4, grid, 2, 3)
-    _write_output(render_trace(trace), ns.out)
+    Path(ns.out).write_text(render_trace(trace))
     return 0
 
 
@@ -462,7 +528,7 @@ def _cmd_retarget(ns) -> int:
     moved = switchboard.retarget(parsed, ns.target)
     doc = _document(moved.base, source=moved.source, target=moved.target,
                     spec=moved.realized_spec, root_choice=parsed.root_choice)
-    _write_output(render_design(doc), ns.out)
+    _write_design(doc, ns.out)
     return 0
 
 

@@ -360,7 +360,7 @@ def design(request: DesignInput) -> DesignSolution:
     a, d = back_solve(e, m, eta)
     params = ReducedParams(a=a, b=math.sqrt(m), c=1.0, d=d, e=e, m=m)
     target = (0.0, e, eta * e, -eta * e)
-    deviation, _ = design_residuals(params, eta, target)
+    deviation, lambda_deviation = design_residuals(params, eta, target)
     if deviation > SPECTRUM_TOL * max(1.0, abs(eta * e)):
         raise NoRealDesignError(
             f"design for m={m}, eta={eta} misses its spectrum by {deviation!r}"
@@ -372,4 +372,6 @@ def design(request: DesignInput) -> DesignSolution:
         target_spectrum=target,
         root_residual=abs(g_polynomial(m, eta).evaluate(e)),
         realized=routed_star(params),
+        spectrum_residual=deviation,
+        lambda_residual=lambda_deviation,
     )

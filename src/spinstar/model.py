@@ -313,7 +313,13 @@ class ReducedParams:
 
 @dataclass(frozen=True)
 class DesignSolution:
-    """A solved transfer design plus the star network that realizes it."""
+    """A solved transfer design plus the star network that realizes it.
+
+    ``spectrum_residual`` and ``lambda_residual`` are the design's residuals
+    as :func:`~spinstar.designer.design_residuals` computes them, stored by
+    the designer; ``None`` where nobody computed them (a design read back
+    from a file).
+    """
 
     params: ReducedParams
     eta: int
@@ -321,6 +327,8 @@ class DesignSolution:
     target_spectrum: tuple[float, float, float, float]
     root_residual: float
     realized: StarSpec
+    spectrum_residual: float | None = None
+    lambda_residual: float | None = None
 
     def __post_init__(self):
         object.__setattr__(self, "eta", check_int(self.eta, "eta"))
@@ -341,6 +349,9 @@ class DesignSolution:
         if any(abs(x - y) > 1e-9 * scale for x, y in zip(sorted(spectrum), expected)):
             raise ValueError("target_spectrum must be {0, e, +eta*e, -eta*e}")
         object.__setattr__(self, "root_residual", float(self.root_residual))
+        for name in ("spectrum_residual", "lambda_residual"):
+            if getattr(self, name) is not None:
+                object.__setattr__(self, name, float(getattr(self, name)))
         # The canonical star passes by construction; anything else is checked.
         p = self.params
         if self.realized._parts() != (p.m + 2, p.c, p.a, p.d, ((1, p.e), (2, p.e))):

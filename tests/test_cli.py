@@ -1,7 +1,9 @@
 """Command-line interface: subcommand semantics, file formats, exit codes,
 and byte-for-byte determinism."""
 
+import contextlib
 import csv
+import io
 import json
 import math
 from pathlib import Path
@@ -11,8 +13,8 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from spinstar import (SMALLEST, DesignInput, cli, design, dynamics, min_feasible_even_eta, model,
-                      switchboard)
+from spinstar import (SMALLEST, DesignInput, cli, design, designer, dynamics,
+                      min_feasible_even_eta, model, switchboard)
 from spinstar.cli import design_document, execute, render_design
 
 E_SMALL = 2.0 / math.sqrt(15.0)
@@ -338,6 +340,47 @@ def test_every_command_takes_a_bystander_within_the_relative_route_rule(tmp_path
     assert capsys.readouterr().err == ""
 
 
+def test_plain_simulate_takes_route_nodes_within_the_rule_on_both_sides_of_e(tmp_path, capsys):
+    # Source and target sit 9e-13 above and below the header's e: inside the
+    # route rule, so loading accepts the file, but they differ from each
+    # other by more than the rule allows.  On the file's own route plain
+    # simulate evolves the header's (a, b, c, d, e), which loading checked.
+    doc = json.loads((GOLDEN / "design_m2_smallest.json").read_text())
+    e = doc["e"]
+    doc["potentials"][1:3] = [e + 9e-13, e - 9e-13]
+    path, trace = tmp_path / "split.json", tmp_path / "t.csv"
+    path.write_text(json.dumps(doc, indent=2) + "\n")
+    assert execute(["verify", "--design", str(path)]) == 0
+    assert capsys.readouterr().out.splitlines()[-1].endswith("PASS")
+    for extra in (["--full"], []):
+        assert execute(["simulate", "--design", str(path), "--steps", "50",
+                        "--out", str(trace), *extra]) == 0
+    assert trace.read_bytes() == (GOLDEN / "simulate_m2.csv").read_bytes()
+    assert capsys.readouterr().err == ""
+
+
+def test_design_residuals_are_computed_once_per_design_and_never_on_read(tmp_path, monkeypatch,
+                                                                           capsys):
+    calls = []
+    residuals = designer.design_residuals
+    monkeypatch.setattr(designer, "design_residuals",
+                        lambda *args: calls.append(args) or residuals(*args))
+    path, moved = tmp_path / "design.json", tmp_path / "moved.json"
+    runs = [(["design", "--bystanders", "7", "--eta", "10", "--out", str(path)], 1),
+            (["design", "--bystanders", "7", "--eta", "10"], 1),
+            (["retarget", "--design", str(path), "--target", "5", "--out", str(moved)], 1),
+            (["verify", "--design", str(moved)], 0),
+            (["simulate", "--design", str(moved), "--out", str(tmp_path / "t.csv")], 0),
+            (["simulate", "--design", str(moved), "--full", "--out", str(tmp_path / "t.csv")], 0)]
+    for argv, count in runs:
+        calls.clear()
+        assert execute(argv) == 0
+        assert len(calls) == count, argv
+    capsys.readouterr()
+    assert path.read_bytes() == (GOLDEN / "design_m7_smallest.json").read_bytes()
+    assert moved.read_bytes() == (GOLDEN / "retarget_m7_to5.json").read_bytes()
+
+
 def test_a_parsed_design_is_a_routing_state(design_file):
     parsed = cli.load_design_file(str(design_file))
     assert isinstance(parsed, switchboard.RoutingState)
@@ -615,7 +658,10 @@ def test_render_trace_matches_row_by_row_repr(values):
 # reading written files without decoding the array
 # ---------------------------------------------------------------------------
 
-_SIZES = (300, 1000, 100_000)
+# m = 300 and 320 give files on either side of _FAST_READ_MIN_BYTES (8 KiB);
+# m = 2700 with the smallest root and m = 2800 files on either side of one
+# 64 KiB block.
+_SIZES = (300, 320, 2700, 2800, 100_000)
 _BASES = [(m, kind) for m in _SIZES for kind in ("smallest", "largest", "zeros")]
 
 
@@ -657,6 +703,11 @@ def _bits(parsed):
             sol.realized._parts(), parsed.source, parsed.target, parsed.root_choice)
 
 
+def _read_rendered(path):
+    with open(path, "rb") as fh:
+        return cli._read_rendered(fh, path.stat().st_size)
+
+
 def _outcomes(path):
     """``load_design_file`` of ``path`` by the fast read and by ``json.loads``:
     what each reconstructs, or the error line ``execute`` would print."""
@@ -678,11 +729,21 @@ def _outcomes(path):
        moves=st.lists(st.sampled_from(["3", "N", "any", "back"]), max_size=4), data=st.data())
 def test_fast_read_of_written_files_matches_the_full_decode(written, base, moves, data):
     files, work = written
-    m, _ = base
+    m, root = base
     path = files[base]
+    if root != "zeros":
+        # Standard output carries the same blocks as --out: the rendering.
+        eta = min_feasible_even_eta(m) + 2
+        sol = design(DesignInput(m=m, eta=eta, root_choice=designer.RootChoice.parse(root)))
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            assert execute(["design", "--bystanders", str(m), "--eta", str(eta),
+                            "--root", root]) == 0
+        rendered = render_design(design_document(sol, 1, 2, sol.realized, root))
+        assert path.read_bytes() == out.getvalue().encode() == rendered.encode()
     targets = [2]
     for step, move in enumerate(["stay", *moves], 1):
-        assert cli._read_rendered(path.read_bytes()) is not None
+        assert _read_rendered(path) is not None
         fast, slow = _outcomes(path)
         assert isinstance(fast, tuple) and fast == slow
         new = {"stay": targets[-1], "3": 3, "N": m + 2, "back": targets[-2:][0],
@@ -691,8 +752,13 @@ def test_fast_read_of_written_files_matches_the_full_decode(written, base, moves
         moved = work / f"chain_{step}.json"
         assert execute(["retarget", "--design", str(path), "--target", str(new),
                         "--out", str(moved)]) == 0
+        parsed = cli.load_design_file(str(path))
+        state = switchboard.retarget(parsed, new)
+        assert moved.read_bytes() == render_design(design_document(
+            state.base, state.source, state.target, state.realized_spec,
+            parsed.root_choice)).encode()
         path = moved
-    assert cli._read_rendered(path.read_bytes()) is not None
+    assert _read_rendered(path) is not None
     fast, slow = _outcomes(path)
     assert fast == slow and fast[-2] == targets[-1]
 
@@ -723,6 +789,12 @@ def _mutate(text: str, kind: str, node: int) -> str:
         lines[j] = f'  "m": {int(lines[j][7:-1]) + (1 if kind == "m + 1" else -1)},'
     elif kind == "space at the end":
         lines[-1] += " "
+    elif kind == "last byte":
+        return text[:-1] + "x"
+    elif kind == "truncated":
+        return text[:len(text) // 2]
+    elif kind == "trailing bytes":
+        return text + "{}"
     elif kind == "crlf":
         return "\r\n".join(lines)
     elif kind == "compact":
@@ -732,7 +804,7 @@ def _mutate(text: str, kind: str, node: int) -> str:
 
 _MUTATIONS = ["trailing zero", "space", "crlf", "compact", "true", "2", "NaN", "third exception",
               "one item too many", "one item too few", "duplicate key", "m + 1", "m - 1",
-              "space at the end"]
+              "space at the end", "last byte", "truncated", "trailing bytes"]
 
 
 @pytest.mark.parametrize("kind", _MUTATIONS)
@@ -749,9 +821,20 @@ def test_mutated_files_read_as_the_full_decode_reads_them(written, kind, base, n
         assert execute(["retarget", "--design", str(path), "--target",
                         str(m + 2 if target == "N" else target), "--out", str(path)]) == 0
     path.write_bytes(_mutate(path.read_text(), kind, node).encode())
-    assert cli._read_rendered(path.read_bytes()) is None
+    assert _read_rendered(path) is None
     fast, slow = _outcomes(path)
     assert fast == slow
+
+
+def test_unreadable_design_path_is_one_error_line(tmp_path, capsys):
+    missing = tmp_path / "missing.json"
+    for path, error in ((missing, "[Errno 2] No such file or directory"),
+                        (tmp_path, "[Errno 21] Is a directory")):
+        for argv in (["verify"], ["simulate", "--out", str(tmp_path / "t.csv")],
+                     ["retarget", "--target", "3", "--out", str(tmp_path / "r.json")]):
+            assert execute(argv + ["--design", str(path)]) == 1
+            assert capsys.readouterr().err == (
+                f"error: cannot read design file {str(path)!r}: {error}: {str(path)!r}\n")
 
 
 def test_parse_design_document_takes_a_star_as_render_design_does(design_file):
@@ -786,3 +869,34 @@ def test_written_file_array_is_never_decoded(tmp_path, monkeypatch, capsys):
         decoded.clear()
         assert cli.load_design_file(str(moved)).target == 77777
         assert (decoded == [size]) if whole else max(decoded) < 4096
+
+
+# ---------------------------------------------------------------------------
+# design files stream through blocks
+# ---------------------------------------------------------------------------
+
+def test_no_command_holds_a_whole_design_file_in_memory(tmp_path, capsys):
+    import tracemalloc
+
+    m, eta = 10**6, 1_299_040
+    path, moved = tmp_path / "design.json", tmp_path / "moved.json"
+    runs = {
+        "design": lambda: execute(["design", "--bystanders", str(m), "--eta", str(eta),
+                                   "--out", str(path)]),
+        "retarget": lambda: execute(["retarget", "--design", str(path), "--target", "777777",
+                                     "--out", str(moved)]),
+        "load": lambda: cli.load_design_file(str(moved)),
+    }
+    assert execute(["design", "--bystanders", "2", "--eta", "4"]) == 0  # warm up
+    peaks = {}
+    for name, run in runs.items():
+        tracemalloc.start()
+        try:
+            run()
+            peaks[name] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    capsys.readouterr()
+    assert cli.load_design_file(str(moved)).target == 777777
+    assert path.stat().st_size > 20 * 2**20
+    assert max(peaks.values()) < 2**20, peaks
