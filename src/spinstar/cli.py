@@ -13,18 +13,16 @@ Design files are JSON (schema_version 1); traces are two-column CSV with a
 and nothing in the output depends on the clock or on randomness, so reruns
 with the same arguments are byte-identical.
 
-A design file spells out all ``m + 3`` potentials (24 MB at ``m = 10**6``),
-but no command holds a whole file that the commands wrote in memory.
-Writing one streams blocks of about 64 KiB to the output, a run of
-background entries being one block repeated.  Reading one decodes only its
-header and what follows the array: the hub, the background and the route's
-items are read at their offsets, and the file is compared, one read per
-block, with the same blocks for that star.  Both take one Python step per
-block and a few blocks of memory; the byte work is done in C.  Files under
-8 KiB, and any file that is not exactly such a rendering, are read whole
-and decoded by ``json.loads`` with the same result.  Everything else a
-command does works on the star's hub, background and exceptions and is
-``O(1)`` in ``m``.
+A design file spells out all ``m + 3`` potentials, but no command holds a
+whole file that the commands wrote in memory.  Writing one streams blocks
+of about 64 KiB, a run of background entries being one block repeated.
+Reading one decodes only its header and what follows the array.  The
+header names the star (``a`` at the hub, ``e`` at ``source`` and
+``target``, ``d`` on every other edge), and the file is compared, block by
+block, with the rendering of that star.  Any other file is decoded whole
+by ``json.loads``, with the same result.  Both take one Python step per
+block and a few blocks of memory.  Everything else a command does works on
+the star's hub, background and exceptions and is ``O(1)`` in ``m``.
 ``verify`` evolves the file's own star along the file's own route.  Requests
 beyond the envelope ``m <= 10**6``, ``eta <= 1 400 000``,
 ``--steps <= 10**6`` are refused before any work that grows with them.
@@ -243,7 +241,10 @@ def _field(doc: dict, name: str, kind) -> object:
     if kind is float:
         if isinstance(value, bool) or not isinstance(value, (int, float)):
             raise ValueError(f"design file: field '{name}' must be a number, got {value!r}")
-        return float(value)
+        try:
+            return float(value)
+        except OverflowError as exc:
+            raise ValueError(f"design file: field '{name}': {exc}") from exc
     if kind is int:
         return model.check_int(value, f"design file: field '{name}'")
     if not isinstance(value, kind):
@@ -317,7 +318,7 @@ def parse_design_document(doc: dict) -> ParsedDesign:
             spec = model.StarSpec(edge_count=m + 2, coupling=coupling, potentials=potentials)
         return ParsedDesign(base=solution, source=source, target=target, realized_spec=spec,
                             root_choice=root_choice)
-    except ValueError as exc:
+    except (ValueError, OverflowError) as exc:
         raise ValueError(f"design file: {exc}") from exc
 
 
@@ -338,96 +339,58 @@ class _FloatMemo(dict):
 _FAST_READ_MIN_BYTES = 8192
 
 
-# A file is first read this far; its header, hub and first items lie inside.
+# A file is first read this far; its header lies inside.
 _HEAD_BYTES = 4096
-# Longer than any list item's text with the comma and newline after it
-# (``-2.2250738585072014e-308,``), and than what follows a written array.
-_PEEK_BYTES = 256
-
-
-def _item(data: bytes, start: int) -> tuple[float, int]:
-    """The list item whose text starts at ``start`` (it ends at the next
-    comma or newline) as a float, and the index where its text ends."""
-    end = data.index(b"\n", start)
-    if data[end - 1] == ord(","):
-        end -= 1
-    return float(data[start:end]), end
-
-
-def _item_at(fh, head: bytes, pos: int) -> tuple[float, int]:
-    """:func:`_item` at offset ``pos`` of the file ``fh``, whose first bytes
-    are ``head``: taken from ``head`` when it lies there, else one small read."""
-    if pos + _PEEK_BYTES <= len(head):
-        return _item(head, pos)
-    fh.seek(pos)
-    value, end = _item(fh.read(_PEEK_BYTES), 0)
-    return value, pos + end
+# Longer than what follows the array in any written file.
+_TAIL_BYTES = 256
 
 
 def _read_rendered(fh, size: int) -> dict | None:
     """The document of the ``size``-byte file ``fh`` (binary, at offset 0)
     with a :class:`~spinstar.model.StarSpec` under ``"potentials"``, if the
-    file is exactly what :func:`render_design` writes for a star whose only
-    exceptions sit at the file's own source and target; ``None`` otherwise.
+    file is exactly what the commands write for the design its header
+    names; ``None`` otherwise.
 
-    Only the header and what follows the array are decoded.  The hub, the
-    first bystander among nodes 1-3 (the background) and the items at source
-    and target are read at their offsets, mostly from the first read, and
-    the file is then compared with :func:`_blocks` of that document, one
-    read per block.  A file that matches is the rendering of this document,
-    so ``json.loads`` would give the same one.
+    Only the header and what follows the array are decoded.  They name the
+    star: ``a`` at the hub, ``e`` at ``source`` and ``target``, ``d`` on
+    every other edge.  The file is then compared with :func:`_blocks` of
+    that document, one read per block.  A file that matches is the
+    rendering of this document, so ``json.loads`` would give the same one.
     """
     head = fh.read(_HEAD_BYTES)
-    opening = (_KEY + "[\n    ").encode()
-    start = head.find(opening)
+    start = head.find((_KEY + "[\n").encode())
     if start < 0:
         return None
     try:
-        fh.seek(max(0, size - _PEEK_BYTES))
-        tail = fh.read(_PEEK_BYTES)
+        fh.seek(max(0, size - _TAIL_BYTES))
+        tail = fh.read(_TAIL_BYTES)
         end = tail.rfind(b"\n  ]")
         if end < 0:
             return None
         doc = json.loads((head[:start] + (_KEY + "[]").encode() + tail[end + 4:]).decode())
-        source, target = doc["source"], doc["target"]
-        step = len(_SEP)
-        hub, hub_end = _item_at(fh, head, start + len(opening))
-        pos, firsts = hub_end, []
-        for _ in range(3):
-            value, pos = _item_at(fh, head, pos + step)
-            firsts.append(value)
-        background = firsts[min({1, 2, 3} - {source, target}) - 1]
-        # Every item before the lower route node is the background.
-        run = step + len(float.__repr__(background))
-        low, high = sorted((source, target))
-        low_value, pos = _item_at(fh, head, hub_end + (low - 1) * run + step)
-        high_value, _ = _item_at(fh, head, pos + (high - low - 1) * run + step)
         doc["potentials"] = model.StarSpec.sparse(
-            doc["m"] + 2, doc["coupling"], hub, background,
-            ((low, low_value), (high, high_value)))
+            doc["m"] + 2, doc["coupling"], doc["a"], doc["d"],
+            sorted(((doc["source"], doc["e"]), (doc["target"], doc["e"]))))
         fh.seek(0)
-        pos = 0
         for block in _blocks(doc):
             if fh.read(len(block)) != block:
                 return None
-            pos += len(block)
-    except (ValueError, TypeError, KeyError, IndexError, OverflowError, RecursionError,
-            OSError):
+        return doc if fh.tell() == size else None
+    except (ValueError, TypeError, KeyError, OverflowError, RecursionError, OSError):
         return None
-    return doc if pos == size else None
 
 
 def load_design_file(path: str) -> ParsedDesign:
     """Read, validate and reconstruct the design file at ``path``.
 
     A file of at least ``_FAST_READ_MIN_BYTES`` bytes that is exactly what
-    the commands write for a design or a retargeted design is read by
-    comparing it, block by block, with the rendering of the star its header
-    and four of its items name (:func:`_read_rendered`): ``O(1)`` in Python
-    and in memory, the rest byte comparisons in C.  Every other file, and
-    every file that does not match, is read whole and decoded by
-    ``json.loads``, so both reads give the same :class:`ParsedDesign` and
-    every error comes from the full decode.
+    the commands write for the design its header names is read by comparing
+    it, block by block, with the rendering of that star
+    (:func:`_read_rendered`): ``O(1)`` in Python and in memory, the rest
+    byte comparisons in C.  Every other file, even one that differs from
+    that rendering only in the bits of an item, is read whole and decoded
+    by ``json.loads``, so both reads give the same :class:`ParsedDesign`
+    and every error comes from the full decode.
     """
     try:
         with open(path, "rb", buffering=0) as fh:
@@ -444,7 +407,7 @@ def load_design_file(path: str) -> ParsedDesign:
         # reads "\r" as whitespace, so the document is the same.
         try:
             doc = json.loads(data.decode("utf-8"), parse_float=_FloatMemo().__getitem__)
-        except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
+        except (ValueError, RecursionError) as exc:
             raise ValueError(f"design file {path!r} is not valid JSON: {exc}") from exc
     return parse_design_document(doc)
 

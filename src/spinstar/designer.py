@@ -350,9 +350,8 @@ def design(request: DesignInput) -> DesignSolution:
     recovers the hub/bystander potentials, and realizes the star network in
     coupling units (``coupling = c = 1``).  The solve is a cubic plus a 4x4
     eigendecomposition; the realized star is stored as its hub, bystander
-    and route values (:func:`~spinstar.model.routed_star`), so nothing grows
-    with ``m``: 0.075 ms and a peak of about 3 KiB of Python memory at
-    ``m = 10**6``.
+    and route values (:func:`~spinstar.model.routed_star`), so time and
+    memory are ``O(1)`` in ``m``.
     """
     m, eta = request.m, request.eta
     roots = solve_e(m, eta)

@@ -245,7 +245,8 @@ def transfer_time_grid(tau: float, t_max: float | None = None, steps: int = 1000
     A blind uniform grid can miss the fidelity peak by half a spacing, which
     already costs ~1e-5 in sampled fidelity at typical peak curvatures;
     pinning ``tau`` keeps the sampled maximum at the true peak.  When ``tau``
-    falls outside the window the grid is a plain ``linspace``.  More than
+    falls outside the window, or within its first half-spacing, the grid is
+    a plain ``linspace``.  ``t_max`` must be positive and finite.  More than
     ``STEPS_MAX`` steps raise :class:`EnvelopeError` before anything is
     allocated.
     """
@@ -260,10 +261,10 @@ def transfer_time_grid(tau: float, t_max: float | None = None, steps: int = 1000
             raise ValueError("t_max is required when tau is not positive")
         t_max = 1.2 * tau
     t_max = float(t_max)
-    if not t_max > 0:
-        raise ValueError("t_max must be positive")
-    if 0.0 < tau <= t_max:
-        segments = max(1, round((steps - 1) * tau / t_max))
+    if not 0 < t_max < math.inf:
+        raise ValueError("t_max must be positive and finite")
+    segments = round((steps - 1) * tau / t_max) if 0.0 < tau <= t_max else 0
+    if segments:
         return np.arange(steps) * (tau / segments)
     return np.linspace(0.0, t_max, steps)
 

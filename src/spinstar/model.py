@@ -366,6 +366,16 @@ def routed_star(params: ReducedParams) -> StarSpec:
                            ((1, params.e), (2, params.e)))
 
 
+def _route_nodes(edge_count: int, source, target) -> tuple[int, int]:
+    """``(source, target)`` as two different edge nodes in ``1..edge_count``;
+    raises ``ValueError`` otherwise."""
+    source = check_int(source, "source", 1, edge_count)
+    target = check_int(target, "target", 1, edge_count)
+    if source == target:
+        raise ValueError("source and target must differ")
+    return source, target
+
+
 def check_route(spec: StarSpec, params: ReducedParams, source, target) -> tuple[int, int]:
     """Check that ``spec`` realizes ``params`` wired for ``source -> target``.
 
@@ -382,10 +392,7 @@ def check_route(spec: StarSpec, params: ReducedParams, source, target) -> tuple[
         raise ValueError(f"edge_count must equal m + 2 = {params.m + 2}, got {n}")
     if abs(spec.coupling - params.c) > 1e-12 * max(1.0, abs(params.c)):
         raise ValueError(f"coupling must equal c = {params.c!r}, got {spec.coupling!r}")
-    source = check_int(source, "source", 1, n)
-    target = check_int(target, "target", 1, n)
-    if source == target:
-        raise ValueError("source and target must differ")
+    source, target = _route_nodes(n, source, target)
     a, d, e = params.a, params.d, params.e
     route = (source, target)
 
@@ -541,10 +548,7 @@ def build_reduced(spec: StarSpec, source: int, target: int) -> ReducedParams:
     ``O(len(spec.exceptions))``.
     """
     n = spec.edge_count
-    source = check_int(source, "source", 1, n)
-    target = check_int(target, "target", 1, n)
-    if source == target:
-        raise ValueError("source and target must be different nodes")
+    source, target = _route_nodes(n, source, target)
     m = n - 2
     params = ReducedParams(
         a=spec.hub,

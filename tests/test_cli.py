@@ -631,9 +631,30 @@ def test_design_file_line_endings_do_not_matter(tmp_path, capsys):
     assert capsys.readouterr().out.encode() == (GOLDEN / "verify_m2.txt").read_bytes()
 
 
+@pytest.mark.parametrize("command", ["verify", "simulate", "retarget"])
+@pytest.mark.parametrize("field", ["a", "tau", "coupling", "eta", "spectrum", "residuals.root",
+                                   "potentials"])
+def test_huge_integer_in_a_numeric_field_is_one_error_line(design_file, tmp_path, capsys,
+                                                           field, command):
+    doc = json.loads(design_file.read_text())
+    if field == "residuals.root":
+        doc["residuals"]["root"] = 10**400
+    elif field in ("spectrum", "potentials"):
+        doc[field][1] = 10**400
+    else:
+        doc[field] = 10**400
+    design_file.write_text(json.dumps(doc, indent=2) + "\n")
+    argv = {"verify": ["verify"], "simulate": ["simulate", "--out", str(tmp_path / "t.csv")],
+            "retarget": ["retarget", "--target", "3", "--out", str(tmp_path / "r.json")]}[command]
+    assert execute(argv + ["--design", str(design_file)]) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("error: design file: "), err
+
+
 @pytest.mark.parametrize("head, body", [
     (b"\xff", None), (b"\xef\xbb\xbf", None), (b"[" * 100_000, b"]" * 100_000),
-], ids=["not-utf8", "bom", "nested"])
+    (b'{"a": ' + b"1" * 5000, b"}"),
+], ids=["not-utf8", "bom", "nested", "5000-digit integer"])
 def test_undecodable_design_file_is_one_error_line(tmp_path, capsys, head, body):
     path = tmp_path / "design.json"
     path.write_bytes(head + (body or (GOLDEN / "design_m2_smallest.json").read_bytes()))
@@ -669,8 +690,8 @@ _BASES = [(m, kind) for m in _SIZES for kind in ("smallest", "largest", "zeros")
 def written(tmp_path_factory):
     """Paths of design files as the commands write them, keyed by
     ``(m, root)``, and a work directory.  ``(m, "zeros")`` is a design whose
-    hub and background are -0.0 (header ``a = d = 0.0``), rendered as the
-    commands render."""
+    hub and background are -0.0 (header ``a = d = -0.0``), rendered as the
+    commands render it."""
     work = tmp_path_factory.mktemp("written")
     files = {}
     for m in _SIZES:
@@ -682,7 +703,7 @@ def written(tmp_path_factory):
             files[m, root] = path
         doc = json.loads(files[m, "smallest"].read_bytes())
         star = model.StarSpec.sparse(m + 2, 1.0, -0.0, -0.0, ((1, doc["e"]), (2, doc["e"])))
-        doc.update(a=0.0, d=0.0, potentials=star)
+        doc.update(a=-0.0, d=-0.0, potentials=star)
         doc["residuals"] = {"root": 0.0}
         files[m, "zeros"] = work / f"design_{m}_zeros.json"
         files[m, "zeros"].write_text(render_design(doc))
@@ -778,6 +799,11 @@ def _mutate(text: str, kind: str, node: int) -> str:
     elif kind == "third exception":  # on a bystander: node 4 or later, before node N
         i = max(i, first + 4)
         lines[i] = "    " + repr(math.nextafter(float(lines[i][:-1]), math.inf)) + ","
+    elif kind == "route item one ulp off e":  # at the source or the target
+        key = ('  "source": ', '  "target": ')[node % 2]
+        i = first + int(next(line for line in lines if line.startswith(key))[len(key):-1])
+        item = lines[i].rstrip(",")
+        lines[i] = "    " + repr(math.nextafter(float(item), math.inf)) + lines[i][len(item):]
     elif kind == "one item too many":
         lines.insert(i, item)
     elif kind == "one item too few":
@@ -803,7 +829,7 @@ def _mutate(text: str, kind: str, node: int) -> str:
 
 
 _MUTATIONS = ["trailing zero", "space", "crlf", "compact", "true", "2", "NaN", "third exception",
-              "one item too many", "one item too few", "duplicate key", "m + 1", "m - 1",
+              "route item one ulp off e", "one item too many", "one item too few", "duplicate key", "m + 1", "m - 1",
               "space at the end", "last byte", "truncated", "trailing bytes"]
 
 
@@ -824,6 +850,21 @@ def test_mutated_files_read_as_the_full_decode_reads_them(written, kind, base, n
     assert _read_rendered(path) is None
     fast, slow = _outcomes(path)
     assert fast == slow
+
+
+@pytest.mark.parametrize("m", _SIZES)
+def test_items_that_differ_from_the_header_only_in_sign_are_decoded_whole(written, m):
+    files, work = written
+    text = files[m, "zeros"].read_text()
+    plus = text.replace('\n  "a": -0.0,', '\n  "a": 0.0,').replace('\n  "d": -0.0,', '\n  "d": 0.0,')
+    assert len(plus) == len(text) - 2
+    path = work / f"plus_zeros_{m}.json"
+    path.write_text(plus)
+    assert _read_rendered(path) is None
+    fast, slow = _outcomes(path)
+    assert isinstance(fast, tuple) and fast == slow
+    hub, background = fast[0][2:]
+    assert hub == background == (-0.0).hex()  # the items', not the header's
 
 
 def test_unreadable_design_path_is_one_error_line(tmp_path, capsys):

@@ -200,6 +200,9 @@ def test_transfer_time_grid_pins_tau():
 def test_transfer_time_grid_outside_window_falls_back():
     grid = transfer_time_grid(50.0, t_max=1.0, steps=11)
     assert np.array_equal(grid, np.linspace(0.0, 1.0, 11))
+    # tau within the first half-spacing cannot be pinned onto a grid point
+    grid = transfer_time_grid(1.0, t_max=100.0, steps=11)
+    assert np.array_equal(grid, np.linspace(0.0, 100.0, 11))
 
 
 def test_transfer_time_grid_validation():
@@ -207,6 +210,8 @@ def test_transfer_time_grid_validation():
         transfer_time_grid(1.0, steps=1)
     with pytest.raises(ValueError):
         transfer_time_grid(1.0, t_max=-2.0)
+    with pytest.raises(ValueError, match="finite"):
+        transfer_time_grid(1.0, t_max=math.inf)
     with pytest.raises(ValueError):
         transfer_time_grid(-1.0)
 

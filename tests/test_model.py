@@ -30,7 +30,7 @@ from spinstar import (
     single_excitation_indices,
     transition_amplitude,
 )
-from spinstar.model import check_int
+from spinstar.model import check_int, check_route
 
 # Closed-form smallest admissible potential for m=2, eta=4: e**2 = 4/15.
 E_M2_ETA4 = 2.0 / math.sqrt(15.0)
@@ -305,6 +305,18 @@ def test_build_reduced_rejects_bad_nodes():
         build_reduced(spec, 0, 2)
     with pytest.raises(ValueError):
         build_reduced(spec, 1, 5)
+
+
+@pytest.mark.parametrize("source, target", [(1, 1), (0, 2), (1, 5), (True, 2), (1, 2.0)])
+def test_build_reduced_and_check_route_refuse_bad_nodes_alike(source, target):
+    spec = StarSpec(4, 1.0, (0.0, 0.5, 0.5, -0.5, -0.5))
+    params = ReducedParams(a=0.0, b=math.sqrt(2.0), c=1.0, d=-0.5, e=0.5, m=2)
+    with pytest.raises(ValueError) as reduced:
+        build_reduced(spec, source, target)
+    with pytest.raises(ValueError) as routed:
+        check_route(spec, params, source, target)
+    assert type(reduced.value) is ValueError
+    assert str(reduced.value) == str(routed.value)
 
 
 def test_reduced_matrix_layout_and_decoupled_case():
