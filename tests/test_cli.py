@@ -477,6 +477,19 @@ def test_simulate_steps_beyond_the_envelope_is_one_error_line(design_file, tmp_p
     assert not out.exists()
 
 
+@pytest.mark.parametrize("full", [False, True], ids=["reduced", "full"])
+def test_simulate_window_whose_phases_overflow_is_one_error_line(tmp_path, capsys, recwarn,
+                                                                  full):
+    out = tmp_path / "trace.csv"
+    argv = ["simulate", "--design", str(GOLDEN / "design_m2_smallest.json"), "--t-max", "1e308",
+            "--out", str(out)]
+    assert execute(argv + ["--full"] * full) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("error: times up to 1e+308 "), err
+    assert not recwarn.list, [str(w.message) for w in recwarn.list]
+    assert not out.exists()
+
+
 # ---------------------------------------------------------------------------
 # retarget
 # ---------------------------------------------------------------------------
@@ -649,6 +662,7 @@ def test_huge_integer_in_a_numeric_field_is_one_error_line(design_file, tmp_path
     assert execute(argv + ["--design", str(design_file)]) == 1
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and err.startswith("error: design file: "), err
+    assert f"field '{field}'" in err, err
 
 
 @pytest.mark.parametrize("head, body", [

@@ -27,6 +27,7 @@ from spinstar import (
     RootChoice,
     back_solve,
     design,
+    designer,
     exchange_parities,
     feasibility,
     g_polynomial,
@@ -235,16 +236,66 @@ def test_min_feasible_even_eta_matches_definition():
 
 
 def _scan_min_feasible_even_eta(m):
-    """The upward scan over even eta, kept as the reference for the bisection."""
+    """The upward scan over even eta, kept as a reference for the walk."""
     eta = 2
     while not feasibility(m, eta).feasible:
         eta += 2
     return eta
 
 
+def _bisect_min_feasible_even_eta(m):
+    """Doubling plus bisection over even eta, a reference for the walk at
+    any m: O(log m) feasibility tests."""
+    hi = 2
+    while not feasibility(m, hi).feasible:
+        hi *= 2
+    lo = hi // 2  # infeasible, or 1 when eta = 2 is already feasible
+    while hi - lo > 2:
+        mid = (lo + hi) // 4 * 2
+        if feasibility(m, mid).feasible:
+            hi = mid
+        else:
+            lo = mid
+    return hi
+
+
 def test_min_feasible_even_eta_equals_linear_scan():
     for m in range(1, 301):
         assert min_feasible_even_eta(m) == _scan_min_feasible_even_eta(m), m
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(st.integers(1, M_MAX), st.integers(M_MAX, 10**9)))
+def test_min_feasible_even_eta_equals_bisection_and_definition(m):
+    eta = min_feasible_even_eta(m)
+    assert eta == _bisect_min_feasible_even_eta(m)
+    assert eta >= 2 and eta % 2 == 0 and feasibility(m, eta).feasible
+    assert eta == 2 or not feasibility(m, eta - 2).feasible
+
+
+def test_min_feasible_even_eta_takes_at_most_two_feasibility_tests(monkeypatch):
+    calls = []
+
+    def counting(m, eta):
+        calls.append(eta)
+        return feasibility(m, eta)
+
+    monkeypatch.setattr(designer, "feasibility", counting)
+    spread = np.unique(np.geomspace(1, 10**6, 3000).astype(int)).tolist()
+    rng = np.random.default_rng(12)
+    for m in [*range(1, 1001), *spread, *rng.integers(1, 10**6, 1000).tolist()]:
+        calls.clear()
+        eta = min_feasible_even_eta(m)
+        assert len(calls) <= 2, (m, calls)
+        assert eta == _bisect_min_feasible_even_eta(m), m
+
+
+@pytest.mark.parametrize("scale", [0.5, 2.0])
+def test_min_feasible_even_eta_does_not_depend_on_its_start(monkeypatch, scale):
+    # A start far below or above the threshold costs steps, never the answer.
+    monkeypatch.setattr(designer, "ETA_SLOPE", scale * designer.ETA_SLOPE)
+    for m in [*range(1, 201), 1000, 5000]:
+        assert min_feasible_even_eta(m) == _bisect_min_feasible_even_eta(m), m
 
 
 def test_min_feasible_even_eta_is_the_threshold_up_to_large_m():

@@ -32,6 +32,7 @@ STEPS = [
     ("verify_m2.txt", ["verify", "--design", "{design_m2_smallest.json}"]),
     ("verify_m7_to5.txt", ["verify", "--design", "{retarget_m7_to5.json}"]),
     ("sweep_1_12.csv", ["sweep", "--m-min", "1", "--m-max", "12"]),
+    ("sweep_999990_1000000.csv", ["sweep", "--m-min", "999990", "--m-max", "1000000"]),
     ("simulate_m2.csv",
      ["simulate", "--design", "{design_m2_smallest.json}", "--steps", "50", "--out", "{out}"]),
     ("simulate_m2_full.csv",
