@@ -15,16 +15,17 @@ with the same arguments are byte-identical.
 
 A design file spells out all ``m + 3`` potentials, but no command holds a
 whole file that the commands wrote in memory.  Writing one streams blocks
-of about 64 KiB, a run of background entries being one block repeated.
-Reading one decodes only its header and what follows the array.  The
-header names the star (``a`` at the hub, ``e`` at ``source`` and
-``target``, ``d`` on every other edge), and the file is compared, block by
-block, with the rendering of that star.  Any other file is decoded whole
-by ``json.loads``, with the same result.  Both take one Python step per
-block and a few blocks of memory.  Everything else a command does works on
-the star's hub, background and exceptions and is ``O(1)`` in ``m``.
-``verify`` evolves the file's own star along the file's own route.  Requests
-beyond the envelope ``m <= 10**6``, ``eta <= 1 400 000``,
+of about 64 KiB, a run of background entries being one block repeated: one
+``os.writev`` (POSIX) takes up to ``IOV_MAX`` copies of it.  Reading one
+decodes only its header and what follows the array.  The header names the
+star (``a`` at the hub, ``e`` at ``source`` and ``target``, ``d`` on every
+other edge), and the file is compared, block by block, with the rendering
+of that star.  Any other file is decoded whole by ``json.loads``, with the
+same result.  Writing and reading a file that the commands wrote take a few
+blocks of memory and at most one Python step per block.  Everything else a
+command does works on the star's hub, background and exceptions and is
+``O(1)`` in ``m``.  ``verify`` evolves the file's own star along the file's
+own route.  Requests beyond the envelope ``m <= 10**6``, ``eta <= 1 400 000``,
 ``--steps <= 10**6`` are refused before any work that grows with them.
 
 The argument parser is built once, when this module is imported, so a
@@ -178,14 +179,19 @@ def _layout(doc: dict):
 # many bytes, so no command holds a whole design file in memory.
 _BLOCK_BYTES = 65536
 
+# Buffers one os.writev takes (POSIX guarantees at least 16).
+_IOV_MAX = max(16, os.sysconf("SC_IOV_MAX"))
+
 
 def _blocks(doc: dict):
-    """The bytes of the design file of ``doc`` as an iterator of blocks of at
-    most about ``_BLOCK_BYTES`` bytes; together they are
+    """The bytes of the design file of ``doc`` as an iterator of
+    ``(block, times)`` pairs, each block of at most about ``_BLOCK_BYTES``
+    bytes; the blocks, each repeated ``times`` times, concatenate to
     ``render_design(doc).encode()``.
 
-    Inside a run of background entries every block is the same object, built
-    once.  Python work is ``O(len(exceptions))`` plus one step per block.
+    A run of background entries is one block, built once, with the number of
+    times it repeats.  Python work is ``O(len(exceptions))`` plus one step per
+    pair.
     """
     buf, size = [], 0
     for text, count in _layout(doc):
@@ -198,15 +204,14 @@ def _blocks(doc: dict):
         # Top up the pending block, then emit whole blocks of this text.
         fill = (_BLOCK_BYTES - size) // width
         buf.append(text * fill)
-        yield b"".join(buf)
+        yield b"".join(buf), 1
         count -= fill
         copies = max(1, _BLOCK_BYTES // width)
-        block = text * copies
-        for _ in range(count // copies):
-            yield block
+        if count >= copies:
+            yield text * copies, count // copies
         size = width * (count % copies)
         buf = [text * (count % copies)]
-    yield b"".join(buf)
+    yield b"".join(buf), 1
 
 
 def render_design(doc: dict) -> str:
@@ -219,19 +224,39 @@ def render_design(doc: dict) -> str:
     background and each exception are formatted once, and each run of
     background entries is one string repetition (:func:`_layout`).
     """
-    return b"".join(_blocks(doc)).decode()
+    return b"".join(block * times for block, times in _blocks(doc)).decode()
 
 
 def _write_design(doc: dict, out: str | None) -> None:
     """Write the design file of ``doc`` to ``out`` (standard output if
-    ``None``) block by block, never holding the whole file."""
+    ``None``), never holding the whole file.
+
+    To a file, each run of identical blocks is one ``os.writev`` per
+    ``_IOV_MAX`` copies, and distinct blocks are written one at a time, so a
+    write holds one block.  The file is created as ``open(out, "wb")``
+    creates it, with the same errors.  To standard output, each distinct
+    block is decoded once.
+    """
     blocks = _blocks(doc)
     if out is None:
-        for block in blocks:
-            sys.stdout.write(block.decode())
+        for block, times in blocks:
+            text = block.decode()
+            for _ in range(times):
+                sys.stdout.write(text)
         return
-    with open(out, "wb") as fh:
-        fh.writelines(blocks)
+    fd = os.open(out, os.O_WRONLY | os.O_CREAT | os.O_TRUNC, 0o666)
+    try:
+        for block, times in blocks:
+            # A short write goes on from its first unwritten byte, which may
+            # lie partway into a copy.
+            view, width = memoryview(block), len(block)
+            done, total = 0, width * times
+            while done < total:
+                copy, skip = divmod(done, width)
+                count = min(_IOV_MAX, times - copy)
+                done += os.writev(fd, [view[skip:]] + [block] * (count - 1))
+    finally:
+        os.close(fd)
 
 
 def _float(value, name: str) -> float:
@@ -385,9 +410,10 @@ def _read_rendered(fh, size: int) -> dict | None:
             doc["m"] + 2, doc["coupling"], doc["a"], doc["d"],
             sorted(((doc["source"], doc["e"]), (doc["target"], doc["e"]))))
         fh.seek(0)
-        for block in _blocks(doc):
-            if fh.read(len(block)) != block:
-                return None
+        for block, times in _blocks(doc):
+            for _ in range(times):
+                if fh.read(len(block)) != block:
+                    return None
         return doc if fh.tell() == size else None
     except (ValueError, TypeError, KeyError, OverflowError, RecursionError, OSError):
         return None

@@ -60,6 +60,13 @@ def _require_symmetric(h) -> np.ndarray:
     return h
 
 
+def _check_phases(t_abs: float, e_abs: float) -> None:
+    """Refuse times up to ``t_abs`` when a phase ``t * E`` with ``|E| <= e_abs``
+    would overflow the float range, before any phase is formed."""
+    if not math.isfinite(t_abs * e_abs):
+        raise ValueError(f"times up to {t_abs!r} give phases t*E beyond the float range")
+
+
 @dataclass(frozen=True)
 class EvolutionCache:
     """Eigendecomposition of a real symmetric Hamiltonian, immutable and
@@ -80,15 +87,26 @@ class EvolutionCache:
     def dimension(self) -> int:
         return int(self.eigenvalues.size)
 
+    @property
+    def _e_abs(self) -> float:
+        """The largest eigenvalue magnitude, which bounds every phase."""
+        return float(np.abs(self.eigenvalues).max(initial=0.0))
+
     def propagator(self, t: float) -> np.ndarray:
-        """The unitary ``V diag(exp(-i E t)) V^T``."""
-        phases = np.exp(-1j * self.eigenvalues * float(t))
+        """The unitary ``V diag(exp(-i E t)) V^T``.  Raises ``ValueError``
+        when a phase ``t * E`` would overflow the float range."""
+        t = float(t)
+        _check_phases(abs(t), self._e_abs)
+        phases = np.exp(-1j * self.eigenvalues * t)
         return (self.eigenvectors * phases) @ self.eigenvectors.T
 
     def amplitude(self, t: float, src: int, dst: int) -> complex:
+        """``<dst| exp(-i H t) |src>``; refused like :meth:`propagator`."""
         src, dst = _check_states(self.dimension, src, dst)
+        t = float(t)
+        _check_phases(abs(t), self._e_abs)
         weights = self.eigenvectors[dst] * self.eigenvectors[src]
-        return complex(np.sum(weights * np.exp(-1j * self.eigenvalues * float(t))))
+        return complex(np.sum(weights * np.exp(-1j * self.eigenvalues * t)))
 
     def amplitudes(self, t_grid, src: int, dst: int) -> np.ndarray:
         """Transition amplitudes over a whole grid.
@@ -103,9 +121,7 @@ class EvolutionCache:
         """
         src, dst = _check_states(self.dimension, src, dst)
         grid = np.asarray(t_grid, dtype=float).ravel()
-        t_abs = float(np.abs(grid).max(initial=0.0))
-        if not math.isfinite(t_abs * float(np.abs(self.eigenvalues).max(initial=0.0))):
-            raise ValueError(f"times up to {t_abs!r} give phases t*E beyond the float range")
+        _check_phases(float(np.abs(grid).max(initial=0.0)), self._e_abs)
         weights = self.eigenvectors[dst] * self.eigenvectors[src]
         rows = max(1, (63 << 20) // (16 * self.dimension))
         block = np.empty((min(rows, grid.size), self.dimension), complex)
@@ -174,6 +190,7 @@ class StarEvolution:
     def amplitude(self, t: float, src: int, dst: int) -> complex:
         p, q, norm, dark, lam = self._terms(src, dst)
         t = float(t)
+        _check_phases(abs(t), abs(lam))  # the dark modes' phase
         return self.bright.amplitude(t, p, q) / norm + dark * cmath.exp(-1j * lam * t)
 
     def amplitudes(self, t_grid, src: int, dst: int) -> np.ndarray:
@@ -181,6 +198,7 @@ class StarEvolution:
         p, q, norm, dark, lam = self._terms(src, dst)
         grid = np.asarray(t_grid, dtype=float).ravel()
         amps = self.bright.amplitudes(grid, p, q)
+        _check_phases(float(np.abs(grid).max(initial=0.0)), abs(lam))
         amps /= norm
         amps += dark * np.exp(-1j * lam * grid)
         return amps

@@ -6,6 +6,8 @@ import csv
 import io
 import json
 import math
+import os
+import stat
 from pathlib import Path
 
 import numpy as np
@@ -935,12 +937,23 @@ def test_no_command_holds_a_whole_design_file_in_memory(tmp_path, capsys):
 
     m, eta = 10**6, 1_299_040
     path, moved = tmp_path / "design.json", tmp_path / "moved.json"
+    # An exception every 100 nodes: about 370 distinct blocks, which a writer
+    # that batched blocks would hold together.  The layout keeps the text of
+    # each distinct exception value while it writes, so the values are few.
+    sol = design(DesignInput(m=m, eta=eta))
+    a, d, e = sol.params.a, sol.params.d, sol.params.e
+    exceptions = [(1, e), (2, e)] + [(node, d + (node % 16 + 1) / 64)
+                                     for node in range(50, m + 2, 100)]
+    spread = cli._document(sol, 1, 2, model.StarSpec.sparse(m + 2, 1.0, a, d, exceptions),
+                           SMALLEST)
+    assert sum(1 for _ in cli._blocks(spread)) > 300
     runs = {
         "design": lambda: execute(["design", "--bystanders", str(m), "--eta", str(eta),
                                    "--out", str(path)]),
         "retarget": lambda: execute(["retarget", "--design", str(path), "--target", "777777",
                                      "--out", str(moved)]),
         "load": lambda: cli.load_design_file(str(moved)),
+        "spread": lambda: cli._write_design(spread, str(tmp_path / "spread.json")),
     }
     assert execute(["design", "--bystanders", "2", "--eta", "4"]) == 0  # warm up
     peaks = {}
@@ -954,4 +967,57 @@ def test_no_command_holds_a_whole_design_file_in_memory(tmp_path, capsys):
     capsys.readouterr()
     assert cli.load_design_file(str(moved)).target == 777777
     assert path.stat().st_size > 20 * 2**20
+    assert (tmp_path / "spread.json").read_text() == render_design(spread)
     assert max(peaks.values()) < 2**20, peaks
+
+
+def test_short_writes_still_give_the_rendered_bytes(tmp_path, monkeypatch):
+    calls = []
+
+    def short_writev(fd, buffers):  # writes at most 1000 bytes
+        calls.append(len(buffers))
+        head = b""
+        for buf in buffers:
+            head += bytes(buf[:1000 - len(head)])
+            if len(head) == 1000:
+                break
+        return os.write(fd, head)
+
+    monkeypatch.setattr(cli.os, "writev", short_writev)
+    m, target = 100_000, 77777
+    eta = min_feasible_even_eta(m)
+    path, moved = tmp_path / "design.json", tmp_path / "moved.json"
+    assert execute(["design", "--bystanders", str(m), "--eta", str(eta), "--out", str(path)]) == 0
+    sol = design(DesignInput(m=m, eta=eta))
+    assert path.read_text() == render_design(cli._document(sol, 1, 2, sol.realized, SMALLEST))
+    assert execute(["retarget", "--design", str(path), "--target", str(target),
+                    "--out", str(moved)]) == 0
+    state = switchboard.retarget(cli.load_design_file(str(path)), target)
+    assert moved.read_text() == render_design(
+        cli._document(state.base, 1, target, state.realized_spec, SMALLEST))
+    # every call was cut short, and runs went out as many copies per call
+    assert len(calls) > (path.stat().st_size + moved.stat().st_size) // 1000
+    assert max(calls) > 1
+
+
+def test_design_out_file_mode_is_what_open_wb_gives(tmp_path):
+    out, reference = tmp_path / "design.json", tmp_path / "reference"
+    umask = os.umask(0o027)
+    try:
+        assert execute(["design", "--bystanders", "2", "--eta", "4", "--out", str(out)]) == 0
+        with open(reference, "wb"):
+            pass
+    finally:
+        os.umask(umask)
+    assert out.stat().st_mode == reference.stat().st_mode
+    assert stat.S_IMODE(out.stat().st_mode) == 0o640
+
+
+def test_design_write_errors_are_one_error_line(tmp_path, capsys):
+    missing, directory = tmp_path / "missing" / "x.json", tmp_path / "dir"
+    directory.mkdir()
+    for out, error in ((missing, "[Errno 2] No such file or directory"),
+                       (directory, "[Errno 21] Is a directory")):
+        assert execute(["design", "--bystanders", "2", "--eta", "4", "--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"error: {error}: {str(out)!r}\n"
+    assert [p.name for p in tmp_path.rglob("*")] == ["dir"]

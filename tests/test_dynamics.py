@@ -1,5 +1,6 @@
 """Spectral time evolution, fidelity traces, and design verification."""
 
+import dataclasses
 import math
 import tracemalloc
 
@@ -140,6 +141,44 @@ def test_transition_amplitude_index_validation():
         transition_amplitude(h, 1.0, 0, 2)
     with pytest.raises(ValueError):
         transition_amplitude(h, 1.0, -1, 0)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("t", [1e308, -1e308, math.inf, math.nan])
+def test_every_query_refuses_phases_beyond_the_float_range(t):
+    # Eigenvalues +-2, so t*E overflows from |t| ~ 9e307; the star's nodes 1
+    # and 2 share a group, so its dark modes enter the amplitude.
+    h = [[0.0, 2.0], [2.0, 0.0]]
+    cache = EvolutionCache.from_hamiltonian(h)
+    star = StarEvolution.from_spec(StarSpec(3, 1.0, (0.0, 0.5, 0.5, -0.5)))
+    calls = [lambda: transition_amplitude(h, t, 0, 1), lambda: propagate(h, t),
+             lambda: cache.amplitude(t, 0, 1), lambda: cache.propagator(t),
+             lambda: cache.amplitudes([0.0, t], 0, 1), lambda: star.amplitude(t, 1, 2),
+             lambda: star.amplitudes([0.0, t], 1, 2)]
+    for call in calls:
+        with pytest.raises(ValueError, match=r"give phases t\*E beyond the float range"):
+            call()
+    # Just inside the range every query evaluates, without a warning.
+    t = 8e307
+    for call in calls:
+        assert np.isfinite(call()).all()
+
+
+@pytest.mark.filterwarnings("error")
+def test_the_dark_modes_phase_is_checked_on_its_own():
+    # eigh may return the top bright eigenvalue an ulp below the potential of
+    # a group's dark modes, so only their own check catches a time between
+    # the two limits.  Here the bright spectrum is scaled down to widen that
+    # window: 4e8 * 1e300 overflows, 4e8 * 2.5e299 does not.
+    star = StarEvolution.from_spec(StarSpec(3, 1.0, (0.0, 1e300, 1e300, -1e300)))
+    bright = star.bright
+    star = dataclasses.replace(star, bright=EvolutionCache(bright.eigenvalues / 4,
+                                                           bright.eigenvectors))
+    t = 4e8
+    assert math.isfinite(t * float(np.abs(star.bright.eigenvalues).max()))
+    for call in (lambda: star.amplitude(t, 1, 2), lambda: star.amplitudes([0.0, t], 1, 2)):
+        with pytest.raises(ValueError, match=r"give phases t\*E beyond the float range"):
+            call()
 
 
 def test_fidelity_trace_single_point():
