@@ -11,7 +11,8 @@ Subcommands::
 Design files are JSON (schema_version 1); traces are two-column CSV with a
 ``t,fidelity`` header.  All numbers are written in full round-trip precision
 and nothing in the output depends on the clock or on randomness, so reruns
-with the same arguments are byte-identical.
+with the same arguments are byte-identical.  A trace is written in blocks
+of rows, each formatted by one ``%``, so its text is never held whole.
 
 A design file spells out all ``m + 3`` potentials, but no command holds a
 whole file that the commands wrote in memory.  Writing one streams blocks
@@ -45,7 +46,6 @@ import sys
 from dataclasses import dataclass
 from itertools import chain, repeat
 from operator import itemgetter
-from pathlib import Path
 
 import numpy as np
 
@@ -135,14 +135,20 @@ _KEY = '\n  "potentials": '
 _SEP = ",\n    "
 
 
+# The most item texts one layout keeps, so a write's memory does not grow
+# with the number of distinct exception values.
+_ITEM_TEXTS_MAX = 64
+
+
 class _ItemTexts(dict):
     """A list item's text, ``",\n    " + repr(x)``, for each float looked up,
-    formatted once per distinct value.  A zero is formatted every time:
+    formatted once for each of the first ``_ITEM_TEXTS_MAX`` distinct values
+    and every time for any other.  A zero is formatted every time:
     ``0.0 == -0.0``, so one entry would serve both."""
 
     def __missing__(self, value: float) -> str:
         text = _SEP + float.__repr__(value)
-        if value:
+        if value and len(self) < _ITEM_TEXTS_MAX:
             self[value] = text
         return text
 
@@ -451,9 +457,30 @@ def load_design_file(path: str) -> ParsedDesign:
     return parse_design_document(doc)
 
 
+# A fidelity trace is written in blocks of at most this many rows, so a
+# write holds one block of its CSV text, not the whole text.
+_TRACE_ROWS = 4096
+
+
+def _trace_blocks(trace: model.FidelityTrace):
+    """The CSV text of ``trace`` as an iterator of strings: the header, then
+    blocks of at most ``_TRACE_ROWS`` rows ``repr(t),repr(fidelity)``.
+
+    Each block is one ``%`` over the block's times and values interleaved,
+    so the Python work per row is the two ``float.__repr__`` calls.
+    """
+    yield "t,fidelity\n"
+    times, values = trace.times, trace.values
+    for start in range(0, times.size, _TRACE_ROWS):
+        stop = start + _TRACE_ROWS
+        cells = np.column_stack((times[start:stop], values[start:stop])).ravel().tolist()
+        yield ("%r,%r\n" * (len(cells) // 2)) % tuple(cells)
+
+
 def render_trace(trace: model.FidelityTrace) -> str:
-    rows = map("{!r},{!r}\n".format, trace.times.tolist(), trace.values.tolist())
-    return "t,fidelity\n" + "".join(rows)
+    """The ``t,fidelity`` CSV text of ``trace``: the join of
+    :func:`_trace_blocks`."""
+    return "".join(_trace_blocks(trace))
 
 
 # ---------------------------------------------------------------------------
@@ -485,7 +512,9 @@ def _cmd_simulate(ns) -> int:
         params = parsed.base.params if own_route else model.build_reduced(star, source, target)
         h4 = model.reduced_matrix(params)
         trace = dynamics.fidelity_trace(h4, grid, 2, 3)
-    Path(ns.out).write_text(render_trace(trace))
+    # Every refusal has been raised by now, so a refused request writes no file.
+    with open(ns.out, "w") as fh:
+        fh.writelines(_trace_blocks(trace))
     return 0
 
 

@@ -45,8 +45,9 @@ DEGENERACY_TOL = 1e-8
 
 # The longest time grid :func:`transfer_time_grid` builds.  A trace's phase
 # factors take under 64 MiB at any length (:meth:`EvolutionCache.amplitudes`);
-# its grid, values and CSV text grow with it.  At this cap ``simulate`` of a
-# design file peaks near 250 MB and writes 38 MB.
+# its grid and values grow with it, and its CSV is written in blocks of rows.
+# At this cap ``simulate`` of a design file peaks at 124 MiB RSS (107 MiB with
+# ``--full``) and writes 40 MB.
 STEPS_MAX = 10**6
 
 
@@ -194,11 +195,13 @@ class StarEvolution:
         return self.bright.amplitude(t, p, q) / norm + dark * cmath.exp(-1j * lam * t)
 
     def amplitudes(self, t_grid, src: int, dst: int) -> np.ndarray:
-        """Transition amplitudes over a whole grid in one shot."""
+        """Transition amplitudes over a whole grid in one shot; refused like
+        :meth:`EvolutionCache.amplitudes`, the dark modes' phase included,
+        before any evaluation."""
         p, q, norm, dark, lam = self._terms(src, dst)
         grid = np.asarray(t_grid, dtype=float).ravel()
-        amps = self.bright.amplitudes(grid, p, q)
         _check_phases(float(np.abs(grid).max(initial=0.0)), abs(lam))
+        amps = self.bright.amplitudes(grid, p, q)
         amps /= norm
         amps += dark * np.exp(-1j * lam * grid)
         return amps

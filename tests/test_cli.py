@@ -492,6 +492,33 @@ def test_simulate_window_whose_phases_overflow_is_one_error_line(tmp_path, capsy
     assert not out.exists()
 
 
+@pytest.mark.parametrize("full", [False, True], ids=["reduced", "full"])
+def test_simulate_writes_every_block_of_its_trace(design_file, tmp_path, full):
+    steps, out = 2 * cli._TRACE_ROWS + 1, tmp_path / "trace.csv"
+    assert execute(["simulate", "--design", str(design_file), "--steps", str(steps),
+                    "--out", str(out)] + ["--full"] * full) == 0
+    parsed = cli.load_design_file(str(design_file))
+    grid = dynamics.transfer_time_grid(parsed.base.transfer_time, steps=steps)
+    if full:
+        amps = dynamics.StarEvolution.from_spec(parsed.realized_spec).amplitudes(grid, 1, 2)
+        trace = model.FidelityTrace(times=grid, values=np.abs(amps) ** 2)
+    else:
+        trace = dynamics.fidelity_trace(model.reduced_matrix(parsed.base.params), grid, 2, 3)
+    text = out.read_bytes()
+    assert text.count(b"\n") == steps + 1
+    assert text == cli.render_trace(trace).encode()
+
+
+def test_simulate_write_errors_are_one_error_line(design_file, tmp_path, capsys):
+    missing, directory = tmp_path / "missing" / "x.csv", tmp_path / "dir"
+    directory.mkdir()
+    for out, error in ((missing, "[Errno 2] No such file or directory"),
+                       (directory, "[Errno 21] Is a directory")):
+        assert execute(["simulate", "--design", str(design_file), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"error: {error}: {str(out)!r}\n"
+    assert sorted(p.name for p in tmp_path.rglob("*")) == ["design.json", "dir"]
+
+
 # ---------------------------------------------------------------------------
 # retarget
 # ---------------------------------------------------------------------------
@@ -689,6 +716,56 @@ def test_render_trace_matches_row_by_row_repr(values):
     trace = model.FidelityTrace(times=np.arange(len(values)) * 0.1, values=np.abs(values))
     rows = [f"{float(t)!r},{float(v)!r}" for t, v in zip(trace.times, trace.values)]
     assert cli.render_trace(trace) == "\n".join(["t,fidelity", *rows]) + "\n"
+
+
+_R = cli._TRACE_ROWS
+
+
+@pytest.mark.parametrize("n", [1, _R - 1, _R, _R + 1, 2 * _R + 1])
+def test_render_trace_matches_row_by_row_repr_at_the_block_edges(n):
+    steps = np.arange(n)
+    trace = model.FidelityTrace(times=steps / 7, values=np.sin(steps * 0.7) ** 2)
+    rows = [f"{t!r},{v!r}" for t, v in zip(trace.times.tolist(), trace.values.tolist())]
+    assert cli.render_trace(trace) == "\n".join(["t,fidelity", *rows]) + "\n"
+    assert sum(1 for _ in cli._trace_blocks(trace)) == 1 + -(-n // _R)
+
+
+def test_writing_a_trace_holds_one_block(design_file, tmp_path, monkeypatch):
+    import tracemalloc
+
+    n, out = 2 * 10**5, tmp_path / "trace.csv"
+    steps = np.arange(n)
+    trace = model.FidelityTrace(times=steps / 7, values=np.sin(steps * 0.7) ** 2)
+    tracemalloc.start()
+    try:
+        with open(out, "w") as fh:
+            fh.writelines(cli._trace_blocks(trace))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert out.stat().st_size > 4 * 2**20
+    assert out.read_bytes() == cli.render_trace(trace).encode()
+    assert peak < 2 * 2**20, peak
+
+    # simulate writes its trace the same way: from the moment its blocks are
+    # first asked for, the write holds one block.
+    growth, blocks = [], cli._trace_blocks
+
+    def measured(trace):
+        start = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        yield from blocks(trace)
+        growth.append(tracemalloc.get_traced_memory()[1] - start)
+
+    monkeypatch.setattr(cli, "_trace_blocks", measured)
+    tracemalloc.start()
+    try:
+        assert execute(["simulate", "--design", str(design_file), "--steps", str(n),
+                        "--out", str(out)]) == 0
+    finally:
+        tracemalloc.stop()
+    assert out.stat().st_size > 4 * 2**20
+    assert len(growth) == 1 and growth[0] < 2 * 2**20, growth
 
 
 # ---------------------------------------------------------------------------
@@ -937,13 +1014,13 @@ def test_no_command_holds_a_whole_design_file_in_memory(tmp_path, capsys):
 
     m, eta = 10**6, 1_299_040
     path, moved = tmp_path / "design.json", tmp_path / "moved.json"
-    # An exception every 100 nodes: about 370 distinct blocks, which a writer
-    # that batched blocks would hold together.  The layout keeps the text of
-    # each distinct exception value while it writes, so the values are few.
+    # An exception every 100 nodes, each a distinct value: about 370 distinct
+    # blocks, which a writer that batched blocks would hold together.
     sol = design(DesignInput(m=m, eta=eta))
     a, d, e = sol.params.a, sol.params.d, sol.params.e
-    exceptions = [(1, e), (2, e)] + [(node, d + (node % 16 + 1) / 64)
+    exceptions = [(1, e), (2, e)] + [(node, d + node / 2**30)
                                      for node in range(50, m + 2, 100)]
+    assert len({value for _, value in exceptions}) == len(exceptions) - 1
     spread = cli._document(sol, 1, 2, model.StarSpec.sparse(m + 2, 1.0, a, d, exceptions),
                            SMALLEST)
     assert sum(1 for _ in cli._blocks(spread)) > 300

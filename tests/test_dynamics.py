@@ -164,8 +164,7 @@ def test_every_query_refuses_phases_beyond_the_float_range(t):
         assert np.isfinite(call()).all()
 
 
-@pytest.mark.filterwarnings("error")
-def test_the_dark_modes_phase_is_checked_on_its_own():
+def _star_whose_dark_modes_alone_overflow_at(t):
     # eigh may return the top bright eigenvalue an ulp below the potential of
     # a group's dark modes, so only their own check catches a time between
     # the two limits.  Here the bright spectrum is scaled down to widen that
@@ -174,11 +173,35 @@ def test_the_dark_modes_phase_is_checked_on_its_own():
     bright = star.bright
     star = dataclasses.replace(star, bright=EvolutionCache(bright.eigenvalues / 4,
                                                            bright.eigenvectors))
-    t = 4e8
     assert math.isfinite(t * float(np.abs(star.bright.eigenvalues).max()))
+    assert not math.isfinite(t * 1e300)
+    return star
+
+
+@pytest.mark.filterwarnings("error")
+def test_the_dark_modes_phase_is_checked_on_its_own():
+    t = 4e8
+    star = _star_whose_dark_modes_alone_overflow_at(t)
     for call in (lambda: star.amplitude(t, 1, 2), lambda: star.amplitudes([0.0, t], 1, 2)):
         with pytest.raises(ValueError, match=r"give phases t\*E beyond the float range"):
             call()
+
+
+def test_the_dark_modes_phase_is_refused_before_the_bright_modes_are_evaluated(monkeypatch):
+    t = 4e8
+    star = _star_whose_dark_modes_alone_overflow_at(t)
+    calls, evaluate = [], EvolutionCache.amplitudes
+
+    def spy(self, *args):
+        calls.append(args)
+        return evaluate(self, *args)
+
+    monkeypatch.setattr(EvolutionCache, "amplitudes", spy)
+    with pytest.raises(ValueError, match=r"give phases t\*E beyond the float range"):
+        star.amplitudes([0.0, t], 1, 2)
+    assert not calls
+    star.amplitudes([0.0, 1.0], 1, 2)  # in range: the bright modes are evaluated once
+    assert len(calls) == 1
 
 
 def test_fidelity_trace_single_point():
