@@ -135,24 +135,6 @@ _KEY = '\n  "potentials": '
 _SEP = ",\n    "
 
 
-# The most item texts one layout keeps, so a write's memory does not grow
-# with the number of distinct exception values.
-_ITEM_TEXTS_MAX = 64
-
-
-class _ItemTexts(dict):
-    """A list item's text, ``",\n    " + repr(x)``, for each float looked up,
-    formatted once for each of the first ``_ITEM_TEXTS_MAX`` distinct values
-    and every time for any other.  A zero is formatted every time:
-    ``0.0 == -0.0``, so one entry would serve both."""
-
-    def __missing__(self, value: float) -> str:
-        text = _SEP + float.__repr__(value)
-        if value and len(self) < _ITEM_TEXTS_MAX:
-            self[value] = text
-        return text
-
-
 def _layout(doc: dict):
     """The design-file layout of ``doc``: an iterator of ``(text, repeat)``
     pieces whose ``text * repeat`` concatenate to ``render_design(doc)``.
@@ -170,7 +152,7 @@ def _layout(doc: dict):
         hub, background, exceptions = model.split_potentials(star)
     nodes = [0, *map(itemgetter(0), exceptions), count]
     repeats = [b - a - 1 for a, b in zip(nodes, nodes[1:])]
-    texts = map(_ItemTexts().__getitem__, map(itemgetter(1), exceptions))
+    texts = (_SEP + float.__repr__(value) for _, value in exceptions)
     run = _SEP + float.__repr__(background)
     head, tail = json.dumps({**doc, "potentials": []}, indent=2).split(_KEY + "[]")
     return chain(

@@ -44,10 +44,9 @@ DEFAULT_VERIFY_TOL = 1e-9
 DEGENERACY_TOL = 1e-8
 
 # The longest time grid :func:`transfer_time_grid` builds.  A trace's phase
-# factors take under 64 MiB at any length (:meth:`EvolutionCache.amplitudes`);
-# its grid and values grow with it, and its CSV is written in blocks of rows.
-# At this cap ``simulate`` of a design file peaks at 124 MiB RSS (107 MiB with
-# ``--full``) and writes 40 MB.
+# factors are evaluated in blocks of at most 1 MiB at any length
+# (:meth:`EvolutionCache.amplitudes`); its grid, amplitudes and values grow
+# with it, and its CSV is written in blocks of rows.
 STEPS_MAX = 10**6
 
 
@@ -112,10 +111,12 @@ class EvolutionCache:
     def amplitudes(self, t_grid, src: int, dst: int) -> np.ndarray:
         """Transition amplitudes over a whole grid.
 
-        The ``steps x dimension`` phase factors are evaluated in blocks of
-        rows of at most 63 MiB; with numpy's ufunc buffers the temporaries
-        stay under 64 MiB beyond the result, however long the grid.  A grid
-        of ``STEPS_MAX`` steps on a 4x4 is one block.
+        The ``steps x dimension`` phase factors are evaluated in near-equal
+        blocks of at most 1 MiB, so the temporaries stay a few MiB beyond
+        the result, however long the grid.  numpy multiplies a one-row block
+        as a dot product, whose rounding differs from the matrix product's;
+        near-equal blocks hold more than half of a full block's rows, so
+        each amplitude has the bits of the whole grid's product.
 
         Raises ``ValueError``, before any evaluation, when a phase
         ``t * E`` would overflow the float range.
@@ -124,18 +125,13 @@ class EvolutionCache:
         grid = np.asarray(t_grid, dtype=float).ravel()
         _check_phases(float(np.abs(grid).max(initial=0.0)), self._e_abs)
         weights = self.eigenvectors[dst] * self.eigenvectors[src]
-        rows = max(1, (63 << 20) // (16 * self.dimension))
-        block = np.empty((min(rows, grid.size), self.dimension), complex)
+        rows = max(1, (1 << 20) // (16 * self.dimension))
+        blocks = max(1, -(-grid.size // rows))
         out = np.empty(grid.size, complex)
-        for start in range(0, grid.size, rows):
-            times = grid[start:start + rows]
-            phases = block[:times.size]
-            # exp(-i E t) with the imaginary part written in place: the same
-            # bits as np.exp(-1j * np.outer(times, E)), without its temporaries.
-            phases.real = 0.0
-            np.multiply.outer(times, -self.eigenvalues, out=phases.imag)
-            np.exp(phases, out=phases)
-            np.matmul(phases, weights, out=out[start:start + times.size])
+        for i in range(blocks):
+            lo, hi = i * grid.size // blocks, (i + 1) * grid.size // blocks
+            phases = np.exp(-1j * np.multiply.outer(grid[lo:hi], self.eigenvalues))
+            np.matmul(phases, weights, out=out[lo:hi])
         return out
 
 

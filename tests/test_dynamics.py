@@ -423,12 +423,20 @@ def test_phase_cancellation_at_transfer_time():
             assert abs(phase - expected) < 1e-9
 
 
+def _star_with_200_potentials():
+    n = 400
+    return StarEvolution.from_spec(
+        StarSpec(n, 1.0, [0.3] + [1.0 + 0.01 * (j % 200) for j in range(n)]))
+
+
+def _reduced_cache():
+    return EvolutionCache.from_hamiltonian(reduced_matrix(design(DesignInput(m=7, eta=12)).params))
+
+
 def test_star_amplitudes_keep_their_phase_factors_under_64_mib():
     # 200 distinct edge potentials over 50 000 steps: the whole
     # steps x (k+1) phase array would take about 160 MB.
-    n = 400
-    spec = StarSpec(n, 1.0, [0.3] + [1.0 + 0.01 * (j % 200) for j in range(n)])
-    evolution = StarEvolution.from_spec(spec)
+    evolution = _star_with_200_potentials()
     assert evolution.star.bright.dimension == 201
     grid = np.linspace(0.0, 50.0, 50_000)
     evolution.amplitudes(grid[:10], 1, 201)  # warm up numpy
@@ -439,5 +447,33 @@ def test_star_amplitudes_keep_their_phase_factors_under_64_mib():
     finally:
         tracemalloc.stop()
     assert peak < (64 << 20) + amps.nbytes
-    for row in (0, 20_540, 20_541, 41_082, 49_999):  # 20 541 rows a block
+    for row in (0, 20_540, 20_541, 41_082, 49_999):
         assert abs(amps[row] - evolution.amplitude(grid[row], 1, 201)) <= 1e-12
+
+
+def test_amplitudes_hold_a_few_mib_beyond_their_result():
+    cache = _reduced_cache()
+    grid = np.linspace(0.0, 50.0, 10**6)
+    cache.amplitudes(grid[:10], 2, 3)  # warm up numpy
+    tracemalloc.start()
+    try:
+        amps = cache.amplitudes(grid, 2, 3)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert amps.nbytes == 16 * 10**6
+    assert peak < amps.nbytes + (4 << 20)
+
+
+@pytest.mark.parametrize("which", ["4x4", "k=200 arrowhead"])
+def test_amplitudes_in_blocks_have_the_bits_of_the_whole_grid_product(which):
+    if which == "4x4":
+        cache, src, dst = _reduced_cache(), 2, 3
+    else:
+        cache, src, dst = _star_with_200_potentials().bright, 1, 200
+    weights = cache.eigenvectors[dst] * cache.eigenvectors[src]
+    rows = (1 << 20) // (16 * cache.dimension)  # one block's rows
+    for steps in (1, 2, rows - 1, rows, rows + 1, 2 * rows + 1):
+        grid = np.linspace(0.0, 50.0, steps)
+        whole = np.exp(-1j * np.multiply.outer(grid, cache.eigenvalues)) @ weights
+        assert cache.amplitudes(grid, src, dst).tobytes() == whole.tobytes()

@@ -200,6 +200,52 @@ def test_sparse_star_matches_per_node_references(star, route, picks):
     assert _render_design_by_unique(doc) == reference
 
 
+def _hex_parts(spec):
+    n, coupling, hub, background, exceptions = spec._parts()
+    return n, coupling.hex(), hub.hex(), background.hex(), [(j, v.hex()) for j, v in exceptions]
+
+
+@settings(deadline=None, derandomize=True, max_examples=100)
+@given(star=_stars(), nodes=st.lists(st.integers(0, 10**4), max_size=6), data=st.data())
+def test_replace_is_the_sparse_star_of_the_merged_pairs(star, nodes, data):
+    n, coupling, pots = star
+    spec = StarSpec(n, coupling, pots)
+    bg = spec.background
+    palette = [bg, -bg, 0.0, -0.0, float(np.nextafter(bg, np.inf)), spec.hub,
+               *(value for _, value in spec.exceptions)]
+    values = {1 + j % n: data.draw(st.one_of(st.sampled_from(palette), _BASE)) for j in nodes}
+    got = spec.replace(values)
+
+    # bit for bit the sparse star of the merged (node, value) pairs
+    merged = {**dict(spec.exceptions), **values}
+    want = StarSpec.sparse(n, coupling, spec.hub, bg, sorted(merged.items()))
+    assert _hex_parts(got) == _hex_parts(want)
+
+    # equal to the star rebuilt node by node, and bit for bit per node
+    per_node = list(spec.potentials)
+    for j, value in values.items():
+        per_node[j] = value
+    assert got == StarSpec(n, coupling, per_node)
+    assert [x.hex() for x in got.potentials] == [float(x).hex() for x in per_node]
+
+    # a value equal to the background bit for bit drops out; 0.0 and -0.0 stay apart
+    kept = dict(got.exceptions)
+    for j, value in values.items():
+        assert (j in kept) == (value.hex() != bg.hex())
+    for zero in (0.0, -0.0):
+        replaced = spec.replace({1: zero})
+        assert replaced.potential(1).hex() == zero.hex()
+        assert (1 in dict(replaced.exceptions)) == (zero.hex() != bg.hex())
+
+    # bad nodes and values
+    for node in (True, False, 0, n + 1, -1, 1.0):
+        with pytest.raises(ValueError, match="node"):
+            spec.replace({node: 1.0})
+    for value in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="potentials must all be finite"):
+            spec.replace({n: value})
+
+
 @pytest.mark.parametrize("m", [1, 2, 7, 1000])
 def test_designed_and_retargeted_stars_have_two_exceptions(m):
     sol = design(DesignInput(m=m, eta=min_feasible_even_eta(m)))
