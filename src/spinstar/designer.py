@@ -13,6 +13,15 @@ same elimination leaves the bystander and hub potentials in closed form,
 ``d = e + (1 - eta**2) e**3 / 2`` and ``a = -e - d``.  One relative rule
 decides what counts as a root: ``|g(u)| <= ROOT_RESIDUAL_TOL * sum |terms|``
 over the four terms of the cubic in ``u = e**2``.
+
+For ``eta > 1`` the substitution ``u = 2 (w + 1) / (eta**2 - 1)`` turns the
+cubic into ``2 / (eta**2 - 1)`` times the depressed cubic
+``w**3 - eta**2 w + m (eta**2 - 1) / 2``.  That cubic has exactly one
+negative root, and it lies below ``w = -1`` (the value there is positive),
+so it gives ``u < 0``; two positive roots exist exactly when the
+discriminant is positive: ``16 eta**6 > 27 m**2 (eta**2 - 1)**2``
+(equality would make ``sqrt(3)`` rational).  That test, in integers and
+exact for any finite ``eta``, is the only feasibility rule.
 """
 
 from __future__ import annotations
@@ -160,11 +169,13 @@ def _is_root(poly: GPolynomial, u: float) -> bool:
 class FeasibilityReport:
     """Whether a (m, eta) pair admits a design, and why.
 
-    ``e_star`` locates the global minimum of the design polynomial over
-    positive ``e`` (NaN when there is no interior minimum, i.e. eta <= 1);
-    ``feasible`` is the sign test ``g_min < 0``.  ``asymptotic_threshold`` is
-    the large-m estimate ``ETA_SLOPE * m`` of the required eta, reported for
-    orientation only; the sign of ``g_min`` is the criterion.
+    ``feasible`` is the exact discriminant test of the module docstring.
+    The rest are margins, computed in floats: ``e_star`` locates the global
+    minimum of the design polynomial over positive ``e`` (NaN when there is
+    no interior minimum, i.e. eta <= 1), ``g_min`` is its value there (both
+    NaN where the float arithmetic overflows, from eta of about 1e77), and
+    ``asymptotic_threshold`` is the large-m estimate ``ETA_SLOPE * m`` of the
+    required eta.
     """
 
     e_star: float
@@ -301,52 +312,56 @@ def back_solve(e: float, m: int, eta: float) -> tuple[float, float]:
     return -e - d, d
 
 
+def _feasible(m: int, eta) -> bool:
+    """The feasibility rule: with ``eta = p/q`` exactly (``q = 1`` for an
+    integer), ``eta > 1`` and the depressed cubic's discriminant
+    ``16 eta**6 - 27 m**2 (eta**2 - 1)**2`` is positive.  Integer arithmetic,
+    so exact for any finite ``eta``; a non-finite one raises ``ValueError``."""
+    try:
+        p, q = (int(eta), 1) if isinstance(eta, (int, np.integer)) else float(eta).as_integer_ratio()
+    except (OverflowError, ValueError):
+        raise ValueError(f"eta must be a finite number, got {eta!r}") from None
+    return p > q and 16 * p**6 > 27 * (m * q * (p * p - q * q)) ** 2
+
+
 def feasibility(m: int, eta: float) -> FeasibilityReport:
-    """Locate the global minimum of the design polynomial and test its sign."""
+    """Decide by the exact discriminant test whether ``(m, eta)`` admits a
+    design, and report the float margins of :class:`FeasibilityReport`.
+    A non-finite ``eta`` raises ``ValueError``."""
     m = check_int(m, "m", lo=1)
-    eta = float(eta)
+    feasible = _feasible(m, eta)
     asymptotic = ETA_SLOPE * m
-    if eta <= 1.0:
+    if eta <= 1:
         # Every coefficient is then non-negative: the minimum over real e sits
         # at e = 0 with value m + 2 > 0, and there is no interior minimum.
-        return FeasibilityReport(
-            e_star=math.nan,
-            g_min=float(m + 2),
-            feasible=False,
-            asymptotic_threshold=asymptotic,
-        )
-    e_star_sq = (6.0 + 2.0 * math.sqrt(3.0) * eta) / (3.0 * (eta * eta - 1.0))
-    e_star = math.sqrt(e_star_sq)
-    g_min = g_polynomial(m, eta).evaluate_u(e_star_sq)
-    return FeasibilityReport(
-        e_star=e_star,
-        g_min=float(g_min),
-        feasible=bool(g_min < 0.0),
-        asymptotic_threshold=asymptotic,
-    )
+        return FeasibilityReport(math.nan, float(m + 2), feasible, asymptotic)
+    try:  # eta itself, or (1 - eta**2)**2, may lie beyond the float range
+        eta = float(eta)
+        e_star_sq = (6.0 + 2.0 * math.sqrt(3.0) * eta) / (3.0 * (eta * eta - 1.0))
+        g_min = g_polynomial(m, eta).evaluate_u(e_star_sq)
+    except OverflowError:
+        e_star_sq = g_min = math.nan
+    return FeasibilityReport(math.sqrt(e_star_sq), float(g_min), feasible, asymptotic)
 
 
 def min_feasible_even_eta(m: int) -> int:
     """Smallest even ``eta >= 2`` that admits a design for ``m`` bystanders.
 
-    At fixed m the sign of ``g_min`` flips once as eta grows (its minimum
-    drops without bound).  The walk starts at the even eta at or below the
-    paper's large-m threshold ``ETA_SLOPE * m`` and steps by 2 with the
-    exact :func:`feasibility` test until that sign flips, so the start
-    bounds only the number of steps, never the answer.  For every
-    ``1 <= m <= 10**6`` (checked exhaustively) the threshold lies within
-    [-0.6, +2] of ``ETA_SLOPE * m`` and the walk takes at most two
-    feasibility tests: constant time in m.
+    Feasibility is ``eta**3 / (eta**2 - 1) > (3 sqrt(3) / 4) m``, the
+    discriminant test divided through.  The left side increases for
+    ``eta > sqrt(3)``, so the feasible even eta form an up-set, and
+    ``eta < eta**3 / (eta**2 - 1) <= eta + 2/3`` for ``eta >= 2`` puts the
+    threshold in ``(r - 2/3, r + 2]`` with ``r = floor((3 sqrt(3) / 4) m)``,
+    computed exactly as ``isqrt(27 m**2 // 16)``.  So a walk up in steps of
+    2 from the even number at or below ``r`` makes at most two exact tests:
+    constant time at any ``m``.
     """
     m = check_int(m, "m", lo=1)
-    eta = max(2, 2 * int(ETA_SLOPE * m / 2))
-    if feasibility(m, eta).feasible:
-        while feasibility(m, eta - 2).feasible:  # eta = 0 is never feasible
-            eta -= 2
-        return eta
-    while not feasibility(m, eta + 2).feasible:
+    r = math.isqrt(27 * m * m // 16)
+    eta = max(2, r - r % 2)
+    while not _feasible(m, eta):
         eta += 2
-    return eta + 2
+    return eta
 
 
 def design(request: DesignInput) -> DesignSolution:

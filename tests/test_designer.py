@@ -9,7 +9,6 @@ re-checked here by an eigendecomposition of the resulting matrix.
 """
 
 import math
-import warnings
 
 import numpy as np
 import pytest
@@ -275,27 +274,43 @@ def test_min_feasible_even_eta_equals_bisection_and_definition(m):
 
 def test_min_feasible_even_eta_takes_at_most_two_feasibility_tests(monkeypatch):
     calls = []
+    predicate = designer._feasible
 
     def counting(m, eta):
         calls.append(eta)
-        return feasibility(m, eta)
+        return predicate(m, eta)
 
-    monkeypatch.setattr(designer, "feasibility", counting)
+    monkeypatch.setattr(designer, "_feasible", counting)
     spread = np.unique(np.geomspace(1, 10**6, 3000).astype(int)).tolist()
     rng = np.random.default_rng(12)
-    for m in [*range(1, 1001), *spread, *rng.integers(1, 10**6, 1000).tolist()]:
+    huge = [10**15, 10**17, 10**20, 10**25, 10**40]
+    for m in [*range(1, 1001), *spread, *rng.integers(1, 10**6, 1000).tolist(), *huge]:
         calls.clear()
         eta = min_feasible_even_eta(m)
         assert len(calls) <= 2, (m, calls)
         assert eta == _bisect_min_feasible_even_eta(m), m
 
 
-@pytest.mark.parametrize("scale", [0.5, 2.0])
-def test_min_feasible_even_eta_does_not_depend_on_its_start(monkeypatch, scale):
-    # A start far below or above the threshold costs steps, never the answer.
-    monkeypatch.setattr(designer, "ETA_SLOPE", scale * designer.ETA_SLOPE)
-    for m in [*range(1, 201), 1000, 5000]:
-        assert min_feasible_even_eta(m) == _bisect_min_feasible_even_eta(m), m
+# An 80-digit evaluation of the design polynomial at its minimum gives
+# g_min = -0.023, -0.76 and -1.11 at these eta, and a positive value at eta - 2.
+@pytest.mark.parametrize("m, eta", [
+    (10**15, 1299038105676658),
+    (10**17, 129903810567665798),
+    (10**20, 129903810567665797016),
+])
+def test_min_feasible_even_eta_at_huge_m(m, eta):
+    assert min_feasible_even_eta(m) == eta
+    assert feasibility(m, eta).feasible and not feasibility(m, eta - 2).feasible
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 10**40))
+def test_min_feasible_even_eta_is_minimal_at_any_m(m):
+    eta = min_feasible_even_eta(m)
+    r = math.isqrt(27 * m * m // 16)  # floor(3 sqrt(3) m / 4)
+    assert eta % 2 == 0 and 3 * (r - eta) < 2 and eta <= max(2, r + 2)  # eta > r - 2/3
+    assert feasibility(m, eta).feasible
+    assert eta == 2 or not feasibility(m, eta - 2).feasible
 
 
 def test_min_feasible_even_eta_is_the_threshold_up_to_large_m():
@@ -306,15 +321,52 @@ def test_min_feasible_even_eta_is_the_threshold_up_to_large_m():
 
 
 def test_feasibility_monotonicity_observed():
-    # Not a proven property; violations are reported, never asserted.
-    violations = []
-    for m in (1, 7, 40):
+    # eta**3 / (eta**2 - 1) increases for eta > sqrt(3), so every even eta
+    # above the threshold is feasible.
+    for m in (1, 7, 40, 10**6, 10**20):
         eta = min_feasible_even_eta(m)
         for k in range(15):
-            if not feasibility(m, eta + 2 * k).feasible:
-                violations.append((m, eta + 2 * k))
-    if violations:
-        warnings.warn(f"feasibility not monotone in eta at {violations}")
+            assert feasibility(m, eta + 2 * k).feasible, (m, eta + 2 * k)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, M_MAX), st.integers(1, ETA_MAX // 2), st.integers(-4, 4), st.booleans())
+def test_feasibility_rule_matches_g_min_sign_and_solve_e(m, k, offset, near):
+    # Any even eta up to ETA_MAX, or one within 8 of the threshold.
+    eta = max(2, min_feasible_even_eta(m) + 2 * offset) if near else 2 * k
+    feasible = designer._feasible(m, eta)
+    report = feasibility(m, eta)
+    assert report.feasible == feasible
+    poly, u = g_polynomial(m, eta), report.e_star**2
+    scale = abs(poly.x0) + abs(poly.x2 * u) + abs(poly.x4 * u * u) + abs(poly.x6 * u**3)
+    if abs(report.g_min) > 1e-9 * scale:
+        assert feasible == (report.g_min < 0)
+    if feasible:
+        assert len(solve_e(m, eta)) == 2
+    else:
+        with pytest.raises(InfeasibleDesignError):
+            solve_e(m, eta)
+
+
+@pytest.mark.parametrize("eta", [1e78, 1e200, 1e308, 10**400])
+def test_feasibility_is_exact_at_huge_eta(eta):
+    # The float coefficients of the design polynomial overflow here, and
+    # 10**400 is not a float at all; the verdict does not depend on them.
+    assert feasibility(1, eta).feasible
+    assert feasibility(10**6, eta).feasible
+    assert feasibility(10**308, eta).feasible == (eta > 1.3e308)  # threshold 1.299e308
+
+
+@pytest.mark.parametrize("eta", [math.inf, -math.inf, math.nan])
+def test_feasibility_refuses_non_finite_eta(eta):
+    with pytest.raises(ValueError, match="eta"):
+        feasibility(2, eta)
+
+
+def test_feasibility_is_exact_for_numpy_integers():
+    # 1299040**6 overflows int64, so the test must not run in numpy integers.
+    assert feasibility(10**6, np.int64(1_299_040)).feasible
+    assert not feasibility(10**6, np.int64(1_299_038)).feasible
 
 
 # ---------------------------------------------------------------------------

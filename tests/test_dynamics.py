@@ -238,6 +238,17 @@ def test_fidelity_trace_offset_invariance():
     assert np.max(np.abs(base.values - shifted.values)) < 1e-12
 
 
+@pytest.mark.parametrize("grid, message", [
+    ([[0.0, 1.0], [2.0, 3.0]], "1-d"),
+    ([], "at least one sample"),
+    ([0.0, 2.0, 1.0], "strictly increasing"),
+])
+def test_fidelity_trace_refuses_a_bad_grid(grid, message):
+    # FidelityTrace checks the grid, once, and its message reaches the caller.
+    with pytest.raises(ValueError, match=message):
+        fidelity_trace(np.diag([1.0, 2.0]), grid, 0, 1)
+
+
 def test_fidelity_trace_grid_validation():
     h = np.diag([1.0, 2.0])
     with pytest.raises(ValueError):
