@@ -303,6 +303,22 @@ def test_min_feasible_even_eta_at_huge_m(m, eta):
     assert feasibility(m, eta).feasible and not feasibility(m, eta - 2).feasible
 
 
+@pytest.mark.parametrize("scale", [0.5, 2.0])
+def test_min_feasible_even_eta_does_not_depend_on_its_start(scale):
+    # A walk both ways from an even start far below or above the walk's own
+    # start (r = floor(3 sqrt(3) m / 4)) crosses the same threshold: the
+    # feasible even eta form an up-set, so starting at r costs no answer.
+    for m in [*range(1, 201), 1000, 5000]:
+        eta = max(2, 2 * int(scale * math.isqrt(27 * m * m // 16) / 2))
+        if feasibility(m, eta).feasible:
+            while eta > 2 and feasibility(m, eta - 2).feasible:
+                eta -= 2
+        else:
+            while not feasibility(m, eta).feasible:
+                eta += 2
+        assert min_feasible_even_eta(m) == eta, m
+
+
 @settings(max_examples=200, deadline=None)
 @given(st.integers(1, 10**40))
 def test_min_feasible_even_eta_is_minimal_at_any_m(m):
