@@ -44,8 +44,7 @@ import math
 import os
 import sys
 from dataclasses import dataclass
-from itertools import chain, repeat
-from operator import itemgetter
+from itertools import chain
 
 import numpy as np
 
@@ -135,34 +134,6 @@ _KEY = '\n  "potentials": '
 _SEP = ",\n    "
 
 
-def _layout(doc: dict):
-    """The design-file layout of ``doc``: an iterator of ``(text, repeat)``
-    pieces whose ``text * repeat`` concatenate to ``render_design(doc)``.
-
-    The pieces are the header through the hub's potential, each run of
-    background entries followed by the exception that ends it, the last run,
-    and the rest of the header.  ``O(len(exceptions))`` in Python.
-    """
-    star = doc["potentials"]
-    if isinstance(star, model.StarSpec):
-        count, hub, background, exceptions = (
-            star.edge_count + 1, star.hub, star.background, star.exceptions)
-    else:
-        count = len(star)
-        hub, background, exceptions = model.split_potentials(star)
-    nodes = [0, *map(itemgetter(0), exceptions), count]
-    repeats = [b - a - 1 for a, b in zip(nodes, nodes[1:])]
-    texts = (_SEP + float.__repr__(value) for _, value in exceptions)
-    run = _SEP + float.__repr__(background)
-    head, tail = json.dumps({**doc, "potentials": []}, indent=2).split(_KEY + "[]")
-    return chain(
-        ((head + _KEY + "[\n    " + float.__repr__(hub), 1),),
-        # each run of background entries, then the exception after it
-        chain.from_iterable(zip(zip(repeat(run), repeats), zip(texts, repeat(1)))),
-        ((run, repeats[-1]), ("\n  ]" + tail + "\n", 1)),
-    )
-
-
 # Design files are written, and compared when read, in blocks of about this
 # many bytes, so no command holds a whole design file in memory.
 _BLOCK_BYTES = 65536
@@ -173,33 +144,40 @@ _IOV_MAX = max(16, os.sysconf("SC_IOV_MAX"))
 
 def _blocks(doc: dict):
     """The bytes of the design file of ``doc`` as an iterator of
-    ``(block, times)`` pairs, each block of at most about ``_BLOCK_BYTES``
-    bytes; the blocks, each repeated ``times`` times, concatenate to
-    ``render_design(doc).encode()``.
+    ``(block, times)`` pairs; the blocks, each repeated ``times`` times,
+    concatenate to ``render_design(doc).encode()``.
 
-    A run of background entries is one block, built once, with the number of
-    times it repeats.  Python work is ``O(len(exceptions))`` plus one step per
-    pair.
+    The hub, the background and each exception are formatted once.  A run of
+    background entries long enough to fill a block is one block of whole
+    entries with the number of times it repeats; everything else is gathered
+    into one buffer, yielded once it reaches ``_BLOCK_BYTES``.  Python work is
+    ``O(len(exceptions))`` plus one step per pair.
     """
-    buf, size = [], 0
-    for text, count in _layout(doc):
-        text = text.encode()
-        width = len(text)
-        if size + width * count < _BLOCK_BYTES:
-            buf.append(text * count)
-            size += width * count
-            continue
-        # Top up the pending block, then emit whole blocks of this text.
-        fill = (_BLOCK_BYTES - size) // width
-        buf.append(text * fill)
-        yield b"".join(buf), 1
-        count -= fill
-        copies = max(1, _BLOCK_BYTES // width)
-        if count >= copies:
-            yield text * copies, count // copies
-        size = width * (count % copies)
-        buf = [text * (count % copies)]
-    yield b"".join(buf), 1
+    star = doc["potentials"]
+    if isinstance(star, model.StarSpec):
+        count, hub, background, exceptions = (
+            star.edge_count + 1, star.hub, star.background, star.exceptions)
+    else:
+        count = len(star)
+        hub, background, exceptions = model.split_potentials(star)
+    head, tail = json.dumps({**doc, "potentials": []}, indent=2).split(_KEY + "[]")
+    run = _SEP + float.__repr__(background)
+    copies = _BLOCK_BYTES // len(run)
+    buf = [head + _KEY + "[\n    " + float.__repr__(hub)]
+    size, last = len(buf[0]), 0
+    # each exception, then the end of the array, after the run that precedes it
+    for node, text in chain(((j, _SEP + float.__repr__(value)) for j, value in exceptions),
+                            ((count, "\n  ]" + tail + "\n"),)):
+        times, rest = divmod(node - last - 1, copies)
+        if times or size >= _BLOCK_BYTES:
+            yield "".join(buf).encode(), 1
+            buf, size = [], 0
+        if times:
+            yield (run * copies).encode(), times
+        buf += run * rest, text
+        size += len(run) * rest + len(text)
+        last = node
+    yield "".join(buf).encode(), 1
 
 
 def render_design(doc: dict) -> str:
@@ -208,9 +186,7 @@ def render_design(doc: dict) -> str:
 
     ``doc["potentials"]`` is a :class:`~spinstar.model.StarSpec` (what the
     commands write) or a non-empty list of finite floats, which is split into
-    the same hub, background and exceptions in one pass.  The hub, the
-    background and each exception are formatted once, and each run of
-    background entries is one string repetition (:func:`_layout`).
+    the same hub, background and exceptions in one pass.
     """
     return b"".join(block * times for block, times in _blocks(doc)).decode()
 

@@ -172,10 +172,11 @@ class FeasibilityReport:
     ``feasible`` is the exact discriminant test of the module docstring.
     The rest are margins, computed in floats: ``e_star`` locates the global
     minimum of the design polynomial over positive ``e`` (NaN when there is
-    no interior minimum, i.e. eta <= 1), ``g_min`` is its value there (both
-    NaN where the float arithmetic overflows, from eta of about 1e77), and
-    ``asymptotic_threshold`` is the large-m estimate ``ETA_SLOPE * m`` of the
-    required eta.
+    no interior minimum, i.e. eta <= 1, or eta is beyond the float range),
+    ``g_min`` is its value there (NaN where :func:`g_polynomial` cannot form
+    the polynomial), and ``asymptotic_threshold`` is the large-m estimate
+    ``ETA_SLOPE * m`` of the required eta.  A margin too large for a float
+    is ``inf``.
     """
 
     e_star: float
@@ -213,16 +214,33 @@ def design_residuals(params: ReducedParams, eta: int, target_spectrum) -> tuple[
     return spectrum, float(max(abs(l0), abs(l1 - eta**2), abs(l2)))
 
 
+def _float_or_inf(n: int) -> float:
+    """The positive int ``n`` as a float, ``inf`` beyond the float range."""
+    try:
+        return float(n)
+    except OverflowError:
+        return math.inf
+
+
 def g_polynomial(m: int, eta: float) -> GPolynomial:
-    """Design polynomial for ``m`` bystanders and spectrum ratio ``eta``."""
+    """Design polynomial for ``m`` bystanders and spectrum ratio ``eta``.
+
+    Raises ``ValueError`` naming ``m`` or ``eta`` when a coefficient lies
+    beyond the float range (``m`` from ``2**1024``, ``eta`` from about
+    ``1.2e77``) or is not finite.
+    """
     m = check_int(m, "m", lo=1)
-    eta2 = float(eta) * float(eta)
-    return GPolynomial(
-        x0=float(m + 2),
-        x2=3.0 - eta2,
-        x4=1.5 * (1.0 - eta2),
-        x6=0.25 * (1.0 - eta2) ** 2,
-    )
+    x0 = _float_or_inf(m + 2)
+    if x0 == math.inf:
+        raise ValueError(f"m of {m.bit_length()} bits lies beyond the float range")
+    try:
+        eta2 = float(eta) * float(eta)
+        x6 = 0.25 * (1.0 - eta2) ** 2
+    except OverflowError:
+        x6 = math.inf
+    if not math.isfinite(x6):
+        raise ValueError(f"eta={eta!r} puts the design polynomial beyond the float range")
+    return GPolynomial(x0=x0, x2=3.0 - eta2, x4=1.5 * (1.0 - eta2), x6=x6)
 
 
 def solve_e(m: int, eta: float) -> list[float]:
@@ -330,17 +348,20 @@ def feasibility(m: int, eta: float) -> FeasibilityReport:
     A non-finite ``eta`` raises ``ValueError``."""
     m = check_int(m, "m", lo=1)
     feasible = _feasible(m, eta)
-    asymptotic = ETA_SLOPE * m
+    asymptotic = ETA_SLOPE * _float_or_inf(m)
     if eta <= 1:
         # Every coefficient is then non-negative: the minimum over real e sits
         # at e = 0 with value m + 2 > 0, and there is no interior minimum.
-        return FeasibilityReport(math.nan, float(m + 2), feasible, asymptotic)
-    try:  # eta itself, or (1 - eta**2)**2, may lie beyond the float range
+        return FeasibilityReport(math.nan, _float_or_inf(m + 2), feasible, asymptotic)
+    try:  # eta itself may lie beyond the float range
         eta = float(eta)
         e_star_sq = (6.0 + 2.0 * math.sqrt(3.0) * eta) / (3.0 * (eta * eta - 1.0))
-        g_min = g_polynomial(m, eta).evaluate_u(e_star_sq)
     except OverflowError:
-        e_star_sq = g_min = math.nan
+        e_star_sq = math.nan
+    try:
+        g_min = g_polynomial(m, eta).evaluate_u(e_star_sq)
+    except ValueError:
+        g_min = math.nan
     return FeasibilityReport(math.sqrt(e_star_sq), float(g_min), feasible, asymptotic)
 
 

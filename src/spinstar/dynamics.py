@@ -348,8 +348,11 @@ def verify_design(sol: DesignSolution, tol: float = DEFAULT_VERIFY_TOL,
     exceptions, then an eigensolve of the hub plus one bright mode per
     distinct edge potential (at most 3x3 for a design), so no dense
     ``(N+1)**2`` matrix is built and the cost does not grow with ``N``.
+    A NaN, infinite or negative ``tol`` raises ``ValueError``.
     """
     tol = float(tol)
+    if not 0.0 <= tol < math.inf:
+        raise ValueError(f"tol must be finite and non-negative, got {tol!r}")
     params = sol.params
     cache4 = EvolutionCache.from_hamiltonian(reduced_matrix(params))
     wanted = np.sort(np.asarray(sol.target_spectrum, dtype=float))

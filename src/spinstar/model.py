@@ -378,10 +378,11 @@ def check_route(spec: StarSpec, params: ReducedParams, source, target) -> tuple[
     ``spec`` must have ``m + 2`` edges and coupling ``c``, and node by node
     its potentials must match ``a`` at the hub, ``e`` at source and target
     and ``d`` elsewhere, each within ``POTENTIAL_MATCH_TOL * max(1, |wanted|)``;
-    the first node that does not is named.  Runs in
-    ``O(len(spec.exceptions))``: the background is one value however many
-    nodes carry it.  Returns the validated ``(source, target)``; raises
-    ``ValueError`` otherwise.
+    the smallest node that does not is named.  One pass over the hub, the
+    route, the exceptions and the first bystander that carries the
+    background, if one does: the background is one value however many nodes
+    carry it, so this is ``O(len(spec.exceptions))``.  Returns the validated
+    ``(source, target)``; raises ``ValueError`` otherwise.
     """
     n = spec.edge_count
     if n != params.m + 2:
@@ -389,37 +390,25 @@ def check_route(spec: StarSpec, params: ReducedParams, source, target) -> tuple[
     if abs(spec.coupling - params.c) > 1e-12 * max(1.0, abs(params.c)):
         raise ValueError(f"coupling must equal c = {params.c!r}, got {spec.coupling!r}")
     source, target = _route_nodes(n, source, target)
-    a, d, e = params.a, params.d, params.e
-    route = (source, target)
-
-    def off(value: float, want: float) -> bool:
-        return abs(value - want) > max(abs(want), 1.0) * POTENTIAL_MATCH_TOL
-
-    bad = [j for j, want in ((0, a), (source, e), (target, e)) if off(spec.potential(j), want)]
-    limit = max(abs(d), 1.0) * POTENTIAL_MATCH_TOL
-    bad += [j for j, value in spec.exceptions if abs(value - d) > limit and j not in route]
-    # Edges off the route that carry the background: all but the exceptions there.
-    on_route = sum(_sparse_get(spec.exceptions, j, None) is not None for j in route)
-    if off(spec.background, d) and n - 2 > len(spec.exceptions) - on_route:
-        bad.append(_first_background_bystander(spec, source, target))
+    values = dict(spec.exceptions)
+    values[0] = spec.hub
+    values.setdefault(source, spec.background)
+    values.setdefault(target, spec.background)
+    j = 1
+    while j in values:
+        j += 1
+    if j <= n:  # the first bystander that carries the background
+        values[j] = spec.background
+    d, wants = params.d, {0: params.a, source: params.e, target: params.e}
+    bad = [j for j, value in values.items()
+           if abs(value - wants.get(j, d)) > max(abs(wants.get(j, d)), 1.0) * POTENTIAL_MATCH_TOL]
     if bad:
         j = min(bad)
-        want = a if j == 0 else e if j in route else d
         raise ValueError(
             f"potentials do not realize the route (source={source}, target={target}): "
-            f"node {j} carries {spec.potential(j)!r} where {want!r} is required"
+            f"node {j} carries {values[j]!r} where {wants.get(j, d)!r} is required"
         )
     return source, target
-
-
-def _first_background_bystander(spec: StarSpec, source: int, target: int) -> int:
-    """Smallest edge node other than ``source`` and ``target`` that carries
-    the background (one must); ``O(len(spec.exceptions))``."""
-    taken = {source, target, *map(itemgetter(0), spec.exceptions)}
-    j = 1
-    while j in taken:
-        j += 1
-    return j
 
 
 @dataclass(frozen=True)

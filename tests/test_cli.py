@@ -195,6 +195,16 @@ def test_verify_inconsistent_potentials_named(design_file, capsys):
     assert "potentials" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("tol", ["nan", "inf", "-1"])
+def test_verify_refuses_a_meaningless_tolerance(design_file, capsys, tol):
+    # An infinite tolerance would pass any file, a NaN or negative one fail it.
+    assert execute(["verify", "--design", str(design_file), f"--tol={tol}"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: tol must be finite and non-negative")
+    assert captured.err.count("\n") == 1
+
+
 @pytest.mark.parametrize("field, value, message", [
     ("m", 0, "design file: m must be at least 1"),
     ("a", math.nan, "design file: a must be finite"),
@@ -1046,6 +1056,25 @@ def test_no_command_holds_a_whole_design_file_in_memory(tmp_path, capsys):
     assert path.stat().st_size > 20 * 2**20
     assert (tmp_path / "spread.json").read_text() == render_design(spread)
     assert max(peaks.values()) < 2**20, peaks
+
+
+def test_background_runs_are_written_as_few_repeated_blocks():
+    # A design at m = 10**6 is the header with the hub and the route, one run
+    # of a block repeated, and the rest; its retarget to 777777 splits the run
+    # in two.  Each repeated block holds as many whole entries as fit.
+    m, eta = 10**6, 1_299_040
+    sol = design(DesignInput(m=m, eta=eta))
+    moved = switchboard.retarget(switchboard.initial_routing(sol), 777777)
+    run = (",\n    " + repr(sol.params.d)).encode()
+    for state, pairs in ((switchboard.initial_routing(sol), 3), (moved, 5)):
+        doc = cli._document(state.base, state.source, state.target, state.realized_spec,
+                            SMALLEST)
+        blocks = list(cli._blocks(doc))
+        assert len(blocks) == pairs
+        assert all(len(block) >= cli._BLOCK_BYTES - len(run)
+                   for block, times in blocks if times > 1)
+        assert sum(len(block) * times for block, times in blocks) == \
+            len(render_design(doc).encode())
 
 
 def test_short_writes_still_give_the_rendered_bytes(tmp_path, monkeypatch):

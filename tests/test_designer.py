@@ -9,6 +9,7 @@ re-checked here by an eigendecomposition of the resulting matrix.
 """
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -371,6 +372,41 @@ def test_feasibility_is_exact_at_huge_eta(eta):
     assert feasibility(1, eta).feasible
     assert feasibility(10**6, eta).feasible
     assert feasibility(10**308, eta).feasible == (eta > 1.3e308)  # threshold 1.299e308
+
+
+def test_feasibility_is_exact_at_huge_m():
+    # m and m + 2 are not floats: the margins they set are inf, the g_min
+    # that needs them NaN, and e_star, which depends on eta alone, is kept.
+    m = 10**400
+    report = feasibility(m, 4)
+    assert not report.feasible
+    assert report.asymptotic_threshold == math.inf and math.isnan(report.g_min)
+    assert report.e_star.hex() == feasibility(1, 4).e_star.hex()
+    assert feasibility(m, 10**401).feasible
+    assert feasibility(m, 1).g_min == math.inf
+    eta = min_feasible_even_eta(m)
+    assert feasibility(m, eta).feasible and not feasibility(m, eta - 2).feasible
+
+
+def test_g_polynomial_refuses_an_m_beyond_the_float_range():
+    with pytest.raises(ValueError, match="^m of 1329 bits"):
+        g_polynomial(10**400, 4)
+
+
+def test_an_eta_beyond_the_float_range_is_one_value_error():
+    # Each call is one ValueError naming eta, before numpy sees a coefficient.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for eta in (1.2e77, 1e78, 1e200, 1e308, 10**400, math.nan):
+            for call in (g_polynomial, solve_e, lambda m, eta: back_solve(1e-39, m, eta)):
+                with pytest.raises(ValueError, match="^eta="):
+                    call(1, eta)
+    # Just below, the polynomial is formed and its small root found.
+    assert solve_e(1, 1e76) == [1.4142135623730952e-38]
+    assert solve_e(1, 1e77) == [4.4721359549995795e-39]
+    # feasibility keeps the margins it reported before.
+    assert math.isnan(feasibility(1, 1e78).g_min)
+    assert feasibility(1, 1e200).e_star == 0.0 and math.isnan(feasibility(1, 1e200).g_min)
 
 
 @pytest.mark.parametrize("eta", [math.inf, -math.inf, math.nan])
