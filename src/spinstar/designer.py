@@ -357,7 +357,10 @@ def feasibility(m: int, eta: float) -> FeasibilityReport:
         eta = float(eta)
         e_star_sq = (6.0 + 2.0 * math.sqrt(3.0) * eta) / (3.0 * (eta * eta - 1.0))
     except OverflowError:
-        e_star_sq = math.nan
+        e_star_sq = eta = math.nan
+    if 3.0 * (eta * eta - 1.0) == math.inf:  # the same formula, in x = 1/eta
+        x = 1.0 / eta
+        e_star_sq = (6.0 * x * x + 2.0 * math.sqrt(3.0) * x) / (3.0 * (1.0 - x * x))
     try:
         g_min = g_polynomial(m, eta).evaluate_u(e_star_sq)
     except ValueError:

@@ -39,8 +39,7 @@ SYMMETRY_TOL = 1e-12
 
 DEFAULT_VERIFY_TOL = 1e-9
 
-# Eigenvalues closer than this (relative to the spectral radius) are treated
-# as one degenerate cluster when assigning exchange parities.
+# Relative eigenvalue gap that :func:`exchange_parities` (not verify) treats as one cluster.
 DEGENERACY_TOL = 1e-8
 
 # The longest time grid :func:`transfer_time_grid` builds.  A trace's phase
@@ -318,16 +317,13 @@ def exchange_parities(evals: np.ndarray, vecs: np.ndarray, i: int, j: int,
 
 
 def _parity_pattern_ok(cache: EvolutionCache, e_value: float) -> bool:
-    """One parity -1 on the mode at eigenvalue ``e_value``, +1 elsewhere."""
-    parities = exchange_parities(cache.eigenvalues, cache.eigenvectors, 2, 3)
-    if float(np.max(np.abs(np.abs(parities) - 1.0))) > 1e-6:
-        return False
-    signs = np.sign(parities)
-    if int(np.sum(signs < 0)) != 1:
-        return False
-    antisymmetric = int(np.argmin(parities))
+    """Every parity within 1e-6 of +-1, one negative, on the mode closest to ``e_value``.
+    Eigenvector v has parity v.Pv = 1 - (v[2] - v[3])**2 under the 2<->3 swap: exact,
+    as the matrix commutes with the swap and a design's eigenvalue gaps are >= |e|."""
+    parities = 1.0 - (cache.eigenvectors[2] - cache.eigenvectors[3]) ** 2
     closest_to_e = int(np.argmin(np.abs(cache.eigenvalues - e_value)))
-    return antisymmetric == closest_to_e
+    return bool(np.max(np.abs(np.abs(parities) - 1.0)) <= 1e-6 and np.sum(parities < 0) == 1
+                and np.argmin(parities) == closest_to_e)
 
 
 def verify_design(sol: DesignSolution, tol: float = DEFAULT_VERIFY_TOL,
@@ -338,8 +334,9 @@ def verify_design(sol: DesignSolution, tol: float = DEFAULT_VERIFY_TOL,
     Checks, all at ``tol``: the realized four-level spectrum; transfer
     fidelity at the transfer time on the four-level matrix *and* on the full
     star; the transfer amplitude being real, positive and unit; the exchange
-    parity pattern (one antisymmetric mode at eigenvalue ``e``); and agreement
-    between reduced and full amplitudes.  Failures are reported, not raised.
+    parity pattern (one antisymmetric mode, at eigenvalue ``e``), read as v.Pv
+    off the four-level eigenvectors; and agreement between reduced and full
+    amplitudes.  Failures are reported, not raised.
 
     The full star is ``spec`` evolved from ``source`` to ``target``; by
     default the canonical ``sol.realized`` wired 1 -> 2.  The CLI passes a

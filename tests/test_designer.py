@@ -404,9 +404,24 @@ def test_an_eta_beyond_the_float_range_is_one_value_error():
     # Just below, the polynomial is formed and its small root found.
     assert solve_e(1, 1e76) == [1.4142135623730952e-38]
     assert solve_e(1, 1e77) == [4.4721359549995795e-39]
-    # feasibility keeps the margins it reported before.
+    # feasibility keeps the g_min it reported before.
     assert math.isnan(feasibility(1, 1e78).g_min)
-    assert feasibility(1, 1e200).e_star == 0.0 and math.isnan(feasibility(1, 1e200).g_min)
+    assert math.isnan(feasibility(1, 1e200).g_min)
+
+
+def test_e_star_stays_finite_where_eta_squared_overflows():
+    # From eta ~ 7.7e153 on, 3 (eta**2 - 1) overflows; e_star is then the
+    # same formula in 1/eta, sqrt(2 / (sqrt(3) eta)) to rounding.
+    for eta in (1e154, 1e200, 1e307):
+        want = math.sqrt(2.0 / (math.sqrt(3.0) * eta))
+        report = feasibility(1, eta)
+        assert abs(report.e_star - want) <= 1e-15 * want and math.isnan(report.g_min)
+    # Below, e_star keeps the bits of the formula in eta.
+    rng = np.random.default_rng(3)
+    for eta in 10.0 ** rng.uniform(1e-6, math.log10(7e153), 500):
+        eta = float(eta)
+        old = math.sqrt((6.0 + 2.0 * math.sqrt(3.0) * eta) / (3.0 * (eta * eta - 1.0)))
+        assert feasibility(1, eta).e_star.hex() == old.hex()
 
 
 @pytest.mark.parametrize("eta", [math.inf, -math.inf, math.nan])

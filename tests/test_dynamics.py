@@ -19,6 +19,7 @@ from spinstar import (
     ResourceLimitError,
     StarEvolution,
     StarSpec,
+    back_solve,
     build_arrowhead,
     build_grouped,
     design,
@@ -29,10 +30,13 @@ from spinstar import (
     propagate,
     reduced_matrix,
     retarget,
+    solve_e,
     transfer_time_grid,
     transition_amplitude,
     verify_design,
 )
+from spinstar.dynamics import _parity_pattern_ok
+from spinstar.model import routed_star
 
 
 def _random_symmetric_matrix(rng, dim):
@@ -389,6 +393,72 @@ def test_verify_design_passes_for_both_roots():
         assert report.fidelity_at_tau >= 1.0 - 1e-9
         assert report.spectrum_deviation <= 1e-9
         assert report.parity_check
+
+
+@pytest.mark.parametrize("m, eta", [(10**8, 2 * 10**8), (10**9, 2 * 10**9)])
+def test_verify_design_passes_far_beyond_the_envelope(m, eta):
+    # From eta ~ 1e8 the modes at 0 and e are closer than 1e-8 of the
+    # spectral radius; the parity of each mode is still read off on its own.
+    for e in solve_e(m, eta):
+        a, d = back_solve(e, m, eta)
+        params = ReducedParams(a=a, b=math.sqrt(m), c=1.0, d=d, e=e, m=m)
+        sol = DesignSolution(params=params, eta=eta, transfer_time=math.pi / e,
+                             target_spectrum=(0.0, e, eta * e, -eta * e),
+                             root_residual=0.0, realized=routed_star(params))
+        report = verify_design(sol)
+        assert report.passed and report.parity_check
+
+
+def _design_cache():
+    sol = design(DesignInput(m=2, eta=4, root_choice=SMALLEST))
+    cache = EvolutionCache.from_hamiltonian(reduced_matrix(sol.params))
+    antisymmetric = int(np.argmin(np.abs(cache.eigenvalues - sol.params.e)))
+    return cache, sol.params.e, antisymmetric
+
+
+def test_parity_pattern_needs_the_antisymmetric_mode_at_e():
+    cache, e, antisymmetric = _design_cache()
+    assert _parity_pattern_ok(cache, e)
+    for k in range(4):
+        if k != antisymmetric:
+            assert not _parity_pattern_ok(cache, cache.eigenvalues[k])
+
+
+def test_parity_pattern_needs_every_parity_at_plus_or_minus_one():
+    # The antisymmetric column rotated 45 degrees into a neighbour: both
+    # columns then have parity 0.
+    cache, e, k = _design_cache()
+    j = k - 1 if k > 0 else k + 1
+    vecs = cache.eigenvectors.copy()
+    v, w = vecs[:, k].copy(), vecs[:, j].copy()
+    vecs[:, k], vecs[:, j] = (v + w) / math.sqrt(2.0), (w - v) / math.sqrt(2.0)
+    assert not _parity_pattern_ok(EvolutionCache(cache.eigenvalues, vecs), e)
+
+
+def test_parity_pattern_needs_exactly_one_negative_parity():
+    # A copy of the antisymmetric column in place of a symmetric one: two
+    # parities -1, the first of them on the mode at the given eigenvalue.
+    cache, e, k = _design_cache()
+    for j in range(4):
+        if j != k:
+            vecs = cache.eigenvectors.copy()
+            vecs[:, j] = vecs[:, k]
+            doubled = EvolutionCache(cache.eigenvalues, vecs)
+            assert not _parity_pattern_ok(doubled, cache.eigenvalues[min(j, k)])
+
+
+def test_parity_pattern_matches_exchange_parities():
+    rng = np.random.default_rng(7)
+    p = exchange_operator(4, 2, 3)
+    for _ in range(200):
+        h = _random_symmetric_matrix(rng, 4)
+        cache = EvolutionCache.from_hamiltonian(h + p @ h @ p)
+        assert np.min(np.diff(cache.eigenvalues)) > 1e-6
+        parities = exchange_parities(cache.eigenvalues, cache.eigenvectors, 2, 3)
+        for k, value in enumerate(cache.eigenvalues):
+            want = (np.max(np.abs(np.abs(parities) - 1.0)) <= 1e-6
+                    and np.sum(parities < 0) == 1 and np.argmin(parities) == k)
+            assert _parity_pattern_ok(cache, value) == want
 
 
 def test_verify_design_evolves_the_given_star_and_route():
