@@ -234,9 +234,9 @@ def _float(value, name: str) -> float:
 
 def _field(doc: dict, name: str, kind, path: str | None = None) -> object:
     """``doc[name]`` checked as ``kind``; ``path`` names a nested field in
-    the error for a number too large for a float."""
+    the errors for a missing field and for a number too large for a float."""
     if name not in doc:
-        raise ValueError(f"design file: missing field '{name}'")
+        raise ValueError(f"design file: missing field '{path or name}'")
     value = doc[name]
     if kind is float:
         if isinstance(value, bool) or not isinstance(value, (int, float)):
@@ -277,15 +277,13 @@ def parse_design_document(doc: dict) -> ParsedDesign:
     e = _field(doc, "e", float)
     tau = _field(doc, "tau", float)
     spectrum = _field(doc, "spectrum", list)
-    if len(spectrum) != 4 or any(
-        isinstance(x, bool) or not isinstance(x, (int, float)) for x in spectrum
-    ):
+    # A list of JSON numbers; type(True) is bool, so booleans are refused too.
+    if len(spectrum) != 4 or not set(map(type, spectrum)) <= {int, float}:
         raise ValueError("design file: field 'spectrum' must hold four numbers")
     spectrum = tuple(_float(x, "spectrum") for x in spectrum)
     coupling = _field(doc, "coupling", float)
     potentials = _field(doc, "potentials", (list, model.StarSpec))
     is_star = isinstance(potentials, model.StarSpec)
-    # type(True) is bool, so booleans are refused here too.
     if not is_star and not set(map(type, potentials)) <= {int, float}:
         raise ValueError("design file: field 'potentials' must hold numbers")
     count = potentials.edge_count + 1 if is_star else len(potentials)
@@ -294,8 +292,6 @@ def parse_design_document(doc: dict) -> ParsedDesign:
             f"design file: field 'potentials' must hold m + 3 = {m + 3} entries, got {count}"
         )
     residuals = _field(doc, "residuals", dict)
-    if "root" not in residuals:
-        raise ValueError("design file: field 'residuals' must contain 'root'")
     root_residual = _field(residuals, "root", float, "residuals.root")
     source = _field(doc, "source", int)
     target = _field(doc, "target", int)
@@ -456,10 +452,12 @@ def _cmd_design(ns) -> int:
 
 def _cmd_simulate(ns) -> int:
     parsed = load_design_file(ns.design)
-    source = parsed.source if ns.source is None else ns.source
-    target = parsed.target if ns.target is None else ns.target
     star = parsed.realized_spec
     grid = dynamics.transfer_time_grid(parsed.base.transfer_time, t_max=ns.t_max, steps=ns.steps)
+    # One route rule for both modes: two different edge nodes.
+    source, target = model.check_pair(parsed.source if ns.source is None else ns.source,
+                                      parsed.target if ns.target is None else ns.target,
+                                      ("source", "target"), 1, star.edge_count)
     if ns.full:
         amps = dynamics.StarEvolution.from_spec(star).amplitudes(grid, source, target)
         trace = model.FidelityTrace(times=grid, values=np.abs(amps) ** 2)
@@ -491,13 +489,11 @@ def _cmd_verify(ns) -> int:
 
 
 def _cmd_sweep(ns) -> int:
-    if ns.m_min < 1:
-        raise ValueError("--m-min must be at least 1")
-    if ns.m_max < ns.m_min:
-        raise ValueError("--m-max must be at least --m-min")
-    designer.check_envelope(m=ns.m_max)
+    m_min = model.check_int(ns.m_min, "--m-min", lo=1)
+    m_max = model.check_int(ns.m_max, "--m-max", lo=m_min)
+    designer.check_envelope(m=m_max)
     print("m,eta,e,a,d,tau,abs_a_over_sqrt_m,abs_d_over_sqrt_m")
-    for m in range(ns.m_min, ns.m_max + 1):
+    for m in range(m_min, m_max + 1):
         eta = designer.min_feasible_even_eta(m)
         if ns.eta_max is not None and eta > ns.eta_max:
             print(f"m={m}: no feasible even eta up to {ns.eta_max}; skipping", file=sys.stderr)

@@ -32,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import EnvelopeError, InfeasibleDesignError, NoRealDesignError
-from .model import DesignSolution, ReducedParams, check_int, reduced_matrix, routed_star
+from .model import DesignSolution, ReducedParams, check_eta, check_int, reduced_matrix, routed_star
 
 # Residual bound on accepted roots, relative to the sizes of the cubic's terms.
 ROOT_RESIDUAL_TOL = 1e-10
@@ -128,9 +128,7 @@ class DesignInput:
 
     def __post_init__(self):
         object.__setattr__(self, "m", check_int(self.m, "m", lo=1))
-        object.__setattr__(self, "eta", check_int(self.eta, "eta"))
-        if self.eta < 2 or self.eta % 2 != 0:
-            raise ValueError("eta must be an even integer >= 2 (phase cancellation needs it)")
+        object.__setattr__(self, "eta", check_eta(self.eta))
         check_envelope(self.m, self.eta)
         if not isinstance(self.root_choice, RootChoice):
             raise ValueError("root_choice must be a RootChoice")

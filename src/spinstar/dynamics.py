@@ -164,20 +164,15 @@ class StarEvolution:
     def dimension(self) -> int:
         return self.star.edge_count + 1
 
-    def _bright_mode(self, state: int) -> tuple[int, int]:
-        """Index of the bright mode ``state`` overlaps, and the size of its
-        group (1 for the hub)."""
-        if state == 0:
-            return 0, 1
-        group = self.star.group(state)
-        return group + 1, self.star.sizes[group]
-
     def _terms(self, src, dst) -> tuple[int, int, float, float, float]:
         """Bright modes of ``src`` and ``dst``, the inverse product of their
         overlaps, and the weight and potential of the dark modes they share
-        (zero unless they lie in one group)."""
+        (zero unless they lie in one group).  The bright mode of a state is
+        0 for the hub and ``1 + group`` for an edge; its overlap is
+        ``1/sqrt(g)`` with ``g`` the group's size (1 for the hub)."""
         src, dst = _check_states(self.dimension, src, dst)
-        (p, g_src), (q, g_dst) = self._bright_mode(src), self._bright_mode(dst)
+        p, q = (self.star.group(state) + 1 if state else 0 for state in (src, dst))
+        g_src, g_dst = (self.star.sizes[mode - 1] if mode else 1 for mode in (p, q))
         dark, lam = 0.0, 0.0
         if p == q and p > 0:
             dark, lam = float(src == dst) - 1.0 / g_src, self.star.bright.arm_values[p - 1]

@@ -48,9 +48,13 @@ DENSE_MAX_EDGES = 4096
 
 def check_int(value, name: str, lo: int | None = None, hi: int | None = None) -> int:
     """``value`` as an ``int``, after checking that it is an integer (``int``
-    or ``np.integer``, never ``bool``) within ``lo..hi`` where given.
+    or ``np.integer``, never ``bool``, a float or a string) within ``lo..hi``
+    where given.
 
-    Raises ``ValueError`` naming ``name`` otherwise.
+    The one integer rule: every count, size, node and index a caller passes
+    in goes through here, or through :func:`check_pair` and
+    :func:`check_eta`, which build on it.  Raises ``ValueError`` naming
+    ``name`` otherwise.
     """
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
         raise ValueError(f"{name} must be an integer, got {value!r}")
@@ -59,6 +63,26 @@ def check_int(value, name: str, lo: int | None = None, hi: int | None = None) ->
         bound = f"be at least {lo}" if hi is None else f"lie in {lo}..{hi}"
         raise ValueError(f"{name} must {bound}, got {value}")
     return value
+
+
+def check_pair(a, b, names: tuple[str, str], lo: int, hi: int) -> tuple[int, int]:
+    """``(a, b)`` as two different integers in ``lo..hi``, each checked by
+    :func:`check_int` under its name in ``names``: the one rule for the two
+    ends of a route or a swap.  Equal ones raise ``"<a> and <b> must differ"``."""
+    a, b = check_int(a, names[0], lo, hi), check_int(b, names[1], lo, hi)
+    if a == b:
+        raise ValueError(f"{names[0]} and {names[1]} must differ")
+    return a, b
+
+
+def check_eta(value) -> int:
+    """``value`` as an even integer ``eta >= 2`` (:func:`check_int`, then
+    the parity test): the phase ``eta * pi`` cancels only for even eta.
+    Raises ``ValueError`` naming ``eta`` otherwise."""
+    eta = check_int(value, "eta", lo=2)
+    if eta % 2:
+        raise ValueError(f"eta must be even (phase cancellation needs it), got {eta}")
+    return eta
 
 
 def _sparse_get(pairs: tuple, node: int, default):
@@ -70,7 +94,8 @@ def _sparse_get(pairs: tuple, node: int, default):
 
 def _bits_equal(x: float, y: float) -> bool:
     """``x`` and ``y`` are the same float, bit for bit (both finite)."""
-    return x == y and math.copysign(1.0, x) == math.copysign(1.0, y)
+    # == is bit equality except between 0.0 and -0.0.
+    return x == y and (x != 0.0 or math.copysign(1.0, x) == math.copysign(1.0, y))
 
 
 # Up to this many nodes a Python scan beats numpy's fixed per-call cost.
@@ -98,12 +123,8 @@ def split_potentials(potentials) -> tuple[float, float, tuple[tuple[int, float],
         for background in (edges[0], edges[-1], edges[1 % len(edges)]):
             if 2 * edges.count(background) > len(edges):
                 break
-        sign = math.copysign(1.0, background)
-        # == is bit equality except between 0.0 and -0.0.
-        return hub, background, tuple([
-            (j, value) for j, value in enumerate(edges, 1)
-            if value != background or (not value and math.copysign(1.0, value) != sign)
-        ])
+        return hub, background, tuple([(j, value) for j, value in enumerate(edges, 1)
+                                       if not _bits_equal(value, background)])
     n = count - 1
     values = np.fromiter(potentials, float, count)
     bits = values.view(np.int64)
@@ -129,11 +150,12 @@ class StarSpec:
     ``edge_count >= 3`` because routing needs a source, a target and at least
     one bystander.
 
-    ``StarSpec(edge_count, coupling, potentials)`` takes the per-node list
-    (``potentials[0]`` the hub, ``potentials[j]`` edge ``j``) and splits it
-    in one pass (:func:`split_potentials`); :meth:`sparse` takes the parts
-    directly.  The per-node tuple :attr:`potentials` is built on first use
-    and cached (at once for stars of fewer than 64 edges).
+    ``StarSpec(edge_count, coupling, potentials)`` takes the per-node
+    sequence, a list, tuple or array but not a generator (``potentials[0]``
+    the hub, ``potentials[j]`` edge ``j``), and splits it in one pass
+    (:func:`split_potentials`); :meth:`sparse` takes the parts directly.
+    The per-node tuple :attr:`potentials` is built on first use and cached
+    (at once for stars of fewer than 64 edges).
     """
 
     edge_count: int
@@ -144,8 +166,6 @@ class StarSpec:
 
     def __init__(self, edge_count, coupling, potentials):
         n, coupling = self._check_size(edge_count, coupling)
-        if not hasattr(potentials, "__len__"):
-            potentials = tuple(potentials)
         if len(potentials) != n + 1:
             raise ValueError(
                 f"potentials must have exactly edge_count + 1 = {n + 1} "
@@ -243,13 +263,11 @@ class ArrowheadMatrix:
     arm_values: tuple[float, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "dimension", int(self.dimension))
+        object.__setattr__(self, "dimension", check_int(self.dimension, "dimension", lo=2))
         object.__setattr__(self, "hub_value", float(self.hub_value))
         object.__setattr__(self, "arm_couplings", tuple(map(float, self.arm_couplings)))
         object.__setattr__(self, "arm_values", tuple(map(float, self.arm_values)))
         n = self.dimension - 1
-        if n < 1:
-            raise ValueError("dimension must be at least 2")
         if len(self.arm_couplings) != n or len(self.arm_values) != n:
             raise ValueError(f"arm_couplings and arm_values must each have {n} entries")
         values = (self.hub_value,) + self.arm_couplings + self.arm_values
@@ -327,9 +345,7 @@ class DesignSolution:
     lambda_residual: float | None = None
 
     def __post_init__(self):
-        object.__setattr__(self, "eta", check_int(self.eta, "eta"))
-        if self.eta < 2 or self.eta % 2 != 0:
-            raise ValueError("eta must be a positive even integer")
+        object.__setattr__(self, "eta", check_eta(self.eta))
         e = self.params.e
         if e == 0.0:
             raise ValueError("params.e must be nonzero (transfer time is pi/e)")
@@ -362,16 +378,6 @@ def routed_star(params: ReducedParams) -> StarSpec:
                            ((1, params.e), (2, params.e)))
 
 
-def _route_nodes(edge_count: int, source, target) -> tuple[int, int]:
-    """``(source, target)`` as two different edge nodes in ``1..edge_count``;
-    raises ``ValueError`` otherwise."""
-    source = check_int(source, "source", 1, edge_count)
-    target = check_int(target, "target", 1, edge_count)
-    if source == target:
-        raise ValueError("source and target must differ")
-    return source, target
-
-
 def check_route(spec: StarSpec, params: ReducedParams, source, target) -> tuple[int, int]:
     """Check that ``spec`` realizes ``params`` wired for ``source -> target``.
 
@@ -389,7 +395,7 @@ def check_route(spec: StarSpec, params: ReducedParams, source, target) -> tuple[
         raise ValueError(f"edge_count must equal m + 2 = {params.m + 2}, got {n}")
     if abs(spec.coupling - params.c) > 1e-12 * max(1.0, abs(params.c)):
         raise ValueError(f"coupling must equal c = {params.c!r}, got {spec.coupling!r}")
-    source, target = _route_nodes(n, source, target)
+    source, target = check_pair(source, target, ("source", "target"), 1, n)
     values = dict(spec.exceptions)
     values[0] = spec.hub
     values.setdefault(source, spec.background)
@@ -533,7 +539,7 @@ def build_reduced(spec: StarSpec, source: int, target: int) -> ReducedParams:
     ``O(len(spec.exceptions))``.
     """
     n = spec.edge_count
-    source, target = _route_nodes(n, source, target)
+    source, target = check_pair(source, target, ("source", "target"), 1, n)
     m = n - 2
     params = ReducedParams(
         a=spec.hub,
@@ -597,7 +603,7 @@ def build_full_spin_hamiltonian(spec: StarSpec) -> np.ndarray:
 def single_excitation_indices(edge_count: int) -> np.ndarray:
     """Positions of the one-excitation basis states inside the full spin
     space, ordered (hub, edge 1, ..., edge N) to match ``build_arrowhead``."""
-    n = int(edge_count)
+    n = check_int(edge_count, "edge_count", lo=0)
     return np.array([1 << (n - j) for j in range(n + 1)], dtype=np.intp)
 
 
@@ -608,11 +614,8 @@ def single_excitation_indices(edge_count: int) -> np.ndarray:
 def exchange_permutation(dimension: int, i: int, j: int) -> np.ndarray:
     """Indices ``0..dimension-1`` with ``i`` and ``j`` swapped: ``x[perm]``
     is ``exchange_operator(dimension, i, j) @ x`` without the dense matrix."""
-    dimension = int(dimension)
-    i = check_int(i, "i", 0, dimension - 1)
-    j = check_int(j, "j", 0, dimension - 1)
-    if i == j:
-        raise ValueError("i and j must differ")
+    dimension = check_int(dimension, "dimension")
+    i, j = check_pair(i, j, ("i", "j"), 0, dimension - 1)
     perm = np.arange(dimension)
     perm[[i, j]] = j, i
     return perm
@@ -623,7 +626,8 @@ def exchange_operator(dimension: int, i: int, j: int) -> np.ndarray:
 
     Implemented as a genuine transposition, so it is self-inverse: P @ P = I.
     """
-    return np.eye(int(dimension))[exchange_permutation(dimension, i, j)]
+    perm = exchange_permutation(dimension, i, j)
+    return np.eye(perm.size)[perm]
 
 
 def is_exchange_symmetric(h: np.ndarray, i: int, j: int, tol: float = POTENTIAL_MATCH_TOL) -> bool:

@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .model import DesignSolution, StarSpec, check_int, check_route
+from .model import DesignSolution, StarSpec, check_pair, check_route
 
 
 @dataclass(frozen=True)
@@ -47,9 +47,8 @@ def retarget(state: RoutingState, new_target: int) -> RoutingState:
     a bystander's to the old target), so the new state is not re-checked.
     """
     spec = state.realized_spec
-    new_target = check_int(new_target, "new_target", 1, spec.edge_count)
-    if new_target == state.source:
-        raise ValueError("new_target must differ from the source")
+    _, new_target = check_pair(state.source, new_target, ("source", "new_target"), 1,
+                               spec.edge_count)
     old_target = state.target
     new_spec = spec.replace({old_target: spec.potential(new_target),
                              new_target: spec.potential(old_target)})

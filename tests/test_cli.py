@@ -468,6 +468,21 @@ def test_simulate_asymmetric_route_exits_1(design_file, tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("source, target, message", [
+    ("0", "2", "error: source must lie in 1..4, got 0\n"),
+    ("3", "5", "error: target must lie in 1..4, got 5\n"),
+    ("3", "3", "error: source and target must differ\n"),
+], ids=["hub", "beyond the star", "same node"])
+@pytest.mark.parametrize("full", [False, True], ids=["reduced", "full"])
+def test_simulate_takes_two_different_edge_nodes_in_both_modes(design_file, tmp_path, capsys,
+                                                                source, target, message, full):
+    out = tmp_path / "t.csv"
+    assert execute(["simulate", "--design", str(design_file), "--source", source,
+                    "--target", target, "--out", str(out)] + ["--full"] * full) == 1
+    assert capsys.readouterr() == ("", message)
+    assert not out.exists()
+
+
 def test_simulate_custom_window(design_file, tmp_path):
     out = tmp_path / "trace.csv"
     args = ["simulate", "--design", str(design_file), "--t-max", "2.0", "--steps", "100",
@@ -597,8 +612,52 @@ def test_sweep_eta_cap_skips_rows(capsys):
 
 def test_sweep_validation(capsys):
     assert execute(["sweep", "--m-min", "0", "--m-max", "3"]) == 1
+    assert capsys.readouterr() == ("", "error: --m-min must be at least 1, got 0\n")
     assert execute(["sweep", "--m-min", "5", "--m-max", "3"]) == 1
-    capsys.readouterr()
+    assert capsys.readouterr() == ("", "error: --m-max must be at least 5, got 3\n")
+
+
+def _without(doc, key):
+    return {k: v for k, v in doc.items() if k != key}
+
+
+# Each edit of a valid design document, and the refusal its file must give.
+_FILE_REFUSALS = {
+    "not an object": (lambda doc: [doc], "top level must be a JSON object"),
+    "missing field": (lambda doc: _without(doc, "tau"), "missing field 'tau'"),
+    "wrong type": (lambda doc: {**doc, "spectrum": {}},
+                   "field 'spectrum' has the wrong type, got {}"),
+    "root choice": (lambda doc: {**doc, "root_choice": "median"},
+                    "field 'root_choice': root choice must be 'smallest', 'largest' or "
+                    "'index:k', got 'median'"),
+    "three spectrum entries": (lambda doc: {**doc, "spectrum": doc["spectrum"][:3]},
+                               "field 'spectrum' must hold four numbers"),
+    "string in spectrum": (lambda doc: {**doc, "spectrum": ["0.0"] + doc["spectrum"][1:]},
+                           "field 'spectrum' must hold four numbers"),
+    "no residuals.root": (lambda doc: {**doc, "residuals": _without(doc["residuals"], "root")},
+                          "missing field 'residuals.root'"),
+    "odd eta": (lambda doc: {**doc, "eta": 5},
+                "eta must be even (phase cancellation needs it), got 5"),
+    "e = 0": (lambda doc: {**doc, "e": 0.0}, "params.e must be nonzero (transfer time is pi/e)"),
+    "tau off pi/e": (lambda doc: {**doc, "tau": doc["tau"] * (1.0 + 1e-9)},
+                     "transfer_time must equal pi / params.e"),
+    "spectrum off": (lambda doc: {**doc, "spectrum": [x * (1.0 + 1e-6) for x in doc["spectrum"]]},
+                     "target_spectrum must be {0, e, +eta*e, -eta*e}"),
+}
+
+
+@pytest.mark.parametrize("case", list(_FILE_REFUSALS))
+@pytest.mark.parametrize("command", ["verify", "simulate", "retarget"])
+def test_every_design_file_refusal_is_one_error_line(design_file, tmp_path, capsys, case,
+                                                     command):
+    edit, message = _FILE_REFUSALS[case]
+    design_file.write_text(json.dumps(edit(json.loads(design_file.read_text()))))
+    out = tmp_path / "out"
+    argv = {"verify": ["verify"], "simulate": ["simulate", "--out", str(out)],
+            "retarget": ["retarget", "--target", "3", "--out", str(out)]}[command]
+    assert execute(argv + ["--design", str(design_file)]) == 1
+    assert capsys.readouterr() == ("", f"error: design file: {message}\n")
+    assert not out.exists()
 
 
 # ---------------------------------------------------------------------------

@@ -8,6 +8,7 @@ d = e + (1 - eta^2) e^3 / 2 and a = -e - d at any root.  Each frozen value is
 re-checked here by an eigendecomposition of the resulting matrix.
 """
 
+import dataclasses
 import math
 import warnings
 
@@ -191,6 +192,26 @@ def test_back_solve_sum_constraint():
 def test_back_solve_rejects_non_root():
     with pytest.raises(NoRealDesignError):
         back_solve(5.0, 2, 4)
+    with pytest.raises(ValueError, match="^e must be nonzero$"):
+        back_solve(0.0, 1, 4)
+
+
+def test_root_choice_refuses_an_unknown_kind():
+    with pytest.raises(ValueError, match="^unknown root choice 'median'$"):
+        RootChoice("median")
+
+
+@pytest.mark.parametrize("eta, message", [
+    (3, r"^eta must be even \(phase cancellation needs it\), got 3$"),
+    (0, "^eta must be at least 2, got 0$"),
+    (4.0, "^eta must be an integer, got 4.0$"),
+], ids=["odd", "zero", "float"])
+def test_design_input_and_design_solution_share_the_eta_rule(eta, message):
+    sol = design(DesignInput(m=2, eta=4))
+    with pytest.raises(ValueError, match=message):
+        DesignInput(m=2, eta=eta)
+    with pytest.raises(ValueError, match=message):
+        dataclasses.replace(sol, eta=eta)
 
 
 # ---------------------------------------------------------------------------

@@ -253,6 +253,11 @@ def test_fidelity_trace_refuses_a_bad_grid(grid, message):
         fidelity_trace(np.diag([1.0, 2.0]), grid, 0, 1)
 
 
+def test_evolution_cache_refuses_a_non_square_hamiltonian():
+    with pytest.raises(ValueError, match="^Hamiltonian must be a square matrix$"):
+        EvolutionCache.from_hamiltonian(np.zeros((2, 3)))
+
+
 def test_fidelity_trace_grid_validation():
     h = np.diag([1.0, 2.0])
     with pytest.raises(ValueError):

@@ -30,7 +30,15 @@ from spinstar import (
     single_excitation_indices,
     transition_amplitude,
 )
-from spinstar.model import check_int, check_route
+from spinstar.model import (
+    ArrowheadMatrix,
+    DesignSolution,
+    FidelityTrace,
+    check_eta,
+    check_int,
+    check_pair,
+    check_route,
+)
 
 # Closed-form smallest admissible potential for m=2, eta=4: e**2 = 4/15.
 E_M2_ETA4 = 2.0 / math.sqrt(15.0)
@@ -88,6 +96,81 @@ def test_check_int():
         check_int(4, "k", 1, 3)
     with pytest.raises(ValueError, match="k must be at least 2, got 1"):
         check_int(1, "k", lo=2)
+
+
+def test_check_pair():
+    assert check_pair(np.int64(1), 3, ("x", "y"), 1, 3) == (1, 3)
+    assert type(check_pair(np.int32(2), 1, ("x", "y"), 1, 3)[0]) is int
+    with pytest.raises(ValueError, match="^x and y must differ$"):
+        check_pair(2, 2, ("x", "y"), 1, 3)
+    # Each integer is checked, under its own name, before the two are compared.
+    with pytest.raises(ValueError, match=r"^x must lie in 1\.\.3, got 0$"):
+        check_pair(0, 0, ("x", "y"), 1, 3)
+    with pytest.raises(ValueError, match=r"^y must lie in 1\.\.3, got 4$"):
+        check_pair(1, 4, ("x", "y"), 1, 3)
+    with pytest.raises(ValueError, match="^y must be an integer, got 2.0$"):
+        check_pair(1, 2.0, ("x", "y"), 1, 3)
+
+
+def test_check_eta():
+    assert check_eta(2) == 2 and type(check_eta(np.int64(1_400_000))) is int
+    with pytest.raises(ValueError, match="^eta must be at least 2, got 0$"):
+        check_eta(0)
+    with pytest.raises(ValueError, match="^eta must be at least 2, got -4$"):
+        check_eta(-4)
+    with pytest.raises(ValueError, match=r"^eta must be even \(phase cancellation needs it\), "
+                       "got 5$"):
+        check_eta(5)
+    for bad in (4.0, "4", True):
+        with pytest.raises(ValueError, match="^eta must be an integer"):
+            check_eta(bad)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: single_excitation_indices(2.9),
+    lambda: single_excitation_indices(-1),
+    lambda: exchange_operator("4", 0, 1),
+    lambda: exchange_operator(4.0, 0, 1),
+    lambda: ArrowheadMatrix(3.7, 0.0, (1.0, 1.0), (0.0, 0.0)),
+    lambda: ArrowheadMatrix(True, 0.0, (1.0,), (0.0,)),
+    lambda: ArrowheadMatrix(1, 0.0, (), ()),
+], ids=["indices 2.9", "indices -1", "operator '4'", "operator 4.0", "arrowhead 3.7",
+        "arrowhead True", "arrowhead 1"])
+def test_sizes_are_integers_not_truncations(call):
+    with pytest.raises(ValueError, match="^(edge_count|dimension) must be"):
+        call()
+
+
+def test_arrowhead_matrix_validation():
+    with pytest.raises(ValueError, match="^arm_couplings and arm_values must each have 2 entries$"):
+        ArrowheadMatrix(3, 0.0, (1.0,), (0.0, 0.0))
+    with pytest.raises(ValueError, match="^all entries must be finite$"):
+        ArrowheadMatrix(3, 0.0, (1.0, math.inf), (0.0, 0.0))
+    wide = build_arrowhead(StarSpec.sparse(4097, 1.0, 0.0, 0.5))
+    assert wide.dimension == 4098
+    with pytest.raises(ResourceLimitError, match="limited to 4096 edges"):
+        wide.to_dense()
+
+
+def test_fidelity_trace_refuses_fidelities_beyond_one():
+    assert FidelityTrace([0.0, 1.0], [0.0, 1.0 + 1e-12]).values[1] == 1.0 + 1e-12
+    for bad in (1.0 + 1e-11, -1e-300):
+        with pytest.raises(ValueError, match="fidelities must lie in"):
+            FidelityTrace([0.0, 1.0], [0.5, bad])
+
+
+def test_design_solution_needs_four_spectrum_entries():
+    sol = design(DesignInput(m=2, eta=4))
+    with pytest.raises(ValueError, match="^target_spectrum must have four entries$"):
+        DesignSolution(params=sol.params, eta=4, transfer_time=sol.transfer_time,
+                       target_spectrum=sol.target_spectrum[:3], root_residual=0.0,
+                       realized=sol.realized)
+
+
+def test_stars_equal_node_by_node_hash_alike_across_a_signed_zero_hub():
+    plus, minus = StarSpec(3, 1.0, (0.0, 0.5, 0.5, 0.1)), StarSpec(3, 1.0, (-0.0, 0.5, 0.5, 0.1))
+    assert math.copysign(1.0, minus.hub) == -1.0
+    assert plus == minus and hash(plus) == hash(minus)
 
 
 def test_build_arrowhead_uniform_star():

@@ -63,12 +63,14 @@ def test_retarget_is_involution(solved):
 
 def test_retarget_validation(solved):
     state = initial_routing(solved)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^source and new_target must differ$"):
         retarget(state, 1)  # the source
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^new_target must lie in 1\.\.4, got 0$"):
         retarget(state, 0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^new_target must lie in 1\.\.4, got 5$"):
         retarget(state, 5)
+    with pytest.raises(ValueError, match="^new_target must be an integer, got 2.0$"):
+        retarget(state, 2.0)
 
 
 def test_every_target_reachable():
