@@ -31,7 +31,8 @@ own route.  Requests beyond the envelope ``m <= 10**6``, ``eta <= 1 400 000``,
 
 The argument parser is built once, when this module is imported, so a
 caller that runs :func:`execute` many times in one process pays only for
-parsing and for the command.
+parsing and for the command.  Arguments that open with a subcommand's name
+are parsed once, by that subcommand's own parser.
 
 Exit codes: 0 success, 1 usage or file errors, 2 infeasible design requests.
 """
@@ -100,7 +101,9 @@ def _document(sol: model.DesignSolution, source: int, target: int,
               spec: model.StarSpec, root_choice: designer.RootChoice) -> dict:
     """:func:`design_document` with the star itself under ``potentials``,
     for :func:`render_design`; ``O(1)``.  The spectrum and lambda residuals
-    are the solution's own, computed here only if it carries none."""
+    are the solution's own: the designer's for a fresh design, the file's
+    for one read back.  Both are computed here only if it lacks one, as for
+    a file written without them."""
     params = sol.params
     spectrum_dev, lambda_dev = sol.spectrum_residual, sol.lambda_residual
     if spectrum_dev is None or lambda_dev is None:
@@ -233,19 +236,21 @@ def _float(value, name: str) -> float:
 
 
 def _field(doc: dict, name: str, kind, path: str | None = None) -> object:
-    """``doc[name]`` checked as ``kind``; ``path`` names a nested field in
-    the errors for a missing field and for a number too large for a float."""
+    """``doc[name]`` checked as ``kind``; every error names the field by
+    ``path`` (a nested field's, such as ``residuals.root``) or else by
+    ``name``."""
+    path = path or name
     if name not in doc:
-        raise ValueError(f"design file: missing field '{path or name}'")
+        raise ValueError(f"design file: missing field '{path}'")
     value = doc[name]
     if kind is float:
         if isinstance(value, bool) or not isinstance(value, (int, float)):
-            raise ValueError(f"design file: field '{name}' must be a number, got {value!r}")
-        return _float(value, path or name)
+            raise ValueError(f"design file: field '{path}' must be a number, got {value!r}")
+        return _float(value, path)
     if kind is int:
-        return model.check_int(value, f"design file: field '{name}'")
+        return model.check_int(value, f"design file: field '{path}'")
     if not isinstance(value, kind):
-        raise ValueError(f"design file: field '{name}' has the wrong type, got {value!r}")
+        raise ValueError(f"design file: field '{path}' has the wrong type, got {value!r}")
     return value
 
 
@@ -254,7 +259,10 @@ def parse_design_document(doc: dict) -> ParsedDesign:
 
     ``doc["potentials"]`` is the per-node list of a decoded file or, as for
     :func:`render_design`, a :class:`~spinstar.model.StarSpec`, whose
-    per-node potentials are taken with the document's ``coupling``.
+    per-node potentials are taken with the document's ``coupling``: the star
+    itself when its coupling is that one.  ``residuals.spectrum`` and
+    ``residuals.lambda``, where the file has them, are carried into the
+    solution, so a command that writes the design again writes them as read.
     """
     if not isinstance(doc, dict):
         raise ValueError("design file: top level must be a JSON object")
@@ -293,6 +301,9 @@ def parse_design_document(doc: dict) -> ParsedDesign:
         )
     residuals = _field(doc, "residuals", dict)
     root_residual = _field(residuals, "root", float, "residuals.root")
+    spectrum_residual, lambda_residual = (
+        _field(residuals, key, float, f"residuals.{key}") if key in residuals else None
+        for key in ("spectrum", "lambda"))
     source = _field(doc, "source", int)
     target = _field(doc, "target", int)
 
@@ -305,10 +316,12 @@ def parse_design_document(doc: dict) -> ParsedDesign:
             target_spectrum=spectrum,
             root_residual=root_residual,
             realized=model.routed_star(params),
+            spectrum_residual=spectrum_residual,
+            lambda_residual=lambda_residual,
         )
         if is_star:
-            spec = model.StarSpec.sparse(m + 2, coupling, potentials.hub,
-                                         potentials.background, potentials.exceptions)
+            spec = potentials if potentials.coupling == coupling else model.StarSpec.sparse(
+                m + 2, coupling, potentials.hub, potentials.background, potentials.exceptions)
         else:
             try:
                 spec = model.StarSpec(edge_count=m + 2, coupling=coupling, potentials=potentials)
@@ -579,15 +592,25 @@ def build_parser() -> argparse.ArgumentParser:
 # width is read when help is printed, and usage errors raise.
 _PARSER = build_parser()
 
+# Each subcommand's own parser, by name, as build_parser made it.
+_COMMANDS = next(action.choices for action in _PARSER._actions
+                 if isinstance(action, argparse._SubParsersAction))
+
 
 def execute(argv=None) -> int:
     """Run one invocation; returns the exit status instead of exiting.
 
-    Uses the parser built at import, so an in-process caller pays only for
-    parsing ``argv`` and for the command itself.
+    Uses the parsers built at import, so an in-process caller pays only for
+    parsing ``argv`` and for the command itself.  An ``argv`` that opens
+    with a subcommand's name is parsed once, by that subcommand's parser;
+    the top-level parser would only hand the rest to it.  Any other ``argv``
+    (``--help``, an unknown command, none) goes to the top-level parser, so
+    both give the same usage errors, help and exit codes.
     """
+    argv = sys.argv[1:] if argv is None else list(argv)
+    command = _COMMANDS.get(argv[0]) if argv else None
     try:
-        ns = _PARSER.parse_args(argv)
+        ns = command.parse_args(argv[1:]) if command else _PARSER.parse_args(argv)
     except _UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -253,7 +253,11 @@ def solve_e(m: int, eta: float) -> list[float]:
     Raises :class:`InfeasibleDesignError` (carrying the feasibility analysis)
     when no positive real root exists.
     """
-    poly = g_polynomial(m, eta)
+    return _solve(g_polynomial(m, eta), m, eta)
+
+
+def _solve(poly: GPolynomial, m: int, eta: float) -> list[float]:
+    """:func:`solve_e` on ``poly``, the design polynomial of ``(m, eta)``."""
     coeffs = [poly.x0, poly.x2, poly.x4, poly.x6]
     while len(coeffs) > 1 and coeffs[-1] == 0.0:
         coeffs.pop()
@@ -315,10 +319,14 @@ def back_solve(e: float, m: int, eta: float) -> tuple[float, float]:
     cubic, so an ``e`` that fails the root rule raises
     :class:`NoRealDesignError`.
     """
+    return _back_solve(g_polynomial(m, eta), e, m, eta)
+
+
+def _back_solve(poly: GPolynomial, e: float, m: int, eta: float) -> tuple[float, float]:
+    """:func:`back_solve` on ``poly``, the design polynomial of ``(m, eta)``."""
     e = float(e)
     if e == 0.0:
         raise ValueError("e must be nonzero")
-    poly = g_polynomial(m, eta)
     if not _is_root(poly, e * e):
         raise NoRealDesignError(
             f"e={e!r} is not a root of the design polynomial for m={m}, eta={eta} "
@@ -394,12 +402,13 @@ def design(request: DesignInput) -> DesignSolution:
     coupling units (``coupling = c = 1``).  The solve is a cubic plus a 4x4
     eigendecomposition; the realized star is stored as its hub, bystander
     and route values (:func:`~spinstar.model.routed_star`), so time and
-    memory are ``O(1)`` in ``m``.
+    memory are ``O(1)`` in ``m``.  The design polynomial is formed once and
+    serves the solve, the back-solve's root test and the root residual.
     """
     m, eta = request.m, request.eta
-    roots = solve_e(m, eta)
-    e = request.root_choice.select(roots)
-    a, d = back_solve(e, m, eta)
+    poly = g_polynomial(m, eta)
+    e = request.root_choice.select(_solve(poly, m, eta))
+    a, d = _back_solve(poly, e, m, eta)
     params = ReducedParams(a=a, b=math.sqrt(m), c=1.0, d=d, e=e, m=m)
     target = (0.0, e, eta * e, -eta * e)
     deviation, lambda_deviation = design_residuals(params, eta, target)
@@ -412,7 +421,7 @@ def design(request: DesignInput) -> DesignSolution:
         eta=eta,
         transfer_time=math.pi / e,
         target_spectrum=target,
-        root_residual=abs(g_polynomial(m, eta).evaluate(e)),
+        root_residual=abs(poly.evaluate(e)),
         realized=routed_star(params),
         spectrum_residual=deviation,
         lambda_residual=lambda_deviation,

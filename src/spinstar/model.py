@@ -330,9 +330,11 @@ class DesignSolution:
     """A solved transfer design plus the star network that realizes it.
 
     ``spectrum_residual`` and ``lambda_residual`` are the design's residuals
-    as :func:`~spinstar.designer.design_residuals` computes them, stored by
-    the designer; ``None`` where nobody computed them (a design read back
-    from a file).
+    as :func:`~spinstar.designer.design_residuals` computes them: stored by
+    the designer, or read back with the design from a file that holds them;
+    ``None`` where neither gave them.  Every residual given is a finite
+    number ``>= 0``.  Each tolerance test passes only when the deviation is
+    within the tolerance, so a NaN fails it.
     """
 
     params: ReducedParams
@@ -350,7 +352,7 @@ class DesignSolution:
         if e == 0.0:
             raise ValueError("params.e must be nonzero (transfer time is pi/e)")
         object.__setattr__(self, "transfer_time", float(self.transfer_time))
-        if abs(self.transfer_time - math.pi / e) > 1e-12 * abs(math.pi / e):
+        if not abs(self.transfer_time - math.pi / e) <= 1e-12 * abs(math.pi / e):
             raise ValueError("transfer_time must equal pi / params.e")
         spectrum = tuple(float(x) for x in self.target_spectrum)
         object.__setattr__(self, "target_spectrum", spectrum)
@@ -358,12 +360,16 @@ class DesignSolution:
             raise ValueError("target_spectrum must have four entries")
         expected = sorted((0.0, e, self.eta * e, -self.eta * e))
         scale = max(1.0, abs(self.eta * e))
-        if any(abs(x - y) > 1e-9 * scale for x, y in zip(sorted(spectrum), expected)):
+        if not all(abs(x - y) <= 1e-9 * scale for x, y in zip(sorted(spectrum), expected)):
             raise ValueError("target_spectrum must be {0, e, +eta*e, -eta*e}")
-        object.__setattr__(self, "root_residual", float(self.root_residual))
-        for name in ("spectrum_residual", "lambda_residual"):
-            if getattr(self, name) is not None:
-                object.__setattr__(self, name, float(getattr(self, name)))
+        for name in ("root_residual", "spectrum_residual", "lambda_residual"):
+            value = getattr(self, name)
+            if value is None and name != "root_residual":
+                continue
+            value = float(value)
+            if not 0.0 <= value < math.inf:
+                raise ValueError(f"{name} must be a finite number >= 0, got {value!r}")
+            object.__setattr__(self, name, value)
         # The canonical star passes by construction; anything else is checked.
         p = self.params
         if self.realized._parts() != (p.m + 2, p.c, p.a, p.d, ((1, p.e), (2, p.e))):
@@ -632,11 +638,11 @@ def exchange_operator(dimension: int, i: int, j: int) -> np.ndarray:
 
 def is_exchange_symmetric(h: np.ndarray, i: int, j: int, tol: float = POTENTIAL_MATCH_TOL) -> bool:
     """True iff conjugating ``h`` by the (i, j) swap changes no entry by more
-    than ``tol`` in max-norm."""
+    than ``tol`` in max-norm.  ``i`` and ``j`` are two different indices of
+    ``h`` (:func:`exchange_permutation`); anything else raises
+    ``ValueError`` naming them."""
     h = np.asarray(h, dtype=float)
     if h.ndim != 2 or h.shape[0] != h.shape[1]:
         raise ValueError("h must be a square matrix")
-    swapped = h.copy()
-    swapped[[i, j], :] = swapped[[j, i], :]
-    swapped[:, [i, j]] = swapped[:, [j, i]]
-    return bool(np.max(np.abs(swapped - h)) <= tol)
+    perm = exchange_permutation(h.shape[0], i, j)
+    return bool(np.max(np.abs(h[np.ix_(perm, perm)] - h)) <= tol)

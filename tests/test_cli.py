@@ -131,6 +131,39 @@ def test_build_parser_returns_a_fresh_parser():
     assert cli._PARSER not in (first, second)
 
 
+_PARSE_ARGVS = [[], ["--help"], ["bogus"], ["design"], ["design", "-h"],
+                ["design", "--bys", "2", "--eta", "4"], ["design", "--eta=4", "--bystanders", "2"],
+                ["verify", "--design", "x", "extra"], ["sweep", "--m-min", "x", "--m-max", "2"]]
+
+
+@pytest.mark.parametrize("argv", _PARSE_ARGVS, ids=lambda argv: " ".join(argv) or "no arguments")
+def test_a_subcommand_parser_parses_as_the_top_level_parser_does(argv, monkeypatch, capsys):
+    def handler(ns):
+        seen.append({k: v for k, v in vars(ns).items() if k != "command"})
+        return 0
+
+    def refuse(args=None, namespace=None):
+        raise AssertionError("the top-level parser parsed a subcommand's arguments")
+
+    def run(direct):
+        with monkeypatch.context() as patch:
+            for sub in cli._COMMANDS.values():
+                patch.setitem(sub._defaults, "handler", handler)
+            if not direct:  # every argv through _PARSER.parse_args, as before
+                patch.setattr(cli, "_COMMANDS", {})
+            elif argv and argv[0] in cli._COMMANDS:
+                patch.setattr(cli._PARSER, "parse_args", refuse)
+            code = execute(argv)
+        captured = capsys.readouterr()
+        return code, captured.out, captured.err
+
+    seen = []
+    direct = run(True)
+    assert direct == run(False)
+    # A parse that succeeds reaches the handler with the same namespace both ways.
+    assert len(seen) == 2 * (direct == (0, "", "")) and seen[:1] == seen[1:]
+
+
 def test_shared_parser_carries_nothing_from_one_call_to_the_next(tmp_path, monkeypatch, capsys):
     golden_design = str(GOLDEN / "design_m2_smallest.json")
 
@@ -240,7 +273,7 @@ def test_residuals_root_must_be_a_number(design_file, tmp_path, capsys, root):
     for argv in (["verify"], ["simulate", "--out", out], ["retarget", "--target", "3", "--out", out]):
         assert execute(argv + ["--design", str(design_file)]) == 1
         err = capsys.readouterr().err
-        assert err.startswith("error: design file: field 'root' must be a number")
+        assert err.startswith("error: design file: field 'residuals.root' must be a number")
         assert err.count("\n") == 1
 
 
@@ -380,7 +413,7 @@ def test_design_residuals_are_computed_once_per_design_and_never_on_read(tmp_pat
     path, moved = tmp_path / "design.json", tmp_path / "moved.json"
     runs = [(["design", "--bystanders", "7", "--eta", "10", "--out", str(path)], 1),
             (["design", "--bystanders", "7", "--eta", "10"], 1),
-            (["retarget", "--design", str(path), "--target", "5", "--out", str(moved)], 1),
+            (["retarget", "--design", str(path), "--target", "5", "--out", str(moved)], 0),
             (["verify", "--design", str(moved)], 0),
             (["simulate", "--design", str(moved), "--out", str(tmp_path / "t.csv")], 0),
             (["simulate", "--design", str(moved), "--full", "--out", str(tmp_path / "t.csv")], 0)]
@@ -643,6 +676,20 @@ _FILE_REFUSALS = {
                      "transfer_time must equal pi / params.e"),
     "spectrum off": (lambda doc: {**doc, "spectrum": [x * (1.0 + 1e-6) for x in doc["spectrum"]]},
                      "target_spectrum must be {0, e, +eta*e, -eta*e}"),
+    "NaN tau": (lambda doc: {**doc, "tau": math.nan}, "transfer_time must equal pi / params.e"),
+    "NaN in spectrum": (lambda doc: {**doc, "spectrum": doc["spectrum"][:3] + [math.nan]},
+                        "target_spectrum must be {0, e, +eta*e, -eta*e}"),
+    "NaN residuals.root": (lambda doc: {**doc, "residuals": {**doc["residuals"], "root": math.nan}},
+                           "root_residual must be a finite number >= 0, got nan"),
+    "infinite residuals.spectrum": (
+        lambda doc: {**doc, "residuals": {**doc["residuals"], "spectrum": math.inf}},
+        "spectrum_residual must be a finite number >= 0, got inf"),
+    "negative residuals.lambda": (
+        lambda doc: {**doc, "residuals": {**doc["residuals"], "lambda": -1e-300}},
+        "lambda_residual must be a finite number >= 0, got -1e-300"),
+    "string residuals.spectrum": (
+        lambda doc: {**doc, "residuals": {**doc["residuals"], "spectrum": "0"}},
+        "field 'residuals.spectrum' must be a number, got '0'"),
 }
 
 
@@ -1045,12 +1092,41 @@ def test_parse_design_document_takes_a_star_as_render_design_does(design_file):
     parsed = cli.parse_design_document(doc)
     star = model.StarSpec.sparse(4, 2.0, *parsed.spec._parts()[2:])  # coupling from the doc
     assert _bits(cli.parse_design_document({**doc, "potentials": star})) == _bits(parsed)
+    same = model.StarSpec.sparse(4, 1.0, *parsed.spec._parts()[2:])  # the doc's coupling: kept
+    assert cli.parse_design_document({**doc, "potentials": same}).spec is same
     bigger = model.StarSpec.sparse(5, 1.0, *parsed.spec._parts()[2:])
     with pytest.raises(ValueError) as from_list:
         cli.parse_design_document({**doc, "potentials": list(bigger.potentials)})
     with pytest.raises(ValueError, match="must hold m \\+ 3 = 5 entries, got 6") as from_star:
         cli.parse_design_document({**doc, "potentials": bigger})
     assert str(from_star.value) == str(from_list.value)
+
+
+def _residual_hexes(path):
+    return {key: value.hex() for key, value in json.loads(path.read_text())["residuals"].items()}
+
+
+@pytest.mark.parametrize("m", _SIZES)
+def test_retarget_copies_the_files_residuals_and_fills_in_missing_ones(written, m, tmp_path):
+    files, _ = written
+    # Residuals no design gives, so a recomputation would show.
+    doc = json.loads(files[m, "smallest"].read_text())
+    doc["residuals"] = {"root": 5e-324, "spectrum": 1.2345678901234567e-300, "lambda": 0.0}
+    odd = tmp_path / "odd.json"
+    odd.write_text(render_design(doc))
+    for path in (files[m, "smallest"], files[m, "largest"], odd):
+        moved = tmp_path / "moved.json"
+        assert execute(["retarget", "--design", str(path), "--target", "3",
+                        "--out", str(moved)]) == 0
+        assert _residual_hexes(moved) == _residual_hexes(path)
+    # A file without residuals.spectrum and residuals.lambda gets them computed.
+    zeros, moved = files[m, "zeros"], tmp_path / "zeros.json"
+    assert execute(["retarget", "--design", str(zeros), "--target", "3", "--out", str(moved)]) == 0
+    sol = cli.load_design_file(str(zeros)).solution
+    assert (sol.spectrum_residual, sol.lambda_residual) == (None, None)
+    spectrum, lam = designer.design_residuals(sol.params, sol.eta, sol.target_spectrum)
+    assert _residual_hexes(moved) == {"root": (0.0).hex(), "spectrum": spectrum.hex(),
+                                      "lambda": lam.hex()}
 
 
 def test_written_file_array_is_never_decoded(tmp_path, monkeypatch, capsys):

@@ -332,6 +332,11 @@ def test_is_exchange_symmetric_cases():
     assert is_exchange_symmetric(np.diag([2.0, 3.0, 3.0]), 1, 2, 0.0)
     with pytest.raises(ValueError):
         is_exchange_symmetric(np.zeros((2, 3)), 0, 1)
+    # Indices go through the one pair rule: no wrap-around, no float index.
+    h = np.diag([1.0, 2.0, 1.0])
+    for i, j, name in ((-1, 0, "i"), (5, 0, "i"), (0.0, 2, "i"), (0, 3, "j")):
+        with pytest.raises(ValueError, match=f"^{name} must"):
+            is_exchange_symmetric(h, i, j)
 
 
 # ---------------------------------------------------------------------------
