@@ -15,18 +15,22 @@ with the same arguments are byte-identical.  A trace is written in blocks
 of rows, each formatted by one ``%``, so its text is never held whole.
 
 A design file spells out all ``m + 3`` potentials, but no command holds a
-whole file that the commands wrote in memory.  Writing one streams blocks
-of about 64 KiB, a run of background entries being one block repeated: one
-``os.writev`` (POSIX) takes up to ``IOV_MAX`` copies of it.  Reading one
-decodes only its header and what follows the array.  The header names the
-star (``a`` at the hub, ``e`` at ``source`` and ``target``, ``d`` on every
-other edge), and the file is compared, block by block, with the rendering
-of that star.  Any other file is decoded whole by ``json.loads``, with the
-same result.  Writing and reading a file that the commands wrote take a few
-blocks of memory and at most one Python step per block.  Everything else a
-command does works on the star's hub, background and exceptions and is
-``O(1)`` in ``m``.  ``verify`` evolves the file's own star along the file's
-own route.  Requests beyond the envelope ``m <= 10**6``, ``eta <= 1 400 000``,
+whole file that the commands wrote in memory.  A command's document holds
+the star itself (:func:`design_document`), which :func:`render_design`
+spells out.  Writing a file streams blocks of about 64 KiB, a run of
+background entries being one block repeated: one ``os.writev`` (POSIX)
+takes up to ``IOV_MAX`` copies of it.  Reading one decodes only its header
+and what follows the array.  The header names the star (``a`` at the hub,
+``e`` at ``source`` and ``target``, ``d`` on every other edge), and the
+file is compared, block by block, with the rendering of that star.  Any
+other file is decoded whole by ``json.loads``, with the same result.
+Writing and reading a file that the commands wrote take a few blocks of
+memory and at most one Python step per block.  Everything else a command
+does works on the star's hub, background and exceptions and is ``O(1)`` in
+``m``, as ``tests/test_cli.py::test_every_command_is_constant_time_in_m``
+counts.  ``verify`` evolves the file's own star along the file's own route
+and checks the file's stored residuals and root choice against its design.
+Requests beyond the envelope ``m <= 10**6``, ``eta <= 1 400 000``,
 ``--steps <= 10**6`` are refused before any work that grows with them.
 
 The argument parser is built once, when this module is imported, so a
@@ -90,20 +94,12 @@ class ParsedDesign(switchboard.RoutingState):
 
 def design_document(sol: model.DesignSolution, source: int, target: int,
                     spec: model.StarSpec, root_choice: designer.RootChoice) -> dict:
-    """JSON-ready dictionary for a design routed source -> target with the
-    given realized potentials, spelled out node by node (``O(N)``)."""
-    doc = _document(sol, source, target, spec, root_choice)
-    doc["potentials"] = list(spec.potentials)
-    return doc
-
-
-def _document(sol: model.DesignSolution, source: int, target: int,
-              spec: model.StarSpec, root_choice: designer.RootChoice) -> dict:
-    """:func:`design_document` with the star itself under ``potentials``,
-    for :func:`render_design`; ``O(1)``.  The spectrum and lambda residuals
-    are the solution's own: the designer's for a fresh design, the file's
-    for one read back.  Both are computed here only if it lacks one, as for
-    a file written without them."""
+    """JSON-ready dictionary for a design routed source -> target, with the
+    realized star itself under ``potentials``; ``O(1)``.  :func:`render_design`
+    spells the star out node by node.  The spectrum and lambda residuals are
+    the solution's own: the designer's for a fresh design, the file's for one
+    read back.  Both are computed here only if it lacks one, as for a file
+    written without them."""
     params = sol.params
     spectrum_dev, lambda_dev = sol.spectrum_residual, sol.lambda_residual
     if spectrum_dev is None or lambda_dev is None:
@@ -157,20 +153,14 @@ def _blocks(doc: dict):
     ``O(len(exceptions))`` plus one step per pair.
     """
     star = doc["potentials"]
-    if isinstance(star, model.StarSpec):
-        count, hub, background, exceptions = (
-            star.edge_count + 1, star.hub, star.background, star.exceptions)
-    else:
-        count = len(star)
-        hub, background, exceptions = model.split_potentials(star)
     head, tail = json.dumps({**doc, "potentials": []}, indent=2).split(_KEY + "[]")
-    run = _SEP + float.__repr__(background)
+    run = _SEP + float.__repr__(star.background)
     copies = _BLOCK_BYTES // len(run)
-    buf = [head + _KEY + "[\n    " + float.__repr__(hub)]
+    buf = [head + _KEY + "[\n    " + float.__repr__(star.hub)]
     size, last = len(buf[0]), 0
     # each exception, then the end of the array, after the run that precedes it
-    for node, text in chain(((j, _SEP + float.__repr__(value)) for j, value in exceptions),
-                            ((count, "\n  ]" + tail + "\n"),)):
+    for node, text in chain(((j, _SEP + float.__repr__(value)) for j, value in star.exceptions),
+                            ((star.edge_count + 1, "\n  ]" + tail + "\n"),)):
         times, rest = divmod(node - last - 1, copies)
         if times or size >= _BLOCK_BYTES:
             yield "".join(buf).encode(), 1
@@ -184,12 +174,11 @@ def _blocks(doc: dict):
 
 
 def render_design(doc: dict) -> str:
-    """``json.dumps(doc, indent=2) + "\n"``, in time linear in the output
-    bytes and ``O(len(exceptions))`` in Python: the join of :func:`_blocks`.
-
-    ``doc["potentials"]`` is a :class:`~spinstar.model.StarSpec` (what the
-    commands write) or a non-empty list of finite floats, which is split into
-    the same hub, background and exceptions in one pass.
+    """The design file of ``doc``, whose ``potentials`` is a
+    :class:`~spinstar.model.StarSpec`, with the star spelled out node by
+    node: ``json.dumps(doc, indent=2) + "\n"`` once ``potentials`` is
+    ``list(star.potentials)``.  Time is linear in the output bytes and
+    ``O(len(exceptions))`` in Python: the join of :func:`_blocks`.
     """
     return b"".join(block * times for block, times in _blocks(doc)).decode()
 
@@ -458,7 +447,7 @@ def _cmd_design(ns) -> int:
     root_choice = designer.RootChoice.parse(ns.root)
     request = designer.DesignInput(m=ns.bystanders, eta=ns.eta, root_choice=root_choice)
     sol = designer.design(request)
-    doc = _document(sol, source=1, target=2, spec=sol.realized, root_choice=root_choice)
+    doc = design_document(sol, source=1, target=2, spec=sol.realized, root_choice=root_choice)
     _write_design(doc, ns.out)
     return 0
 
@@ -497,8 +486,27 @@ def _cmd_verify(ns) -> int:
     print(f"  phase deviation     : {report.phase_deviation:.6e}")
     print(f"  reduction deviation : {report.reduction_deviation:.6e}")
     print(f"  parity check        : {'ok' if report.parity_check else 'FAILED'}")
-    print(f"  result              : {'PASS' if report.passed else 'FAIL'}")
-    return 0 if report.passed else 1
+    passed = report.passed and _claims_hold(parsed, ns.tol)
+    print(f"  result              : {'PASS' if passed else 'FAIL'}")
+    return 0 if passed else 1
+
+
+def _claims_hold(parsed: ParsedDesign, tol: float) -> bool:
+    """Whether a design file's own claims hold: each stored residual lies
+    within ``tol`` of its value recomputed from the design, and ``e`` is the
+    root that the file's ``root_choice`` picks, within 1e-12 relative.  An
+    infeasible ``(m, eta)`` or a root index past the roots is a false claim;
+    ``O(1)``."""
+    sol, p = parsed.base, parsed.base.params
+    try:
+        e = parsed.root_choice.select(designer.solve_e(p.m, sol.eta))
+    except (ValueError, InfeasibleDesignError):
+        return False
+    actual = (abs(designer.g_polynomial(p.m, sol.eta).evaluate(p.e)),
+              *designer.design_residuals(p, sol.eta, sol.target_spectrum))
+    stored = (sol.root_residual, sol.spectrum_residual, sol.lambda_residual)
+    return abs(e - p.e) <= 1e-12 * e and all(
+        claim is None or abs(claim - value) <= tol for claim, value in zip(stored, actual))
 
 
 def _cmd_sweep(ns) -> int:
@@ -524,8 +532,8 @@ def _cmd_sweep(ns) -> int:
 def _cmd_retarget(ns) -> int:
     parsed = load_design_file(ns.design)
     moved = switchboard.retarget(parsed, ns.target)
-    doc = _document(moved.base, source=moved.source, target=moved.target,
-                    spec=moved.realized_spec, root_choice=parsed.root_choice)
+    doc = design_document(moved.base, source=moved.source, target=moved.target,
+                          spec=moved.realized_spec, root_choice=parsed.root_choice)
     _write_design(doc, ns.out)
     return 0
 

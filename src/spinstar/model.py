@@ -112,15 +112,13 @@ def split_potentials(potentials) -> tuple[float, float, tuple[tuple[int, float],
     is, yields at most two exceptions.  Up to 64 nodes the scan runs in
     Python (the first of edges 1, N and 2 that more than half the edges
     share); above, one compare and one scan of an array in C (the commonest
-    bit pattern of edges 1, 2, 3, N-1 and N).  Without edges the background
-    is the hub.
+    bit pattern of edges 1, 2, 3, N-1 and N).  A star has at least three
+    edges (:class:`StarSpec`).
     """
     count = len(potentials)
     if count <= _SCAN_IN_PYTHON:
         hub, *edges = potentials
-        if not edges:
-            return hub, hub, ()
-        for background in (edges[0], edges[-1], edges[1 % len(edges)]):
+        for background in (edges[0], edges[-1], edges[1]):
             if 2 * edges.count(background) > len(edges):
                 break
         return hub, background, tuple([(j, value) for j, value in enumerate(edges, 1)

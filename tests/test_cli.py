@@ -64,7 +64,7 @@ def test_design_round_trip_preserves_values(design_file):
     rebuilt = design_document(
         parsed.solution, parsed.source, parsed.target, parsed.spec, parsed.root_choice
     )
-    assert rebuilt == original
+    assert _spelled_out(rebuilt) == original
 
 
 def test_design_deterministic_bytes(tmp_path):
@@ -414,7 +414,8 @@ def test_design_residuals_are_computed_once_per_design_and_never_on_read(tmp_pat
     runs = [(["design", "--bystanders", "7", "--eta", "10", "--out", str(path)], 1),
             (["design", "--bystanders", "7", "--eta", "10"], 1),
             (["retarget", "--design", str(path), "--target", "5", "--out", str(moved)], 0),
-            (["verify", "--design", str(moved)], 0),
+            # the read computes none; verify's check of the file's claims, one
+            (["verify", "--design", str(moved)], 1),
             (["simulate", "--design", str(moved), "--out", str(tmp_path / "t.csv")], 0),
             (["simulate", "--design", str(moved), "--full", "--out", str(tmp_path / "t.csv")], 0)]
     for argv, count in runs:
@@ -448,6 +449,58 @@ def test_verify_detuned_but_consistent_design_fails(design_file, capsys):
     design_file.write_text(json.dumps(doc))
     assert execute(["verify", "--design", str(design_file)]) == 1
     assert "FAIL" in capsys.readouterr().out
+
+
+def _edited_m7(tmp_path, edit):
+    """A copy of the m = 7 golden design, whose e is the smaller of its two
+    roots, with ``edit`` applied to its document."""
+    doc = json.loads((GOLDEN / "design_m7_smallest.json").read_text())
+    edit(doc)
+    path = tmp_path / "claims.json"
+    path.write_text(json.dumps(doc, indent=2) + "\n")
+    return path
+
+
+def _infeasible(doc):
+    # eta = 2 has no root at m = 7; the rest stays consistent with it
+    e = doc["e"]
+    doc.update(eta=2, spectrum=[0.0, e, 2 * e, -2 * e])
+
+
+# Edits that make a claim of the file false, each a refusal: exit 1, FAIL.
+_FALSE_CLAIMS = {
+    "residuals": lambda doc: doc.update(residuals={"root": 0.5, "spectrum": 0.25, "lambda": 3.0}),
+    "root residual": lambda doc: doc["residuals"].update(root=1e-6),
+    "largest root": lambda doc: doc.update(root_choice="largest"),
+    "root index past the roots": lambda doc: doc.update(root_choice="index:2"),
+    "infeasible eta": _infeasible,
+}
+
+
+@pytest.mark.parametrize("case", _FALSE_CLAIMS)
+def test_verify_refuses_a_file_whose_claims_are_false(tmp_path, capsys, case):
+    assert execute(["verify", "--design", str(GOLDEN / "design_m7_smallest.json")]) == 0
+    passed = capsys.readouterr().out
+    assert execute(["verify", "--design", str(_edited_m7(tmp_path, _FALSE_CLAIMS[case]))]) == 1
+    out, err = capsys.readouterr()
+    assert err == ""
+    assert out.splitlines()[-1] == "  result              : FAIL"
+    if case != "infeasible eta":  # the dynamics are the file's, so is the report
+        assert out.splitlines()[:-1] == passed.splitlines()[:-1]
+
+
+def test_verify_compares_stored_residuals_within_tol(tmp_path, capsys):
+    def nudge(doc):
+        doc["residuals"]["spectrum"] += 5e-10
+    path = _edited_m7(tmp_path, nudge)
+    assert execute(["verify", "--design", str(path)]) == 0
+    assert execute(["verify", "--design", str(path), "--tol", "1e-10"]) == 1
+    # a file without the spectrum and lambda residuals has nothing to compare
+    path = _edited_m7(tmp_path, lambda doc: doc.update(residuals={"root": 0.0}))
+    assert execute(["verify", "--design", str(path)]) == 0
+    out = capsys.readouterr().out
+    assert [line.split()[-1] for line in out.splitlines() if "result" in line] == \
+        ["PASS", "FAIL", "PASS"]
 
 
 # ---------------------------------------------------------------------------
@@ -715,18 +768,32 @@ _EDGE_FLOATS = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e308, -1e3
                 1.7976931348623157e308, 0.1, -1.0 / 3.0]
 _FLOATS = st.one_of(st.sampled_from(_EDGE_FLOATS),
                     st.floats(allow_nan=False, allow_infinity=False))
+# A star has at least three edges, so at least four potentials.
 _RUNS = st.lists(st.tuples(_FLOATS, st.integers(1, 300)), min_size=1, max_size=8).map(
-    lambda runs: [x for x, count in runs for _ in range(count)])
-_ALL_DISTINCT = st.lists(_FLOATS, min_size=1, max_size=400, unique_by=float.hex)
+    lambda runs: [x for x, count in runs for _ in range(count)]).filter(lambda p: len(p) >= 4)
+_ALL_DISTINCT = st.lists(_FLOATS, min_size=4, max_size=400, unique_by=float.hex)
+
+
+def _spelled_out(doc):
+    """``doc`` with its star under ``potentials`` spelled out node by node,
+    as the reference encoder ``json.dumps`` takes it."""
+    return {**doc, "potentials": list(doc["potentials"].potentials)}
+
+
+def _star_document(doc):
+    """``doc`` (a decoded design file) with its per-node potentials as a
+    star, as ``render_design`` takes it."""
+    pots = doc["potentials"]
+    return {**doc, "potentials": model.StarSpec(len(pots) - 1, doc["coupling"], pots)}
 
 
 @settings(deadline=None)
-@given(potentials=st.one_of(_RUNS, _ALL_DISTINCT, st.lists(_FLOATS, min_size=1, max_size=50)))
+@given(potentials=st.one_of(_RUNS, _ALL_DISTINCT, st.lists(_FLOATS, min_size=4, max_size=50)))
 @example(potentials=[0.0, -0.0, 5e-324, 1e308, -1e308, -0.0] + [0.5] * 1000 + [0.0])
 def test_render_design_matches_reference_encoder(potentials):
     sol = design(DesignInput(m=2, eta=4))
     doc = {**design_document(sol, 1, 2, sol.realized, SMALLEST), "potentials": potentials}
-    assert render_design(doc) == json.dumps(doc, indent=2) + "\n"
+    assert render_design(_star_document(doc)) == json.dumps(doc, indent=2) + "\n"
 
 
 def test_load_design_file_decodes_floats_exactly(tmp_path, monkeypatch):
@@ -755,7 +822,7 @@ def test_retarget_round_trip_keeps_signed_zeros(design_file, tmp_path):
     parsed = cli.load_design_file(str(design_file))
     doc = design_document(parsed.solution, parsed.source, parsed.target, parsed.spec,
                           parsed.root_choice)  # residuals recomputed for d = 0
-    design_file.write_text(json.dumps(doc, indent=2) + "\n")
+    design_file.write_text(json.dumps(_spelled_out(doc), indent=2) + "\n")
     moved, back = tmp_path / "moved.json", tmp_path / "back.json"
     assert execute(["retarget", "--design", str(design_file), "--target", "4",
                     "--out", str(moved)]) == 0
@@ -774,7 +841,7 @@ def test_large_design_file_bytes_match_reference_encoder(tmp_path):
     assert execute(["design", "--bystanders", str(m), "--eta", str(eta), "--out", str(path)]) == 0
     sol = design(DesignInput(m=m, eta=eta))
     assert path.read_text() == json.dumps(
-        design_document(sol, 1, 2, sol.realized, SMALLEST), indent=2) + "\n"
+        _spelled_out(design_document(sol, 1, 2, sol.realized, SMALLEST)), indent=2) + "\n"
     assert execute(["retarget", "--design", str(path), "--target", "77777",
                     "--out", str(moved)]) == 0
     assert execute(["retarget", "--design", str(moved), "--target", "2",
@@ -1113,7 +1180,7 @@ def test_retarget_copies_the_files_residuals_and_fills_in_missing_ones(written, 
     doc = json.loads(files[m, "smallest"].read_text())
     doc["residuals"] = {"root": 5e-324, "spectrum": 1.2345678901234567e-300, "lambda": 0.0}
     odd = tmp_path / "odd.json"
-    odd.write_text(render_design(doc))
+    odd.write_text(render_design(_star_document(doc)))
     for path in (files[m, "smallest"], files[m, "largest"], odd):
         moved = tmp_path / "moved.json"
         assert execute(["retarget", "--design", str(path), "--target", "3",
@@ -1166,8 +1233,8 @@ def test_no_command_holds_a_whole_design_file_in_memory(tmp_path, capsys):
     exceptions = [(1, e), (2, e)] + [(node, d + node / 2**30)
                                      for node in range(50, m + 2, 100)]
     assert len({value for _, value in exceptions}) == len(exceptions) - 1
-    spread = cli._document(sol, 1, 2, model.StarSpec.sparse(m + 2, 1.0, a, d, exceptions),
-                           SMALLEST)
+    spread = design_document(sol, 1, 2, model.StarSpec.sparse(m + 2, 1.0, a, d, exceptions),
+                             SMALLEST)
     assert sum(1 for _ in cli._blocks(spread)) > 300
     runs = {
         "design": lambda: execute(["design", "--bystanders", str(m), "--eta", str(eta),
@@ -1202,8 +1269,8 @@ def test_background_runs_are_written_as_few_repeated_blocks():
     moved = switchboard.retarget(switchboard.initial_routing(sol), 777777)
     run = (",\n    " + repr(sol.params.d)).encode()
     for state, pairs in ((switchboard.initial_routing(sol), 3), (moved, 5)):
-        doc = cli._document(state.base, state.source, state.target, state.realized_spec,
-                            SMALLEST)
+        doc = design_document(state.base, state.source, state.target, state.realized_spec,
+                              SMALLEST)
         blocks = list(cli._blocks(doc))
         assert len(blocks) == pairs
         assert all(len(block) >= cli._BLOCK_BYTES - len(run)
@@ -1230,12 +1297,12 @@ def test_short_writes_still_give_the_rendered_bytes(tmp_path, monkeypatch):
     path, moved = tmp_path / "design.json", tmp_path / "moved.json"
     assert execute(["design", "--bystanders", str(m), "--eta", str(eta), "--out", str(path)]) == 0
     sol = design(DesignInput(m=m, eta=eta))
-    assert path.read_text() == render_design(cli._document(sol, 1, 2, sol.realized, SMALLEST))
+    assert path.read_text() == render_design(design_document(sol, 1, 2, sol.realized, SMALLEST))
     assert execute(["retarget", "--design", str(path), "--target", str(target),
                     "--out", str(moved)]) == 0
     state = switchboard.retarget(cli.load_design_file(str(path)), target)
     assert moved.read_text() == render_design(
-        cli._document(state.base, 1, target, state.realized_spec, SMALLEST))
+        design_document(state.base, 1, target, state.realized_spec, SMALLEST))
     # every call was cut short, and runs went out as many copies per call
     assert len(calls) > (path.stat().st_size + moved.stat().st_size) // 1000
     assert max(calls) > 1
@@ -1262,3 +1329,71 @@ def test_design_write_errors_are_one_error_line(tmp_path, capsys):
         assert execute(["design", "--bystanders", "2", "--eta", "4", "--out", str(out)]) == 1
         assert capsys.readouterr().err == f"error: {error}: {str(out)!r}\n"
     assert [p.name for p in tmp_path.rglob("*")] == ["dir"]
+
+
+# ---------------------------------------------------------------------------
+# every command is O(1) in m, by counting
+# ---------------------------------------------------------------------------
+
+def _counted(argv):
+    """``execute(argv)`` run twice: once under ``sys.setprofile``, counting
+    the calls into ``spinstar`` code (function entries and generator
+    resumes) and the C calls, once under ``tracemalloc`` for its peak."""
+    import sys
+    import tracemalloc
+
+    package = os.path.dirname(cli.__file__)
+    counts = [0, 0]
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code.co_filename.startswith(package):
+            counts[0] += 1
+        elif event == "c_call":
+            counts[1] += 1
+
+    sys.setprofile(profile)
+    try:
+        status = execute(argv)
+    finally:
+        sys.setprofile(None)
+    assert status == 0, argv
+    tracemalloc.start()
+    try:
+        assert execute(argv) == 0, argv
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return counts[0], counts[1], peak
+
+
+def test_every_command_is_constant_time_in_m(tmp_path, capsys):
+    design_path, moved, trace = (str(tmp_path / name) for name in ("d.json", "r.json", "t.csv"))
+    commands = {  # each command with the number of design files it reads or writes
+        "design": (["design", "--bystanders", "{m}", "--eta", "1299040", "--out", design_path], 1),
+        "retarget": (["retarget", "--design", design_path, "--target", "3", "--out", moved], 2),
+        "verify": (["verify", "--design", design_path], 1),
+        "simulate": (["simulate", "--design", design_path, "--steps", "100", "--out", trace], 1),
+        "simulate --full": (["simulate", "--design", design_path, "--steps", "100", "--full",
+                             "--out", trace], 1),
+    }
+    counts, blocks = {}, {}
+    for m in (10**4, 10**6):
+        argvs = {name: [str(m) if a == "{m}" else a for a in argv]
+                 for name, (argv, _) in commands.items()}
+        for argv in argvs.values():  # warm up
+            assert execute(argv) == 0
+        for name, argv in argvs.items():
+            counts[name, m] = _counted(argv)
+        blocks[m] = -(-os.path.getsize(design_path) // cli._BLOCK_BYTES)
+    capsys.readouterr()
+    assert blocks[10**6] > 300
+    for name, (_, files) in commands.items():
+        (calls, c_calls, peak), (calls6, c_calls6, peak6) = counts[name, 10**4], counts[name, 10**6]
+        assert calls6 == calls, name
+        # a read is two C calls per block (the read and its length); runs of
+        # identical blocks go out in a few os.writev calls
+        assert c_calls6 - c_calls <= 2 * files * (blocks[10**6] - blocks[10**4]), name
+        # The last run of background entries, m modulo the entries in one
+        # block, is held as text, joined, encoded and read back: up to four
+        # blocks that vary with m.  One float per node is 8 MB at m = 10**6.
+        assert abs(peak6 - peak) <= 4 * cli._BLOCK_BYTES + 8192, (name, peak, peak6)

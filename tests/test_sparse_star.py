@@ -191,11 +191,12 @@ def test_sparse_star_matches_per_node_references(star, route, picks):
     else:
         assert got == want
 
-    # the design file encoding, from the star and from a plain list
+    # the design file encoding, from the star and from its sparse rebuild,
+    # against the reference encoder of the plain list
     sol = design(DesignInput(m=2, eta=4))
     doc = {**design_document(sol, 1, 2, sol.realized, SMALLEST), "potentials": pots}
     reference = json.dumps(doc, indent=2) + "\n"
-    assert render_design(doc) == reference
+    assert render_design({**doc, "potentials": rebuilt}) == reference
     assert render_design({**doc, "potentials": spec}) == reference
     assert _render_design_by_unique(doc) == reference
 
