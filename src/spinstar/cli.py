@@ -103,7 +103,7 @@ def design_document(sol: model.DesignSolution, source: int, target: int,
     params = sol.params
     spectrum_dev, lambda_dev = sol.spectrum_residual, sol.lambda_residual
     if spectrum_dev is None or lambda_dev is None:
-        spectrum_dev, lambda_dev = designer.design_residuals(params, sol.eta, sol.target_spectrum)
+        _, spectrum_dev, lambda_dev = designer.design_residuals(params, sol.eta, sol.target_spectrum)
     return {
         "schema_version": SCHEMA_VERSION,
         "m": params.m,
@@ -148,8 +148,9 @@ def _blocks(doc: dict):
 
     The hub, the background and each exception are formatted once.  A run of
     background entries long enough to fill a block is one block of whole
-    entries with the number of times it repeats; everything else is gathered
-    into one buffer, yielded once it reaches ``_BLOCK_BYTES``.  Python work is
+    entries with the number of times it repeats, then the rest of the run as
+    a ``memoryview`` prefix of that block; everything else is gathered into
+    one buffer, yielded once it reaches ``_BLOCK_BYTES``.  Python work is
     ``O(len(exceptions))`` plus one step per pair.
     """
     star = doc["potentials"]
@@ -166,7 +167,10 @@ def _blocks(doc: dict):
             yield "".join(buf).encode(), 1
             buf, size = [], 0
         if times:
-            yield (run * copies).encode(), times
+            block = (run * copies).encode()
+            yield block, times
+            yield memoryview(block)[:len(run) * rest], 1
+            rest = 0
         buf += run * rest, text
         size += len(run) * rest + len(text)
         last = node
@@ -180,7 +184,7 @@ def render_design(doc: dict) -> str:
     ``list(star.potentials)``.  Time is linear in the output bytes and
     ``O(len(exceptions))`` in Python: the join of :func:`_blocks`.
     """
-    return b"".join(block * times for block, times in _blocks(doc)).decode()
+    return b"".join(bytes(block) * times for block, times in _blocks(doc)).decode()
 
 
 def _write_design(doc: dict, out: str | None) -> None:
@@ -196,7 +200,7 @@ def _write_design(doc: dict, out: str | None) -> None:
     blocks = _blocks(doc)
     if out is None:
         for block, times in blocks:
-            text = block.decode()
+            text = str(block, "ascii")
             for _ in range(times):
                 sys.stdout.write(text)
         return
@@ -373,8 +377,11 @@ def _read_rendered(fh, size: int) -> dict | None:
             sorted(((doc["source"], doc["e"]), (doc["target"], doc["e"]))))
         fh.seek(0)
         for block, times in _blocks(doc):
+            width = len(block)
             for _ in range(times):
-                if fh.read(len(block)) != block:
+                # A read returns at most width bytes, so this is ==, but by
+                # memcmp also for a memoryview, which == compares by item.
+                if not fh.read(width).startswith(block):
                     return None
         return doc if fh.tell() == size else None
     except (ValueError, TypeError, KeyError, OverflowError, RecursionError, OSError):
@@ -388,10 +395,13 @@ def load_design_file(path: str) -> ParsedDesign:
     the commands write for the design its header names is read by comparing
     it, block by block, with the rendering of that star
     (:func:`_read_rendered`): ``O(1)`` in Python and in memory, the rest
-    byte comparisons in C.  Every other file, even one that differs from
-    that rendering only in the bits of an item, is read whole and decoded
-    by ``json.loads``, so both reads give the same :class:`ParsedDesign`
-    and every error comes from the full decode.
+    byte comparisons in C, as ``verify`` and ``retarget`` in
+    ``tests/test_cli.py::test_every_command_is_constant_time_in_m`` count,
+    and ``tests/test_cli.py::test_written_file_array_is_never_decoded``
+    checks that only the header is decoded.  Every other file, even one
+    that differs from that rendering only in the bits of an item, is read
+    whole and decoded by ``json.loads``, so both reads give the same
+    :class:`ParsedDesign` and every error comes from the full decode.
     """
     try:
         with open(path, "rb", buffering=0) as fh:
@@ -502,8 +512,7 @@ def _claims_hold(parsed: ParsedDesign, tol: float) -> bool:
         e = parsed.root_choice.select(designer.solve_e(p.m, sol.eta))
     except (ValueError, InfeasibleDesignError):
         return False
-    actual = (abs(designer.g_polynomial(p.m, sol.eta).evaluate(p.e)),
-              *designer.design_residuals(p, sol.eta, sol.target_spectrum))
+    actual = designer.design_residuals(p, sol.eta, sol.target_spectrum)
     stored = (sol.root_residual, sol.spectrum_residual, sol.lambda_residual)
     return abs(e - p.e) <= 1e-12 * e and all(
         claim is None or abs(claim - value) <= tol for claim, value in zip(stored, actual))

@@ -8,8 +8,10 @@ untouched, which is exactly a perfect source-to-target swap.
 
 Everything is measured in units of the hub-edge coupling (``c = 1``), which
 also fixes ``b = sqrt(m)``.  The problem collapses to a single cubic in
-``e**2``, so the work to solve it does not grow with network size.  The
-same elimination leaves the bystander and hub potentials in closed form,
+``e**2``, so the work to solve it does not grow with network size
+(``tests/test_cli.py::test_every_command_is_constant_time_in_m`` counts the
+calls of a design at m = 10**4 and 10**6).  The same elimination leaves
+the bystander and hub potentials in closed form,
 ``d = e + (1 - eta**2) e**3 / 2`` and ``a = -e - d``.  One relative rule
 decides what counts as a root: ``|g(u)| <= ROOT_RESIDUAL_TOL * sum |terms|``
 over the four terms of the cubic in ``u = e**2``.
@@ -199,17 +201,19 @@ def lambda_coefficients(a: float, b: float, c: float, d: float, e: float) -> tup
     return (l0, l1, l2)
 
 
-def design_residuals(params: ReducedParams, eta: int, target_spectrum) -> tuple[float, float]:
-    """Spectrum and lambda residuals of a design.
+def design_residuals(params: ReducedParams, eta: int, target_spectrum) -> tuple[float, float, float]:
+    """Root, spectrum and lambda residuals of a design.
 
-    The spectrum residual is the largest deviation of the four-level
-    eigenvalues from ``target_spectrum``; the lambda residual the largest
-    deviation of :func:`lambda_coefficients` from ``(0, eta**2, 0)``.
+    The root residual is ``|g(e)|``, the design polynomial of ``(m, eta)``
+    at ``params.e``; the spectrum residual the largest deviation of the
+    four-level eigenvalues from ``target_spectrum``; the lambda residual the
+    largest deviation of :func:`lambda_coefficients` from ``(0, eta**2, 0)``.
     """
+    root = abs(g_polynomial(params.m, eta).evaluate(params.e))
     evals = np.linalg.eigvalsh(reduced_matrix(params)).tolist()
     spectrum = max(abs(x - y) for x, y in zip(evals, sorted(map(float, target_spectrum))))
     l0, l1, l2 = lambda_coefficients(params.a, params.b, params.c, params.d, params.e)
-    return spectrum, float(max(abs(l0), abs(l1 - eta**2), abs(l2)))
+    return root, spectrum, float(max(abs(l0), abs(l1 - eta**2), abs(l2)))
 
 
 def _float_or_inf(n: int) -> float:
@@ -253,11 +257,7 @@ def solve_e(m: int, eta: float) -> list[float]:
     Raises :class:`InfeasibleDesignError` (carrying the feasibility analysis)
     when no positive real root exists.
     """
-    return _solve(g_polynomial(m, eta), m, eta)
-
-
-def _solve(poly: GPolynomial, m: int, eta: float) -> list[float]:
-    """:func:`solve_e` on ``poly``, the design polynomial of ``(m, eta)``."""
+    poly = g_polynomial(m, eta)
     coeffs = [poly.x0, poly.x2, poly.x4, poly.x6]
     while len(coeffs) > 1 and coeffs[-1] == 0.0:
         coeffs.pop()
@@ -319,11 +319,7 @@ def back_solve(e: float, m: int, eta: float) -> tuple[float, float]:
     cubic, so an ``e`` that fails the root rule raises
     :class:`NoRealDesignError`.
     """
-    return _back_solve(g_polynomial(m, eta), e, m, eta)
-
-
-def _back_solve(poly: GPolynomial, e: float, m: int, eta: float) -> tuple[float, float]:
-    """:func:`back_solve` on ``poly``, the design polynomial of ``(m, eta)``."""
+    poly = g_polynomial(m, eta)
     e = float(e)
     if e == 0.0:
         raise ValueError("e must be nonzero")
@@ -384,7 +380,9 @@ def min_feasible_even_eta(m: int) -> int:
     threshold in ``(r - 2/3, r + 2]`` with ``r = floor((3 sqrt(3) / 4) m)``,
     computed exactly as ``isqrt(27 m**2 // 16)``.  So a walk up in steps of
     2 from the even number at or below ``r`` makes at most two exact tests:
-    constant time at any ``m``.
+    constant time at any ``m``, as
+    ``tests/test_designer.py::test_min_feasible_even_eta_takes_at_most_two_feasibility_tests``
+    counts.
     """
     m = check_int(m, "m", lo=1)
     r = math.isqrt(27 * m * m // 16)
@@ -402,16 +400,16 @@ def design(request: DesignInput) -> DesignSolution:
     coupling units (``coupling = c = 1``).  The solve is a cubic plus a 4x4
     eigendecomposition; the realized star is stored as its hub, bystander
     and route values (:func:`~spinstar.model.routed_star`), so time and
-    memory are ``O(1)`` in ``m``.  The design polynomial is formed once and
-    serves the solve, the back-solve's root test and the root residual.
+    memory are ``O(1)`` in ``m``, as
+    ``tests/test_sparse_star.py::test_design_and_retarget_run_in_constant_memory``
+    and ``tests/test_cli.py::test_every_command_is_constant_time_in_m`` check.
     """
     m, eta = request.m, request.eta
-    poly = g_polynomial(m, eta)
-    e = request.root_choice.select(_solve(poly, m, eta))
-    a, d = _back_solve(poly, e, m, eta)
+    e = request.root_choice.select(solve_e(m, eta))
+    a, d = back_solve(e, m, eta)
     params = ReducedParams(a=a, b=math.sqrt(m), c=1.0, d=d, e=e, m=m)
     target = (0.0, e, eta * e, -eta * e)
-    deviation, lambda_deviation = design_residuals(params, eta, target)
+    root, deviation, lambda_deviation = design_residuals(params, eta, target)
     if deviation > SPECTRUM_TOL * max(1.0, abs(eta * e)):
         raise NoRealDesignError(
             f"design for m={m}, eta={eta} misses its spectrum by {deviation!r}"
@@ -421,7 +419,7 @@ def design(request: DesignInput) -> DesignSolution:
         eta=eta,
         transfer_time=math.pi / e,
         target_spectrum=target,
-        root_residual=abs(poly.evaluate(e)),
+        root_residual=root,
         realized=routed_star(params),
         spectrum_residual=deviation,
         lambda_residual=lambda_deviation,

@@ -144,7 +144,9 @@ class StarSpec:
     except the nodes listed in ``exceptions``, sorted ``(node, value)`` pairs
     whose values differ from the background bit for bit.  A designed or
     retargeted star has at most two exceptions, so it costs ``O(1)`` memory
-    and everything built from it runs in ``O(1)`` whatever ``N``.
+    and everything built from it runs in ``O(1)`` whatever ``N``
+    (``tests/test_sparse_star.py::test_design_and_retarget_run_in_constant_memory``
+    and ``tests/test_cli.py::test_every_command_is_constant_time_in_m``).
     ``edge_count >= 3`` because routing needs a source, a target and at least
     one bystander.
 

@@ -62,7 +62,7 @@ def test_design_round_trip_preserves_values(design_file):
     original = json.loads(design_file.read_text())
     parsed = load_design_file(str(design_file))
     rebuilt = design_document(
-        parsed.solution, parsed.source, parsed.target, parsed.spec, parsed.root_choice
+        parsed.base, parsed.source, parsed.target, parsed.realized_spec, parsed.root_choice
     )
     assert _spelled_out(rebuilt) == original
 
@@ -820,7 +820,7 @@ def test_retarget_round_trip_keeps_signed_zeros(design_file, tmp_path):
     doc["potentials"][3:] = [0.0, -0.0]
     design_file.write_text(json.dumps(doc))
     parsed = cli.load_design_file(str(design_file))
-    doc = design_document(parsed.solution, parsed.source, parsed.target, parsed.spec,
+    doc = design_document(parsed.base, parsed.source, parsed.target, parsed.realized_spec,
                           parsed.root_choice)  # residuals recomputed for d = 0
     design_file.write_text(json.dumps(_spelled_out(doc), indent=2) + "\n")
     moved, back = tmp_path / "moved.json", tmp_path / "back.json"
@@ -991,7 +991,7 @@ def _bits(parsed):
     differ.  Equal parts mean equal per-node potentials, bit for bit."""
     def hexes(*values):
         return tuple(x.hex() if isinstance(x, float) else x for x in values)
-    spec, sol = parsed.spec, parsed.solution
+    spec, sol = parsed.realized_spec, parsed.base
     p = sol.params
     return (hexes(spec.edge_count, spec.coupling, spec.hub, spec.background),
             tuple(hexes(*pair) for pair in spec.exceptions),
@@ -1157,11 +1157,12 @@ def test_unreadable_design_path_is_one_error_line(tmp_path, capsys):
 def test_parse_design_document_takes_a_star_as_render_design_does(design_file):
     doc = json.loads(design_file.read_text())
     parsed = cli.parse_design_document(doc)
-    star = model.StarSpec.sparse(4, 2.0, *parsed.spec._parts()[2:])  # coupling from the doc
+    parts = parsed.realized_spec._parts()[2:]
+    star = model.StarSpec.sparse(4, 2.0, *parts)  # coupling from the doc
     assert _bits(cli.parse_design_document({**doc, "potentials": star})) == _bits(parsed)
-    same = model.StarSpec.sparse(4, 1.0, *parsed.spec._parts()[2:])  # the doc's coupling: kept
-    assert cli.parse_design_document({**doc, "potentials": same}).spec is same
-    bigger = model.StarSpec.sparse(5, 1.0, *parsed.spec._parts()[2:])
+    same = model.StarSpec.sparse(4, 1.0, *parts)  # the doc's coupling: kept
+    assert cli.parse_design_document({**doc, "potentials": same}).realized_spec is same
+    bigger = model.StarSpec.sparse(5, 1.0, *parts)
     with pytest.raises(ValueError) as from_list:
         cli.parse_design_document({**doc, "potentials": list(bigger.potentials)})
     with pytest.raises(ValueError, match="must hold m \\+ 3 = 5 entries, got 6") as from_star:
@@ -1189,9 +1190,9 @@ def test_retarget_copies_the_files_residuals_and_fills_in_missing_ones(written, 
     # A file without residuals.spectrum and residuals.lambda gets them computed.
     zeros, moved = files[m, "zeros"], tmp_path / "zeros.json"
     assert execute(["retarget", "--design", str(zeros), "--target", "3", "--out", str(moved)]) == 0
-    sol = cli.load_design_file(str(zeros)).solution
+    sol = cli.load_design_file(str(zeros)).base
     assert (sol.spectrum_residual, sol.lambda_residual) == (None, None)
-    spectrum, lam = designer.design_residuals(sol.params, sol.eta, sol.target_spectrum)
+    _, spectrum, lam = designer.design_residuals(sol.params, sol.eta, sol.target_spectrum)
     assert _residual_hexes(moved) == {"root": (0.0).hex(), "spectrum": spectrum.hex(),
                                       "lambda": lam.hex()}
 
@@ -1262,13 +1263,14 @@ def test_no_command_holds_a_whole_design_file_in_memory(tmp_path, capsys):
 
 def test_background_runs_are_written_as_few_repeated_blocks():
     # A design at m = 10**6 is the header with the hub and the route, one run
-    # of a block repeated, and the rest; its retarget to 777777 splits the run
-    # in two.  Each repeated block holds as many whole entries as fit.
+    # of a block repeated, the run's remainder as a prefix of that block, and
+    # the rest; its retarget to 777777 splits the run in two.  Each repeated
+    # block holds as many whole entries as fit.
     m, eta = 10**6, 1_299_040
     sol = design(DesignInput(m=m, eta=eta))
     moved = switchboard.retarget(switchboard.initial_routing(sol), 777777)
     run = (",\n    " + repr(sol.params.d)).encode()
-    for state, pairs in ((switchboard.initial_routing(sol), 3), (moved, 5)):
+    for state, pairs in ((switchboard.initial_routing(sol), 4), (moved, 7)):
         doc = design_document(state.base, state.source, state.target, state.realized_spec,
                               SMALLEST)
         blocks = list(cli._blocks(doc))
@@ -1394,6 +1396,6 @@ def test_every_command_is_constant_time_in_m(tmp_path, capsys):
         # identical blocks go out in a few os.writev calls
         assert c_calls6 - c_calls <= 2 * files * (blocks[10**6] - blocks[10**4]), name
         # The last run of background entries, m modulo the entries in one
-        # block, is held as text, joined, encoded and read back: up to four
-        # blocks that vary with m.  One float per node is 8 MB at m = 10**6.
-        assert abs(peak6 - peak) <= 4 * cli._BLOCK_BYTES + 8192, (name, peak, peak6)
+        # block, is written and compared as a view of the repeated block, so
+        # no buffer grows with m.  One float per node is 8 MB at m = 10**6.
+        assert abs(peak6 - peak) <= 8192, (name, peak, peak6)

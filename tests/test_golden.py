@@ -3,13 +3,18 @@
 
 Each step runs one ``spinstar`` command; ``{out}`` in its arguments is the
 step's output file, and ``{name}`` names the output of an earlier step.  A
-step without ``{out}`` records its standard output.  To regenerate the files
-after a deliberate output change, run ``python tests/test_golden.py``.
+step without ``{out}`` records its standard output.  The outputs of the
+largest supported design, about 20 MB a file, are pinned by their SHA-256
+digests in ``m1000000.sha256`` (``sha256sum`` format) instead.  To
+regenerate the files after a deliberate output change, run
+``python tests/test_golden.py``.
 """
 
 import contextlib
+import hashlib
 import io
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
@@ -17,6 +22,7 @@ import pytest
 from spinstar.cli import execute
 
 GOLDEN = Path(__file__).parent / "data" / "golden"
+DIGESTS = GOLDEN / "m1000000.sha256"
 
 STEPS = [
     *[
@@ -41,22 +47,46 @@ STEPS = [
 ]
 
 
-def run_steps(workdir: Path) -> dict[str, bytes]:
-    """Run every step in ``workdir``; returns each output's bytes by name."""
-    paths = {name: str(workdir / name) for name, _ in STEPS}
-    outputs = {}
-    for name, argv in STEPS:
-        writes = "{out}" in argv
-        args = [paths[name if a == "{out}" else a[1:-1]] if a[:1] == "{" else a for a in argv]
+def _largest_steps(root: str) -> list:
+    """Design m = 10**6 at its smallest feasible eta with ``root``, move its
+    target to 777777, then verify and simulate the moved file."""
+    design, moved = f"design_m1000000_{root}.json", f"m1000000_{root}_to777777"
+    return [
+        (design, ["design", "--bystanders", "1000000", "--eta", "1299040", "--root", root,
+                  "--out", "{out}"]),
+        (f"retarget_{moved}.json",
+         ["retarget", "--design", f"{{{design}}}", "--target", "777777", "--out", "{out}"]),
+        (f"verify_{moved}.txt", ["verify", "--design", f"{{retarget_{moved}.json}}"]),
+        (f"simulate_{moved}.csv",
+         ["simulate", "--design", f"{{retarget_{moved}.json}}", "--steps", "100",
+          "--out", "{out}"]),
+        (f"simulate_{moved}_full.csv",
+         ["simulate", "--design", f"{{retarget_{moved}.json}}", "--steps", "100", "--full",
+          "--out", "{out}"]),
+    ]
+
+
+DIGEST_STEPS = _largest_steps("smallest") + _largest_steps("largest")
+
+
+def run_steps(workdir: Path, steps: list = STEPS) -> dict[str, Path]:
+    """Run ``steps`` in ``workdir``; returns each output's path by name."""
+    paths = {name: workdir / name for name, _ in steps}
+    for name, argv in steps:
+        args = [str(paths[name if a == "{out}" else a[1:-1]]) if a[:1] == "{" else a
+                for a in argv]
         stdout = io.StringIO()
         with contextlib.redirect_stdout(stdout):
             assert execute(args) == 0, name
-        if writes:
-            outputs[name] = Path(paths[name]).read_bytes()
-        else:
-            Path(paths[name]).write_text(stdout.getvalue())
-            outputs[name] = stdout.getvalue().encode()
-    return outputs
+        if "{out}" not in argv:
+            paths[name].write_bytes(stdout.getvalue().encode())
+    return paths
+
+
+def sha256sum(paths: dict[str, Path]) -> str:
+    """``sha256sum``'s output for the files ``paths``, under their names."""
+    return "".join(f"{hashlib.sha256(path.read_bytes()).hexdigest()}  {name}\n"
+                   for name, path in paths.items())
 
 
 @pytest.fixture(scope="module")
@@ -66,11 +96,16 @@ def outputs(tmp_path_factory):
 
 @pytest.mark.parametrize("name", [name for name, _ in STEPS])
 def test_cli_output_matches_golden_bytes(outputs, name):
-    assert outputs[name] == (GOLDEN / name).read_bytes()
+    assert outputs[name].read_bytes() == (GOLDEN / name).read_bytes()
+
+
+def test_largest_design_outputs_match_golden_digests(tmp_path):
+    assert sha256sum(run_steps(tmp_path, DIGEST_STEPS)) == DIGESTS.read_text()
 
 
 if __name__ == "__main__":
     GOLDEN.mkdir(parents=True, exist_ok=True)
-    for name, data in run_steps(GOLDEN).items():
-        (GOLDEN / name).write_bytes(data)
-    sys.stdout.write(f"wrote {len(STEPS)} files to {GOLDEN}\n")
+    run_steps(GOLDEN)
+    with tempfile.TemporaryDirectory() as workdir:
+        DIGESTS.write_text(sha256sum(run_steps(Path(workdir), DIGEST_STEPS)))
+    sys.stdout.write(f"wrote {len(STEPS)} files and {DIGESTS.name} to {GOLDEN}\n")
