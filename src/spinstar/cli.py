@@ -17,13 +17,18 @@ of rows, each formatted by one ``%``, so its text is never held whole.
 A design file spells out all ``m + 3`` potentials, but no command holds a
 whole file that the commands wrote in memory.  A command's document holds
 the star itself (:func:`design_document`), which :func:`render_design`
-spells out.  Writing a file streams blocks of about 64 KiB, a run of
-background entries being one block repeated: one ``os.writev`` (POSIX)
-takes up to ``IOV_MAX`` copies of it.  Reading one decodes only its header
-and what follows the array.  The header names the star (``a`` at the hub,
-``e`` at ``source`` and ``target``, ``d`` on every other edge), and the
-file is compared, block by block, with the rendering of that star.  Any
-other file is decoded whole by ``json.loads``, with the same result.
+spells out.  The text before and after the array is one ``%`` each over
+formats that ``json.dumps(indent=2)`` built at import, one per layout a
+schema-1 file has (residuals ``root``, ``spectrum`` and ``lambda``, as the
+commands write, or ``root`` alone), so no command runs the JSON encoder.
+Writing a file streams blocks of about 64 KiB, a run of background entries
+being one block repeated: one ``os.writev`` (POSIX) takes up to 32 copies
+of it.  Reading a file of at least 2304 bytes whose header has one of those
+layouts decodes only its header and what follows the array.  The header
+names the star (``a`` at the hub, ``e`` at ``source`` and ``target``,
+``d`` on every other edge), and the file is compared, block by block, with
+the rendering of that star.  Any other file is decoded whole by
+``json.loads``, with the same result.
 Writing and reading a file that the commands wrote take a few blocks of
 memory and at most one Python step per block.  Everything else a command
 does works on the star's hub, background and exceptions and is ``O(1)`` in
@@ -99,11 +104,18 @@ def design_document(sol: model.DesignSolution, source: int, target: int,
     spells the star out node by node.  The spectrum and lambda residuals are
     the solution's own: the designer's for a fresh design, the file's for one
     read back.  Both are computed here only if it lacks one, as for a file
-    written without them."""
+    written without them; one that cannot be computed or is not finite, so
+    that no file could hold it, is refused with ``ValueError``."""
     params = sol.params
     spectrum_dev, lambda_dev = sol.spectrum_residual, sol.lambda_residual
     if spectrum_dev is None or lambda_dev is None:
-        _, spectrum_dev, lambda_dev = designer.design_residuals(params, sol.eta, sol.target_spectrum)
+        try:
+            _, spectrum_dev, lambda_dev = designer.design_residuals(params, sol.eta, sol.target_spectrum)
+        except ArithmeticError as exc:  # e**3 leaves the float range in lambda_coefficients
+            raise ValueError(f"design file: residuals.lambda cannot be computed: {exc}") from exc
+        for name, value in (("spectrum", spectrum_dev), ("lambda", lambda_dev)):
+            if not math.isfinite(value):
+                raise ValueError(f"design file: residuals.{name} is {value!r}, not a finite number")
     return {
         "schema_version": SCHEMA_VERSION,
         "m": params.m,
@@ -133,12 +145,35 @@ _KEY = '\n  "potentials": '
 _SEP = ",\n    "
 
 
+def _layout(residuals: tuple) -> tuple[tuple, tuple[str, str]]:
+    """The layout of a design file whose residuals have the keys
+    ``residuals``: its keys followed by those, and its text before and after
+    the potentials' entries as two ``%`` formats.  The formats are what
+    ``json.dumps(indent=2)`` writes for :func:`design_document`'s keys in
+    its order, with ``%r`` in place of each number and ``"%s"`` for
+    ``root_choice``."""
+    doc = dict.fromkeys(("schema_version", "m", "eta", "root_choice", "source", "target", "a",
+                         "b", "c", "d", "e", "tau", "spectrum", "coupling", "potentials",
+                         "residuals"), "%r")
+    doc.update(root_choice="%s", spectrum=["%r"] * 4, potentials=[],
+               residuals=dict.fromkeys(residuals, "%r"))
+    head, tail = json.dumps(doc, indent=2).replace('"%r"', "%r").split(_KEY + "[]")
+    return (*doc, *residuals), (head + _KEY + "[\n    ", "\n  ]" + tail + "\n")
+
+
+# Each layout a schema-1 file has: what the commands write, and files written
+# before the spectrum and lambda residuals were stored.
+_LAYOUTS = dict(map(_layout, (("root", "spectrum", "lambda"), ("root",))))
+
+
 # Design files are written, and compared when read, in blocks of about this
 # many bytes, so no command holds a whole design file in memory.
 _BLOCK_BYTES = 65536
 
-# Buffers one os.writev takes (POSIX guarantees at least 16).
-_IOV_MAX = max(16, os.sysconf("SC_IOV_MAX"))
+# Buffers one os.writev takes: at most the system's limit (POSIX guarantees
+# at least 16), and few enough that the call's own array of them, about
+# 100 bytes each, stays small beside one block.
+_IOV_MAX = min(32, max(16, os.sysconf("SC_IOV_MAX")))
 
 
 def _blocks(doc: dict):
@@ -146,28 +181,33 @@ def _blocks(doc: dict):
     ``(block, times)`` pairs; the blocks, each repeated ``times`` times,
     concatenate to ``render_design(doc).encode()``.
 
-    The hub, the background and each exception are formatted once.  A run of
-    background entries long enough to fill a block is one block of whole
-    entries with the number of times it repeats, then the rest of the run as
-    a ``memoryview`` prefix of that block; everything else is gathered into
-    one buffer, yielded once it reaches ``_BLOCK_BYTES``.  Python work is
-    ``O(len(exceptions))`` plus one step per pair.
+    The text before and after the potentials' entries is one ``%`` each
+    over the format of ``doc``'s layout (``_LAYOUTS``); a document of any
+    other layout, or whose spectrum is not four values, raises ``KeyError``
+    or ``TypeError``.  The hub, the background and each exception are
+    formatted once.  A run of background entries long enough to fill a
+    block is one block of whole entries with the number of times it
+    repeats, then the rest of the run as a ``memoryview`` prefix of that
+    block; everything else is gathered into one buffer, yielded once it
+    reaches ``_BLOCK_BYTES``.  Python work is ``O(len(exceptions))`` plus
+    one step per pair.
     """
-    star = doc["potentials"]
-    head, tail = json.dumps({**doc, "potentials": []}, indent=2).split(_KEY + "[]")
+    star, residuals = doc["potentials"], doc["residuals"]
+    head, tail = _LAYOUTS[(*doc, *residuals)]
+    *fields, spectrum, coupling, _, _ = doc.values()
     run = _SEP + float.__repr__(star.background)
     copies = _BLOCK_BYTES // len(run)
-    buf = [head + _KEY + "[\n    " + float.__repr__(star.hub)]
+    buf = [head % (*fields, *spectrum, coupling) + float.__repr__(star.hub)]
     size, last = len(buf[0]), 0
     # each exception, then the end of the array, after the run that precedes it
     for node, text in chain(((j, _SEP + float.__repr__(value)) for j, value in star.exceptions),
-                            ((star.edge_count + 1, "\n  ]" + tail + "\n"),)):
+                            ((star.edge_count + 1, tail % tuple(residuals.values())),)):
         times, rest = divmod(node - last - 1, copies)
         if times or size >= _BLOCK_BYTES:
             yield "".join(buf).encode(), 1
             buf, size = [], 0
         if times:
-            block = (run * copies).encode()
+            block = run.encode() * copies
             yield block, times
             yield memoryview(block)[:len(run) * rest], 1
             rest = 0
@@ -181,8 +221,10 @@ def render_design(doc: dict) -> str:
     """The design file of ``doc``, whose ``potentials`` is a
     :class:`~spinstar.model.StarSpec`, with the star spelled out node by
     node: ``json.dumps(doc, indent=2) + "\n"`` once ``potentials`` is
-    ``list(star.potentials)``.  Time is linear in the output bytes and
-    ``O(len(exceptions))`` in Python: the join of :func:`_blocks`.
+    ``list(star.potentials)``, for a ``doc`` of one of the layouts in
+    ``_LAYOUTS``, whose text around the array is one ``%`` each.  Time is
+    linear in the output bytes and ``O(len(exceptions))`` in Python: the
+    join of :func:`_blocks`.
     """
     return b"".join(bytes(block) * times for block, times in _blocks(doc)).decode()
 
@@ -336,11 +378,13 @@ class _FloatMemo(dict):
         return value
 
 
-# Files shorter than this are decoded whole: below it, re-rendering the
-# header (``json.dumps(indent=2)`` runs in Python) costs more than decoding
-# the array.  Timed through load_design_file, both reads cost the same near
-# m = 300 (8 KB), and the byte comparison wins from about m = 400.
-_FAST_READ_MIN_BYTES = 8192
+# Files shorter than this are decoded whole: below it, decoding the array
+# costs less than the fast read's fixed cost (a header decode, one ``%`` per
+# part of it and a few reads).  Timed through load_design_file, medians of
+# 11 interleaved runs, both reads cost the same near m = 70 (2.3 KB): the
+# fast read about 80 us at any m, the whole decode 63 us at m = 1 and 116 us
+# at m = 300.
+_FAST_READ_MIN_BYTES = 2304
 
 
 # A file is first read this far; its header lies inside.
@@ -358,8 +402,11 @@ def _read_rendered(fh, size: int) -> dict | None:
     Only the header and what follows the array are decoded.  They name the
     star: ``a`` at the hub, ``e`` at ``source`` and ``target``, ``d`` on
     every other edge.  The file is then compared with :func:`_blocks` of
-    that document, one read per block.  A file that matches is the
-    rendering of this document, so ``json.loads`` would give the same one.
+    that document, one read per block; a document of no layout in
+    ``_LAYOUTS`` (other keys or key order, a spectrum that is not four
+    values) makes :func:`_blocks` raise, and gives ``None``.  A file that
+    matches is the ``%`` rendering of the document decoded from its own
+    header, so ``json.loads`` of the whole file gives that same document.
     """
     head = fh.read(_HEAD_BYTES)
     start = head.find((_KEY + "[\n").encode())
@@ -496,23 +543,24 @@ def _cmd_verify(ns) -> int:
     print(f"  phase deviation     : {report.phase_deviation:.6e}")
     print(f"  reduction deviation : {report.reduction_deviation:.6e}")
     print(f"  parity check        : {'ok' if report.parity_check else 'FAILED'}")
-    passed = report.passed and _claims_hold(parsed, ns.tol)
+    passed = report.passed and _claims_hold(parsed, ns.tol, report.eigenvalues)
     print(f"  result              : {'PASS' if passed else 'FAIL'}")
     return 0 if passed else 1
 
 
-def _claims_hold(parsed: ParsedDesign, tol: float) -> bool:
+def _claims_hold(parsed: ParsedDesign, tol: float, evals) -> bool:
     """Whether a design file's own claims hold: each stored residual lies
-    within ``tol`` of its value recomputed from the design, and ``e`` is the
-    root that the file's ``root_choice`` picks, within 1e-12 relative.  An
-    infeasible ``(m, eta)`` or a root index past the roots is a false claim;
-    ``O(1)``."""
+    within ``tol`` of its value recomputed from the design and its
+    four-level eigenvalues ``evals`` (ascending), and ``e`` is the root that
+    the file's ``root_choice`` picks, within 1e-12 relative.  An infeasible
+    ``(m, eta)``, a root index past the roots or residuals that cannot be
+    computed (``e**3`` beyond the float range) is a false claim; ``O(1)``."""
     sol, p = parsed.base, parsed.base.params
     try:
         e = parsed.root_choice.select(designer.solve_e(p.m, sol.eta))
-    except (ValueError, InfeasibleDesignError):
+        actual = designer.design_residuals(p, sol.eta, sol.target_spectrum, evals)
+    except (ValueError, ArithmeticError, InfeasibleDesignError):
         return False
-    actual = designer.design_residuals(p, sol.eta, sol.target_spectrum)
     stored = (sol.root_residual, sol.spectrum_residual, sol.lambda_residual)
     return abs(e - p.e) <= 1e-12 * e and all(
         claim is None or abs(claim - value) <= tol for claim, value in zip(stored, actual))

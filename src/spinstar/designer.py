@@ -201,16 +201,20 @@ def lambda_coefficients(a: float, b: float, c: float, d: float, e: float) -> tup
     return (l0, l1, l2)
 
 
-def design_residuals(params: ReducedParams, eta: int, target_spectrum) -> tuple[float, float, float]:
+def design_residuals(params: ReducedParams, eta: int, target_spectrum,
+                     evals=None) -> tuple[float, float, float]:
     """Root, spectrum and lambda residuals of a design.
 
     The root residual is ``|g(e)|``, the design polynomial of ``(m, eta)``
     at ``params.e``; the spectrum residual the largest deviation of the
     four-level eigenvalues from ``target_spectrum``; the lambda residual the
     largest deviation of :func:`lambda_coefficients` from ``(0, eta**2, 0)``.
+    ``evals`` are the four-level eigenvalues in ascending order where a
+    caller has them already, as ``dynamics.verify_design`` does; otherwise
+    they are computed here.
     """
     root = abs(g_polynomial(params.m, eta).evaluate(params.e))
-    evals = np.linalg.eigvalsh(reduced_matrix(params)).tolist()
+    evals = np.linalg.eigvalsh(reduced_matrix(params)).tolist() if evals is None else evals
     spectrum = max(abs(x - y) for x, y in zip(evals, sorted(map(float, target_spectrum))))
     l0, l1, l2 = lambda_coefficients(params.a, params.b, params.c, params.d, params.e)
     return root, spectrum, float(max(abs(l0), abs(l1 - eta**2), abs(l2)))

@@ -205,7 +205,8 @@ class VerificationReport:
     fidelities; ``phase_deviation`` is the distance of the four-level transfer
     amplitude from exactly +1; ``reduction_deviation`` the gap between the
     reduced and full amplitudes.  ``passed`` iff every deviation is within
-    ``tolerance`` and the parity pattern is right.
+    ``tolerance`` and the parity pattern is right.  ``eigenvalues`` are the
+    four-level eigenvalues, ascending, that the spectrum was checked on.
     """
 
     spectrum_deviation: float
@@ -215,6 +216,7 @@ class VerificationReport:
     parity_check: bool
     passed: bool
     tolerance: float
+    eigenvalues: tuple[float, float, float, float]
 
 
 def propagate(h, t: float) -> np.ndarray:
@@ -377,4 +379,5 @@ def verify_design(sol: DesignSolution, tol: float = DEFAULT_VERIFY_TOL,
         parity_check=parity_check,
         passed=passed,
         tolerance=tol,
+        eigenvalues=tuple(cache4.eigenvalues.tolist()),
     )

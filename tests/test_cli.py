@@ -427,6 +427,17 @@ def test_design_residuals_are_computed_once_per_design_and_never_on_read(tmp_pat
     assert moved.read_bytes() == (GOLDEN / "retarget_m7_to5.json").read_bytes()
 
 
+def test_verify_solves_the_four_level_matrix_once(tmp_path, monkeypatch, capsys):
+    shapes = []
+    for name in ("eigh", "eigvalsh"):
+        monkeypatch.setattr(np.linalg, name, lambda h, *args, _solve=getattr(np.linalg, name):
+                            shapes.append(np.shape(h)) or _solve(h, *args))
+    # m = 7: the full star's eigensolves are at most 3x3, none 4x4
+    assert execute(["verify", "--design", str(GOLDEN / "retarget_m7_to5.json")]) == 0
+    assert capsys.readouterr().out == (GOLDEN / "verify_m7_to5.txt").read_text()
+    assert shapes.count((4, 4)) == 1, shapes
+
+
 def test_a_parsed_design_is_a_routing_state(design_file):
     parsed = cli.load_design_file(str(design_file))
     assert isinstance(parsed, switchboard.RoutingState)
@@ -796,6 +807,29 @@ def test_render_design_matches_reference_encoder(potentials):
     assert render_design(_star_document(doc)) == json.dumps(doc, indent=2) + "\n"
 
 
+_HEADER_FLOATS = st.one_of(st.sampled_from([0.0, -0.0, 5e-324, 1e-05, 1e16, 1e22]),
+                           st.floats(allow_nan=False, allow_infinity=False))
+
+
+@settings(deadline=None)
+@given(data=st.data(), m=st.integers(1, 10**6), eta=st.integers(1, 700_000).map(lambda k: 2 * k),
+       root=st.one_of(st.sampled_from(["smallest", "largest"]),
+                      st.integers(0, 2).map("index:{}".format)),
+       residuals=st.sampled_from([("root", "spectrum", "lambda"), ("root",)]))
+def test_render_design_header_matches_reference_encoder(data, m, eta, root, residuals):
+    def number():
+        return data.draw(_HEADER_FLOATS)
+    ends = data.draw(st.lists(st.integers(1, m + 2), min_size=2, max_size=2))
+    doc = {"schema_version": 1, "m": m, "eta": eta, "root_choice": root,
+           "source": ends[0], "target": ends[1], "a": number(), "b": number(), "c": number(),
+           "d": number(), "e": number(), "tau": number(),
+           "spectrum": [number() for _ in range(4)], "coupling": number(),
+           "potentials": model.StarSpec.sparse(5, 1.0, number(), number(),
+                                               ((1, number()), (2, number()))),
+           "residuals": {key: number() for key in residuals}}
+    assert render_design(doc) == json.dumps(_spelled_out(doc), indent=2) + "\n"
+
+
 def test_load_design_file_decodes_floats_exactly(tmp_path, monkeypatch):
     rng = np.random.default_rng(11)
     values = rng.integers(-(2**63), 2**63 - 1, size=2000, dtype=np.int64).view(float).tolist()
@@ -812,6 +846,26 @@ def test_load_design_file_decodes_floats_exactly(tmp_path, monkeypatch):
     assert [type(x) for x in decoded] == [type(x) for x in reference]
     assert [x.hex() if isinstance(x, float) else x for x in decoded] == \
         [x.hex() if isinstance(x, float) else x for x in reference]
+
+
+@pytest.mark.parametrize("e", [1e-105, 1e-110, 1e105])
+def test_retarget_refuses_residuals_that_could_not_be_read_back(tmp_path, capsys, e):
+    # A file without the spectrum and lambda residuals, whose lambda residual
+    # is infinite (e = 1e-105) or whose e**3 leaves the float range.
+    doc = json.loads((GOLDEN / "design_m7_smallest.json").read_text())
+    eta = doc["eta"]
+    doc.update(e=e, tau=math.pi / e, spectrum=[0.0, e, eta * e, -eta * e], residuals={"root": 0.0})
+    doc["potentials"][1:3] = [e, e]
+    path, out = tmp_path / "tiny.json", tmp_path / "out.json"
+    path.write_text(json.dumps(doc, indent=2))
+    assert execute(["retarget", "--design", str(path), "--target", "5", "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.count("\n") == 1
+    assert captured.err.startswith("error: design file: residuals.lambda "), captured.err
+    assert not out.exists()
+    # verify at a tolerance every check passes: the claims fail, no traceback
+    assert execute(["verify", "--design", str(path), "--tol", "100"]) == 1
+    assert capsys.readouterr().out.endswith("result              : FAIL\n")
 
 
 def test_retarget_round_trip_keeps_signed_zeros(design_file, tmp_path):
@@ -955,10 +1009,11 @@ def test_writing_a_trace_holds_one_block(design_file, tmp_path, monkeypatch):
 # reading written files without decoding the array
 # ---------------------------------------------------------------------------
 
-# m = 300 and 320 give files on either side of _FAST_READ_MIN_BYTES (8 KiB);
+# m = 60 and 80 give files on either side of _FAST_READ_MIN_BYTES (2304 B),
+# m = 300 and 320 files of about 8 KB;
 # m = 2700 with the smallest root and m = 2800 files on either side of one
 # 64 KiB block.
-_SIZES = (300, 320, 2700, 2800, 100_000)
+_SIZES = (60, 80, 300, 320, 2700, 2800, 100_000)
 _BASES = [(m, kind) for m in _SIZES for kind in ("smallest", "largest", "zeros")]
 
 
@@ -1126,6 +1181,64 @@ def test_mutated_files_read_as_the_full_decode_reads_them(written, kind, base, n
     assert _read_rendered(path) is None
     fast, slow = _outcomes(path)
     assert fast == slow
+
+
+@pytest.mark.parametrize("m", [80, 2800])
+@pytest.mark.parametrize("edit", ["residuals root and spectrum", "tau moved first",
+                                  "extra key", "three-number spectrum"])
+def test_headers_of_no_layout_are_decoded_whole(written, m, edit, tmp_path):
+    files, _ = written
+    doc = json.loads(files[m, "smallest"].read_text())
+    if edit == "residuals root and spectrum":
+        del doc["residuals"]["lambda"]
+    elif edit == "tau moved first":
+        doc = {"tau": doc.pop("tau"), **doc}
+    elif edit == "extra key":
+        doc["note"] = "kept"
+    else:
+        doc["spectrum"] = doc["spectrum"][:3]
+    path = tmp_path / "edited.json"
+    path.write_text(json.dumps(doc, indent=2) + "\n")
+    assert _read_rendered(path) is None
+    fast, slow = _outcomes(path)
+    assert fast == slow
+
+
+def test_no_command_runs_the_json_encoder(written, tmp_path, monkeypatch, capsys):
+    files, _ = written
+
+    def commands():
+        """Each command on files that design writes at m = 7 and 10**4 and
+        on zeros files, with what it printed and wrote."""
+        outcomes = []
+        def run(*argv):
+            out = tmp_path / "out"
+            out.unlink(missing_ok=True)
+            status = execute([a.replace("{out}", str(out)) for a in argv])
+            outcomes.append((argv, status, capsys.readouterr(),
+                             out.read_bytes() if out.exists() else None))
+        paths = [files[60, "zeros"], files[2800, "zeros"]]
+        for m in (7, 10**4):
+            eta = str(min_feasible_even_eta(m))
+            run("design", "--bystanders", str(m), "--eta", eta)
+            paths.append(tmp_path / f"design_{m}.json")
+            assert execute(["design", "--bystanders", str(m), "--eta", eta,
+                            "--out", str(paths[-1])]) == 0
+        for path in map(str, paths):
+            run("retarget", "--design", path, "--target", "3", "--out", "{out}")
+            run("verify", "--design", path)
+            run("simulate", "--design", path, "--steps", "50", "--out", "{out}")
+            run("simulate", "--design", path, "--steps", "50", "--full", "--out", "{out}")
+        return outcomes
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the JSON encoder ran")
+    with monkeypatch.context() as patch:
+        patch.setattr(json, "dumps", refuse)
+        patch.setattr(json.encoder, "_make_iterencode", refuse)
+        without = commands()
+    assert without == commands()
+    assert all(outcome[2].err == "" for outcome in without)
 
 
 @pytest.mark.parametrize("m", _SIZES)
