@@ -553,13 +553,14 @@ def _claims_hold(parsed: ParsedDesign, tol: float, evals) -> bool:
     within ``tol`` of its value recomputed from the design and its
     four-level eigenvalues ``evals`` (ascending), and ``e`` is the root that
     the file's ``root_choice`` picks, within 1e-12 relative.  An infeasible
-    ``(m, eta)``, a root index past the roots or residuals that cannot be
-    computed (``e**3`` beyond the float range) is a false claim; ``O(1)``."""
+    ``(m, eta)``, roots that cannot be resolved, a root index past the roots
+    or residuals that cannot be computed (``e**3`` beyond the float range) is
+    a false claim: any package error is; ``O(1)``."""
     sol, p = parsed.base, parsed.base.params
     try:
         e = parsed.root_choice.select(designer.solve_e(p.m, sol.eta))
         actual = designer.design_residuals(p, sol.eta, sol.target_spectrum, evals)
-    except (ValueError, ArithmeticError, InfeasibleDesignError):
+    except (ValueError, ArithmeticError, SpinStarError):
         return False
     stored = (sol.root_residual, sol.spectrum_residual, sol.lambda_residual)
     return abs(e - p.e) <= 1e-12 * e and all(

@@ -13,8 +13,9 @@ also fixes ``b = sqrt(m)``.  The problem collapses to a single cubic in
 calls of a design at m = 10**4 and 10**6).  The same elimination leaves
 the bystander and hub potentials in closed form,
 ``d = e + (1 - eta**2) e**3 / 2`` and ``a = -e - d``.  One relative rule
-decides what counts as a root: ``|g(u)| <= ROOT_RESIDUAL_TOL * sum |terms|``
-over the four terms of the cubic in ``u = e**2``.
+decides what counts as a root, ``|g(u)| <= ROOT_RESIDUAL_TOL * sum |terms|``
+over the four terms of the cubic in ``u = e**2``: it guards the polished
+roots of :func:`solve_e` and the ``e`` given to :func:`back_solve`.
 
 For ``eta > 1`` the substitution ``u = 2 (w + 1) / (eta**2 - 1)`` turns the
 cubic into ``2 / (eta**2 - 1)`` times the depressed cubic
@@ -23,7 +24,9 @@ negative root, and it lies below ``w = -1`` (the value there is positive),
 so it gives ``u < 0``; two positive roots exist exactly when the
 discriminant is positive: ``16 eta**6 > 27 m**2 (eta**2 - 1)**2``
 (equality would make ``sqrt(3)`` rational).  That test, in integers and
-exact for any finite ``eta``, is the only feasibility rule.
+exact for any finite ``eta``, is the only feasibility rule: :func:`solve_e`
+returns both roots whenever it holds, or raises that they cannot be resolved
+in floating point.
 """
 
 from __future__ import annotations
@@ -250,60 +253,53 @@ def g_polynomial(m: int, eta: float) -> GPolynomial:
 
 
 def solve_e(m: int, eta: float) -> list[float]:
-    """All positive real roots of the design polynomial, ascending.
+    """The two positive roots of the design polynomial, ascending.
 
-    Substituting ``u = e**2`` turns the polynomial into a cubic, solved via
-    its 3x3 companion matrix and then polished with a few Newton steps.  A
-    candidate is kept when it passes the module's root rule,
-    ``|g(e)| <= ROOT_RESIDUAL_TOL * sum |terms|``: the coefficients grow like
-    ``eta**4``, so only a test relative to the terms is scale-free.
+    The exact discriminant test decides whether they exist.  If it holds,
+    the cubic in ``u = e**2`` has one negative root and two positive ones:
+    the two eigenvalues of its 3x3 companion matrix with the largest real
+    parts, each polished with a few Newton steps.  Beyond the envelope the
+    two can round to the same double.
 
-    Raises :class:`InfeasibleDesignError` (carrying the feasibility analysis)
-    when no positive real root exists.
+    Raises ``ValueError`` from :func:`g_polynomial` for an ``m`` or ``eta``
+    beyond the float range; :class:`InfeasibleDesignError` (carrying the
+    feasibility analysis) when the test fails; and
+    :class:`NoRealDesignError` when a polished root is not positive or fails
+    the module's root rule, ``|g(e)| <= ROOT_RESIDUAL_TOL * sum |terms|``:
+    the roots exist but cannot be resolved in floating point.
     """
     poly = g_polynomial(m, eta)
-    coeffs = [poly.x0, poly.x2, poly.x4, poly.x6]
-    while len(coeffs) > 1 and coeffs[-1] == 0.0:
-        coeffs.pop()
-    roots: list[float] = []
-    if len(coeffs) > 1:
-        for z in _companion_roots(coeffs):
-            if abs(z.imag) > 1e-8 * max(1.0, abs(z)):
-                continue
-            u = float(z.real)
-            if u <= 0.0:
-                continue
-            for _ in range(3):
-                slope = poly.derivative_u(u)
-                if slope == 0.0:
-                    break
-                u -= poly.evaluate_u(u) / slope
-            if u <= 0.0:
-                continue
-            e = math.sqrt(u)
-            if _is_root(poly, e * e):
-                roots.append(e)
-    roots.sort()
-    # Newton can pull two companion estimates of the same root together.
-    deduped: list[float] = []
-    for e in roots:
-        if not deduped or e - deduped[-1] > 1e-12 * max(1.0, e):
-            deduped.append(e)
-    if not deduped:
+    if not _feasible(check_int(m, "m", lo=1), eta):
         report = feasibility(m, eta)
         raise InfeasibleDesignError(
             f"no admissible root for m={m}, eta={eta}: the design polynomial "
             f"stays positive (minimum {report.g_min!r})",
             report,
         )
-    return deduped
+    roots = []
+    for z in _companion_roots([poly.x0, poly.x2, poly.x4, poly.x6])[1:]:
+        u = z.real
+        for _ in range(3):
+            slope = poly.derivative_u(u)
+            if slope == 0.0:
+                break
+            u -= poly.evaluate_u(u) / slope
+        e = math.sqrt(max(u, 0.0))
+        if not (e > 0.0 and _is_root(poly, e * e)):
+            raise NoRealDesignError(
+                f"the roots of the design polynomial for m={m}, eta={eta} cannot be "
+                f"resolved in floating point (residual {poly.evaluate_u(u)!r} at u={u!r})"
+            )
+        roots.append(e)
+    return sorted(roots)
 
 
 def _companion_roots(coeffs: list[float]) -> list:
-    """Roots of ``sum coeffs[i] x**i`` (nonzero leading coefficient), ascending,
-    as Python numbers: the eigenvalues of the companion matrix, exactly as
-    numpy's ``polyroots`` computes them, without its series bookkeeping (a
-    third of its time)."""
+    """Roots of ``sum coeffs[i] x**i`` (nonzero leading coefficient, as the
+    design cubic's is for ``eta > 1``), ascending by real part, as Python
+    numbers: the eigenvalues of the companion matrix, exactly as numpy's
+    ``polyroots`` computes them, without its series bookkeeping (a third of
+    its time)."""
     *rest, lead = coeffs
     n = len(rest)
     companion = [[1.0 if j == i - 1 else 0.0 for j in range(n - 1)] + [0.0 - rest[i] / lead]

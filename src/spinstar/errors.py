@@ -24,7 +24,9 @@ class EnvelopeError(SpinStarError):
 
 
 class NoRealDesignError(SpinStarError):
-    """The hub/bystander potentials implied by a candidate root are not real."""
+    """No real design follows in floating point: the design cubic's roots
+    exist but cannot be resolved, a candidate ``e`` is not a root, or the
+    designed matrix misses its spectrum."""
 
 
 class InfeasibleDesignError(SpinStarError):

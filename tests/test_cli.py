@@ -15,8 +15,8 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from spinstar import (SMALLEST, DesignInput, cli, design, designer, dynamics,
-                      min_feasible_even_eta, model, switchboard)
+from spinstar import (SMALLEST, DesignInput, NoRealDesignError, cli, design, designer,
+                      dynamics, min_feasible_even_eta, model, switchboard)
 from spinstar.cli import design_document, execute, render_design
 
 E_SMALL = 2.0 / math.sqrt(15.0)
@@ -498,6 +498,22 @@ def test_verify_refuses_a_file_whose_claims_are_false(tmp_path, capsys, case):
     assert out.splitlines()[-1] == "  result              : FAIL"
     if case != "infeasible eta":  # the dynamics are the file's, so is the report
         assert out.splitlines()[:-1] == passed.splitlines()[:-1]
+
+
+def test_verify_reports_roots_that_cannot_be_resolved_as_a_false_claim(monkeypatch, capsys):
+    # A root solve that raises is one full report ending in FAIL, not half a
+    # report and an error line.
+    path = str(GOLDEN / "design_m7_smallest.json")
+    assert execute(["verify", "--design", path]) == 0
+    passed = capsys.readouterr().out
+
+    def unresolved(m, eta):
+        raise NoRealDesignError(f"the roots for m={m}, eta={eta} cannot be resolved")
+    monkeypatch.setattr(designer, "solve_e", unresolved)
+    assert execute(["verify", "--design", path]) == 1
+    out, err = capsys.readouterr()
+    assert err == ""
+    assert out.splitlines() == passed.splitlines()[:-1] + ["  result              : FAIL"]
 
 
 def test_verify_compares_stored_residuals_within_tol(tmp_path, capsys):

@@ -409,6 +409,53 @@ def test_feasibility_is_exact_at_huge_m():
     assert feasibility(m, eta).feasible and not feasibility(m, eta - 2).feasible
 
 
+_ETAS = {
+    "near the threshold": lambda t, k, x: t + k,
+    "far above the threshold": lambda t, k, x: t * (2 + abs(k)) ** 6,
+    "at most 1": lambda t, k, x: 1.0 - 11.0 * x,
+    "negative": lambda t, k, x: -t - abs(k),
+    "non-integer": lambda t, k, x: t * (0.5 + 2.0 * x),
+}
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.integers(1, 10**18), st.sampled_from(sorted(_ETAS)), st.integers(-8, 8),
+       st.floats(0.0, 1.0, exclude_max=True))
+def test_solve_e_is_infeasible_exactly_when_the_discriminant_says_so(m, where, k, x):
+    # Up to m = 10**18: two ascending roots that pass the root rule whenever
+    # the exact test says they exist, or a typed error that they cannot be
+    # resolved; InfeasibleDesignError exactly when the test fails.
+    eta = _ETAS[where](min_feasible_even_eta(m), k, x)
+    if not designer._feasible(m, eta):
+        with pytest.raises(InfeasibleDesignError):
+            solve_e(m, eta)
+        return
+    try:
+        roots = solve_e(m, eta)
+    except NoRealDesignError:
+        return
+    poly = g_polynomial(m, eta)
+    assert len(roots) == 2 and 0.0 < roots[0] <= roots[1]
+    assert all(designer._is_root(poly, e * e) for e in roots)
+
+
+def test_solve_e_follows_the_discriminant_in_named_cases():
+    # Companion estimates once passed the root rule below the threshold...
+    with pytest.raises(InfeasibleDesignError):
+        solve_e(2, -4)
+    # ...and a numpy integer m overflows the exact test unless checked first.
+    with pytest.raises(InfeasibleDesignError):
+        solve_e(np.int64(10**6), 1_299_038)
+    # Two roots a relative 1e-8 apart are both returned.
+    low, high = solve_e(10**15, 1_299_038_105_676_658)
+    assert low < high
+    # Feasible, but the roots cannot be resolved in floating point.
+    m, eta = 172_652_621_799_022_464, 224_282_334_761_910_626
+    assert feasibility(m, eta).feasible
+    with pytest.raises(NoRealDesignError, match="cannot be resolved in floating point"):
+        solve_e(m, eta)
+
+
 def test_g_polynomial_refuses_an_m_beyond_the_float_range():
     with pytest.raises(ValueError, match="^m of 1329 bits"):
         g_polynomial(10**400, 4)
@@ -422,9 +469,11 @@ def test_an_eta_beyond_the_float_range_is_one_value_error():
             for call in (g_polynomial, solve_e, lambda m, eta: back_solve(1e-39, m, eta)):
                 with pytest.raises(ValueError, match="^eta="):
                     call(1, eta)
-    # Just below, the polynomial is formed and its small root found.
-    assert solve_e(1, 1e76) == [1.4142135623730952e-38]
-    assert solve_e(1, 1e77) == [4.4721359549995795e-39]
+    # Just below, the polynomial is formed and both of its roots found.
+    for eta, roots in ((1e76, [1.7320508075688773e-76, 1.4142135623730952e-38]),
+                       (1e77, [1.7320508075688773e-77, 4.4721359549995795e-39])):
+        assert solve_e(1, eta) == roots
+        assert all(designer._is_root(g_polynomial(1, eta), e * e) for e in roots)
     # feasibility keeps the g_min it reported before.
     assert math.isnan(feasibility(1, 1e78).g_min)
     assert math.isnan(feasibility(1, 1e200).g_min)

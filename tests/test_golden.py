@@ -5,9 +5,10 @@ Each step runs one ``spinstar`` command; ``{out}`` in its arguments is the
 step's output file, and ``{name}`` names the output of an earlier step.  A
 step without ``{out}`` records its standard output.  The outputs of the
 largest supported design, about 20 MB a file, are pinned by their SHA-256
-digests in ``m1000000.sha256`` (``sha256sum`` format) instead.  To
-regenerate the files after a deliberate output change, run
-``python tests/test_golden.py``.
+digests in ``m1000000.sha256`` (``sha256sum`` format) instead.  The bits
+of the design roots over a grid of ``(m, eta)`` are pinned the same way, in
+``solve_e.sha256``.  To regenerate the files after a deliberate output
+change, run ``python tests/test_golden.py``.
 """
 
 import contextlib
@@ -20,9 +21,11 @@ from pathlib import Path
 import pytest
 
 from spinstar.cli import execute
+from spinstar.designer import ETA_MAX, min_feasible_even_eta, solve_e
 
 GOLDEN = Path(__file__).parent / "data" / "golden"
 DIGESTS = GOLDEN / "m1000000.sha256"
+ROOT_DIGEST = GOLDEN / "solve_e.sha256"
 
 STEPS = [
     *[
@@ -89,6 +92,19 @@ def sha256sum(paths: dict[str, Path]) -> str:
                    for name, path in paths.items())
 
 
+def solve_e_grid() -> str:
+    """``sha256sum``'s line for the text ``m eta e0 e1`` (roots in
+    ``float.hex``), one line per pair: every m <= 2000 at its smallest
+    feasible even eta and the next, and every m <= 50 at the 20 largest even
+    eta <= ETA_MAX."""
+    pairs = [(m, eta) for m in range(1, 2001)
+             for eta in (min_feasible_even_eta(m), min_feasible_even_eta(m) + 2)]
+    pairs += [(m, ETA_MAX - 2 * k) for m in range(1, 51) for k in range(20)]
+    text = "".join(f"{m} {eta} {' '.join(e.hex() for e in solve_e(m, eta))}\n"
+                   for m, eta in pairs)
+    return f"{hashlib.sha256(text.encode()).hexdigest()}  solve_e_grid.txt\n"
+
+
 @pytest.fixture(scope="module")
 def outputs(tmp_path_factory):
     return run_steps(tmp_path_factory.mktemp("golden"))
@@ -103,9 +119,14 @@ def test_largest_design_outputs_match_golden_digests(tmp_path):
     assert sha256sum(run_steps(tmp_path, DIGEST_STEPS)) == DIGESTS.read_text()
 
 
+def test_design_roots_match_golden_digest():
+    assert solve_e_grid() == ROOT_DIGEST.read_text()
+
+
 if __name__ == "__main__":
     GOLDEN.mkdir(parents=True, exist_ok=True)
     run_steps(GOLDEN)
     with tempfile.TemporaryDirectory() as workdir:
         DIGESTS.write_text(sha256sum(run_steps(Path(workdir), DIGEST_STEPS)))
-    sys.stdout.write(f"wrote {len(STEPS)} files and {DIGESTS.name} to {GOLDEN}\n")
+    ROOT_DIGEST.write_text(solve_e_grid())
+    sys.stdout.write(f"wrote {len(STEPS)} files, {DIGESTS.name} and {ROOT_DIGEST.name} to {GOLDEN}\n")
