@@ -35,8 +35,14 @@ does works on the star's hub, background and exceptions and is ``O(1)`` in
 ``m``, as ``tests/test_cli.py::test_every_command_is_constant_time_in_m``
 counts.  ``verify`` evolves the file's own star along the file's own route
 and checks the file's stored residuals and root choice against its design.
-Requests beyond the envelope ``m <= 10**6``, ``eta <= 1 400 000``,
-``--steps <= 10**6`` are refused before any work that grows with them.
+``design`` and ``sweep`` requests beyond the envelope ``m <= 10**6``,
+``eta <= 1 400 000``, and ``--steps`` beyond ``10**6``, are refused before
+any work that grows with them.  A design file, however, is read at whatever
+``m`` and ``eta`` its header holds: a hand-made file beyond the envelope is
+verified, simulated and retargeted like any other, and a schema-1 file of
+larger ``m`` takes a larger write.  Refusing such files by name is left to
+the sparse schema-2 files of ROADMAP.md item 4, which keep schema 1 at
+``m <= 10**6``.
 
 The argument parser is built once, when this module is imported, so a
 caller that runs :func:`execute` many times in one process pays only for
@@ -97,6 +103,14 @@ class ParsedDesign(switchboard.RoutingState):
 # Design file serialization
 # ---------------------------------------------------------------------------
 
+# The design file's top-level fields with their JSON kinds, in the order the
+# commands write them: the keys of _layout and of parse_design_document.
+_FIELDS = {"schema_version": int, "m": int, "eta": int, "root_choice": str, "source": int,
+           "target": int, "a": float, "b": float, "c": float, "d": float, "e": float,
+           "tau": float, "spectrum": list, "coupling": float,
+           "potentials": (list, model.StarSpec), "residuals": dict}
+
+
 def design_document(sol: model.DesignSolution, source: int, target: int,
                     spec: model.StarSpec, root_choice: designer.RootChoice) -> dict:
     """JSON-ready dictionary for a design routed source -> target, with the
@@ -147,14 +161,12 @@ _SEP = ",\n    "
 
 def _layout(residuals: tuple) -> tuple[tuple, tuple[str, str]]:
     """The layout of a design file whose residuals have the keys
-    ``residuals``: its keys followed by those, and its text before and after
-    the potentials' entries as two ``%`` formats.  The formats are what
-    ``json.dumps(indent=2)`` writes for :func:`design_document`'s keys in
-    its order, with ``%r`` in place of each number and ``"%s"`` for
-    ``root_choice``."""
-    doc = dict.fromkeys(("schema_version", "m", "eta", "root_choice", "source", "target", "a",
-                         "b", "c", "d", "e", "tau", "spectrum", "coupling", "potentials",
-                         "residuals"), "%r")
+    ``residuals``: the keys of ``_FIELDS`` followed by those, and its text
+    before and after the potentials' entries as two ``%`` formats.  The
+    formats are what ``json.dumps(indent=2)`` writes for those keys in
+    ``_FIELDS``'s order, with ``%r`` in place of each number and ``"%s"``
+    for ``root_choice``."""
+    doc = dict.fromkeys(_FIELDS, "%r")
     doc.update(root_choice="%s", spectrum=["%r"] * 4, potentials=[],
                residuals=dict.fromkeys(residuals, "%r"))
     head, tail = json.dumps(doc, indent=2).replace('"%r"', "%r").split(_KEY + "[]")
@@ -190,7 +202,9 @@ def _blocks(doc: dict):
     repeats, then the rest of the run as a ``memoryview`` prefix of that
     block; everything else is gathered into one buffer, yielded once it
     reaches ``_BLOCK_BYTES``.  Python work is ``O(len(exceptions))`` plus
-    one step per pair.
+    one step per pair, as
+    ``tests/test_sparse_star.py::test_sparse_paths_scale_with_exceptions_not_m``
+    counts.
     """
     star, residuals = doc["potentials"], doc["residuals"]
     head, tail = _LAYOUTS[(*doc, *residuals)]
@@ -224,7 +238,9 @@ def render_design(doc: dict) -> str:
     ``list(star.potentials)``, for a ``doc`` of one of the layouts in
     ``_LAYOUTS``, whose text around the array is one ``%`` each.  Time is
     linear in the output bytes and ``O(len(exceptions))`` in Python: the
-    join of :func:`_blocks`.
+    join of :func:`_blocks`, which
+    ``tests/test_sparse_star.py::test_sparse_paths_scale_with_exceptions_not_m``
+    counts.
     """
     return b"".join(bytes(block) * times for block, times in _blocks(doc)).decode()
 
@@ -292,6 +308,13 @@ def _field(doc: dict, name: str, kind, path: str | None = None) -> object:
 def parse_design_document(doc: dict) -> ParsedDesign:
     """Validate and reconstruct a design file, naming any offending field.
 
+    ``schema_version`` is checked first, so a file of another schema is named
+    as one.  Then every field of ``_FIELDS`` is checked for presence and
+    kind, in file order, and then the rules a kind cannot express: ``eta``
+    within the float range, the root choice, the spectrum's four numbers,
+    the potentials' entries and count, and the residuals.  A file with
+    several defects is named by the first of them in that order.
+
     ``doc["potentials"]`` is the per-node list of a decoded file or, as for
     :func:`render_design`, a :class:`~spinstar.model.StarSpec`, whose
     per-node potentials are taken with the document's ``coupling``: the star
@@ -306,26 +329,17 @@ def parse_design_document(doc: dict) -> ParsedDesign:
         raise ValueError(
             f"design file: field 'schema_version' must be {SCHEMA_VERSION}, got {version}"
         )
-    m = _field(doc, "m", int)
-    eta = _field(doc, "eta", int)
+    (_, m, eta, root_choice, source, target, a, b, c, d, e, tau, spectrum, coupling, potentials,
+     residuals) = [_field(doc, name, kind) for name, kind in _FIELDS.items()]
     _float(eta, "eta")  # eta stays an int, but the design forms eta * e
     try:
-        root_choice = designer.RootChoice.parse(_field(doc, "root_choice", str))
+        root_choice = designer.RootChoice.parse(root_choice)
     except ValueError as exc:
         raise ValueError(f"design file: field 'root_choice': {exc}") from exc
-    a = _field(doc, "a", float)
-    b = _field(doc, "b", float)
-    c = _field(doc, "c", float)
-    d = _field(doc, "d", float)
-    e = _field(doc, "e", float)
-    tau = _field(doc, "tau", float)
-    spectrum = _field(doc, "spectrum", list)
     # A list of JSON numbers; type(True) is bool, so booleans are refused too.
     if len(spectrum) != 4 or not set(map(type, spectrum)) <= {int, float}:
         raise ValueError("design file: field 'spectrum' must hold four numbers")
     spectrum = tuple(_float(x, "spectrum") for x in spectrum)
-    coupling = _field(doc, "coupling", float)
-    potentials = _field(doc, "potentials", (list, model.StarSpec))
     is_star = isinstance(potentials, model.StarSpec)
     if not is_star and not set(map(type, potentials)) <= {int, float}:
         raise ValueError("design file: field 'potentials' must hold numbers")
@@ -334,23 +348,18 @@ def parse_design_document(doc: dict) -> ParsedDesign:
         raise ValueError(
             f"design file: field 'potentials' must hold m + 3 = {m + 3} entries, got {count}"
         )
-    residuals = _field(doc, "residuals", dict)
     root_residual = _field(residuals, "root", float, "residuals.root")
     spectrum_residual, lambda_residual = (
         _field(residuals, key, float, f"residuals.{key}") if key in residuals else None
         for key in ("spectrum", "lambda"))
-    source = _field(doc, "source", int)
-    target = _field(doc, "target", int)
 
     try:
-        params = model.ReducedParams(a=a, b=b, c=c, d=d, e=e, m=m)
         solution = model.DesignSolution(
-            params=params,
+            params=model.ReducedParams(a=a, b=b, c=c, d=d, e=e, m=m),
             eta=eta,
             transfer_time=tau,
             target_spectrum=spectrum,
             root_residual=root_residual,
-            realized=model.routed_star(params),
             spectrum_residual=spectrum_residual,
             lambda_residual=lambda_residual,
         )

@@ -37,7 +37,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import EnvelopeError, InfeasibleDesignError, NoRealDesignError
-from .model import DesignSolution, ReducedParams, check_eta, check_int, reduced_matrix, routed_star
+from .model import DesignSolution, ReducedParams, check_eta, check_int, reduced_matrix
 
 # Residual bound on accepted roots, relative to the sizes of the cubic's terms.
 ROOT_RESIDUAL_TOL = 1e-10
@@ -75,6 +75,7 @@ class RootChoice:
 
     ``smallest`` reproduces the longest transfer time, ``largest`` the
     shortest, ``index`` picks position ``index`` in the ascending root list.
+    ``index`` is 0 for the other two kinds, so each choice has one value.
     """
 
     kind: str
@@ -83,8 +84,8 @@ class RootChoice:
     def __post_init__(self):
         if self.kind not in ("smallest", "largest", "index"):
             raise ValueError(f"unknown root choice {self.kind!r}")
-        lo = 0 if self.kind == "index" else None
-        object.__setattr__(self, "index", check_int(self.index, "index", lo=lo))
+        hi = None if self.kind == "index" else 0
+        object.__setattr__(self, "index", check_int(self.index, "index", lo=0, hi=hi))
 
     @classmethod
     def parse(cls, text: str) -> "RootChoice":
@@ -398,9 +399,9 @@ def design(request: DesignInput) -> DesignSolution:
     Finds the admissible roots, picks one per the request's root policy,
     recovers the hub/bystander potentials, and realizes the star network in
     coupling units (``coupling = c = 1``).  The solve is a cubic plus a 4x4
-    eigendecomposition; the realized star is stored as its hub, bystander
-    and route values (:func:`~spinstar.model.routed_star`), so time and
-    memory are ``O(1)`` in ``m``, as
+    eigendecomposition; the solution stores the realized star as its hub,
+    bystander and route values (:func:`~spinstar.model.routed_star`), so
+    time and memory are ``O(1)`` in ``m``, as
     ``tests/test_sparse_star.py::test_design_and_retarget_run_in_constant_memory``
     and ``tests/test_cli.py::test_every_command_is_constant_time_in_m`` check.
     """
@@ -420,7 +421,6 @@ def design(request: DesignInput) -> DesignSolution:
         transfer_time=math.pi / e,
         target_spectrum=target,
         root_residual=root,
-        realized=routed_star(params),
         spectrum_residual=deviation,
         lambda_residual=lambda_deviation,
     )

@@ -181,8 +181,9 @@ class StarSpec:
     def sparse(cls, edge_count, coupling, hub, background, exceptions=()) -> "StarSpec":
         """The star with ``hub`` at the hub, ``background`` on every edge and
         the ``(node, value)`` pairs of ``exceptions`` (nodes strictly
-        increasing in ``1..edge_count``) on top; ``O(len(exceptions))``.
-        Exceptions equal to the background bit for bit are dropped."""
+        increasing in ``1..edge_count``) on top; ``O(len(exceptions))``, as
+        ``tests/test_sparse_star.py::test_sparse_paths_scale_with_exceptions_not_m``
+        counts.  Exceptions equal to the background bit for bit are dropped."""
         n, coupling = cls._check_size(edge_count, coupling)
         background = float(background)
         kept, last = [], 0
@@ -228,7 +229,9 @@ class StarSpec:
         """This star with the edge potentials in ``values`` (node -> value)
         replaced: :meth:`sparse` of the merged exceptions, so a value equal
         to the background bit for bit drops out; ``O(len(exceptions) +
-        len(values))``."""
+        len(values))``, as
+        ``tests/test_sparse_star.py::test_sparse_paths_scale_with_exceptions_not_m``
+        counts."""
         merged = dict(self.exceptions)
         for node, value in values.items():
             merged[check_int(node, "node", 1, self.edge_count)] = value
@@ -329,6 +332,10 @@ class ReducedParams:
 class DesignSolution:
     """A solved transfer design plus the star network that realizes it.
 
+    ``realized`` defaults to :func:`routed_star` of ``params``, the star
+    wired for ``1 -> 2`` in ``O(1)``; a star the caller passes is checked
+    against ``params`` by the route rule (:func:`check_route`).
+
     ``spectrum_residual`` and ``lambda_residual`` are the design's residuals
     as :func:`~spinstar.designer.design_residuals` computes them: stored by
     the designer, or read back with the design from a file that holds them;
@@ -342,7 +349,7 @@ class DesignSolution:
     transfer_time: float
     target_spectrum: tuple[float, float, float, float]
     root_residual: float
-    realized: StarSpec
+    realized: StarSpec | None = None
     spectrum_residual: float | None = None
     lambda_residual: float | None = None
 
@@ -370,10 +377,10 @@ class DesignSolution:
             if not 0.0 <= value < math.inf:
                 raise ValueError(f"{name} must be a finite number >= 0, got {value!r}")
             object.__setattr__(self, name, value)
-        # The canonical star passes by construction; anything else is checked.
-        p = self.params
-        if self.realized._parts() != (p.m + 2, p.c, p.a, p.d, ((1, p.e), (2, p.e))):
-            check_route(self.realized, p, 1, 2)
+        if self.realized is None:
+            object.__setattr__(self, "realized", routed_star(self.params))
+        else:
+            check_route(self.realized, self.params, 1, 2)
 
 
 def routed_star(params: ReducedParams) -> StarSpec:
@@ -393,8 +400,10 @@ def check_route(spec: StarSpec, params: ReducedParams, source, target) -> tuple[
     the smallest node that does not is named.  One pass over the hub, the
     route, the exceptions and the first bystander that carries the
     background, if one does: the background is one value however many nodes
-    carry it, so this is ``O(len(spec.exceptions))``.  Returns the validated
-    ``(source, target)``; raises ``ValueError`` otherwise.
+    carry it, so this is ``O(len(spec.exceptions))``, as
+    ``tests/test_sparse_star.py::test_sparse_paths_scale_with_exceptions_not_m``
+    counts.  Returns the validated ``(source, target)``; raises
+    ``ValueError`` otherwise.
     """
     n = spec.edge_count
     if n != params.m + 2:
@@ -425,7 +434,9 @@ def check_route(spec: StarSpec, params: ReducedParams, source, target) -> tuple[
 
 @dataclass(frozen=True)
 class FidelityTrace:
-    """Transfer fidelity sampled on a strictly increasing time grid."""
+    """Transfer fidelity sampled on a strictly increasing grid of finite
+    times.  Every fidelity lies in ``[0, 1]`` up to a rounding of ``1e-12``;
+    a NaN time or fidelity is refused."""
 
     times: np.ndarray
     values: np.ndarray
@@ -437,9 +448,12 @@ class FidelityTrace:
             raise ValueError("times and values must be 1-d sequences of equal length")
         if times.size == 0:
             raise ValueError("trace must contain at least one sample")
+        if not np.all(np.isfinite(times)):
+            raise ValueError("times must be finite")
         if times.size > 1 and not np.all(np.diff(times) > 0):
             raise ValueError("times must be strictly increasing")
-        if np.any(values < 0.0) or np.any(values > 1.0 + 1e-12):
+        # Written so that a NaN fails it.
+        if not np.all((values >= 0.0) & (values <= 1.0 + 1e-12)):
             raise ValueError("fidelities must lie in [0, 1] up to rounding")
         times.setflags(write=False)
         values.setflags(write=False)
@@ -542,7 +556,9 @@ def build_reduced(spec: StarSpec, source: int, target: int) -> ReducedParams:
     ``POTENTIAL_MATCH_TOL * max(1, |wanted|)``.  The bystanders then act as
     a single renormalized node coupled with strength ``sqrt(m) * coupling``.
     Raises :class:`SymmetryError` naming the first node that does not match.
-    ``O(len(spec.exceptions))``.
+    ``O(len(spec.exceptions))``, as
+    ``tests/test_sparse_star.py::test_sparse_paths_scale_with_exceptions_not_m``
+    counts.
     """
     n = spec.edge_count
     source, target = check_pair(source, target, ("source", "target"), 1, n)

@@ -19,7 +19,9 @@ from .model import DesignSolution, StarSpec, check_pair, check_route
 class RoutingState:
     """A design together with the source/target pair it is currently wired
     for; ``realized_spec`` holds the actual potentials.  Construction checks
-    the route once, in ``O(len(realized_spec.exceptions))``."""
+    the route once, in ``O(len(realized_spec.exceptions))``, as
+    ``tests/test_sparse_star.py::test_sparse_paths_scale_with_exceptions_not_m``
+    counts."""
 
     base: DesignSolution
     source: int
@@ -39,7 +41,9 @@ def initial_routing(sol: DesignSolution) -> RoutingState:
 
 def retarget(state: RoutingState, new_target: int) -> RoutingState:
     """Redirect the transfer to ``new_target`` by exchanging its local
-    potential with the current target's, in ``O(len(exceptions))``.
+    potential with the current target's, in ``O(len(exceptions))``, as
+    ``tests/test_sparse_star.py::test_sparse_paths_scale_with_exceptions_not_m``
+    counts.
 
     Retargeting to the current target is a no-op; swapping back restores the
     original potentials exactly (the swap moves float values verbatim).  The
@@ -59,7 +63,9 @@ def retarget(state: RoutingState, new_target: int) -> RoutingState:
 
 
 def apply_offset(spec: StarSpec, delta: float) -> StarSpec:
-    """Shift every local potential by ``delta``, in ``O(len(exceptions))``.
+    """Shift every local potential by ``delta``, in ``O(len(exceptions))``,
+    as ``tests/test_sparse_star.py::test_sparse_paths_scale_with_exceptions_not_m``
+    counts.
 
     Transfer probabilities are unchanged: the shift multiplies the evolution
     by a global phase.  Useful to park the bystanders at zero potential.

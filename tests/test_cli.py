@@ -787,6 +787,32 @@ def test_every_design_file_refusal_is_one_error_line(design_file, tmp_path, caps
     assert not out.exists()
 
 
+# Edits with two defects: the schema is named first, then every field's
+# presence and kind in file order, then what a kind cannot express.
+_TWO_DEFECTS = {
+    "schema and a missing m": (lambda doc: {**_without(doc, "m"), "schema_version": 2},
+                               "field 'schema_version' must be 1, got 2"),
+    "short spectrum and a string coupling": (
+        lambda doc: {**doc, "spectrum": doc["spectrum"][:3], "coupling": "1"},
+        "field 'coupling' must be a number, got '1'"),
+    "bad tau and a float source": (lambda doc: {**doc, "tau": "x", "source": 0.5},
+                                   "field 'source' must be an integer, got 0.5"),
+    "no target and no a": (lambda doc: _without(_without(doc, "a"), "target"),
+                           "missing field 'target'"),
+    "odd eta and a string m": (lambda doc: {**doc, "eta": 5, "m": "7"},
+                               "field 'm' must be an integer, got '7'"),
+}
+
+
+@pytest.mark.parametrize("case", list(_TWO_DEFECTS))
+def test_two_defect_files_are_named_by_the_first_in_file_order(case):
+    edit, message = _TWO_DEFECTS[case]
+    doc = edit(json.loads((GOLDEN / "design_m7_smallest.json").read_text()))
+    with pytest.raises(ValueError) as info:
+        cli.parse_design_document(doc)
+    assert str(info.value) == f"design file: {message}"
+
+
 # ---------------------------------------------------------------------------
 # design file encoding
 # ---------------------------------------------------------------------------

@@ -201,6 +201,17 @@ def test_root_choice_refuses_an_unknown_kind():
         RootChoice("median")
 
 
+@pytest.mark.parametrize("kind, index, message", [
+    ("smallest", 3, r"^index must lie in 0\.\.0, got 3$"),
+    ("largest", -7, r"^index must lie in 0\.\.0, got -7$"),
+    ("index", -1, r"^index must be at least 0, got -1$"),
+])
+def test_root_choice_refuses_an_index_its_kind_does_not_read(kind, index, message):
+    # Only "index" reads its index, so the other kinds have one value each.
+    with pytest.raises(ValueError, match=message):
+        RootChoice(kind, index)
+
+
 @pytest.mark.parametrize("eta, message", [
     (3, r"^eta must be even \(phase cancellation needs it\), got 3$"),
     (0, "^eta must be at least 2, got 0$"),

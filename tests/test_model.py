@@ -152,6 +152,14 @@ def test_arrowhead_matrix_validation():
         wide.to_dense()
 
 
+def test_fidelity_trace_refuses_nan_fidelities_and_non_finite_times():
+    with pytest.raises(ValueError, match=r"^fidelities must lie in \[0, 1\] up to rounding$"):
+        FidelityTrace([0.0, 1.0], [math.nan, 0.5])
+    for times in ([math.nan], [0.0, math.inf]):
+        with pytest.raises(ValueError, match="^times must be finite$"):
+            FidelityTrace(times, [0.5] * len(times))
+
+
 def test_fidelity_trace_refuses_fidelities_beyond_one():
     assert FidelityTrace([0.0, 1.0], [0.0, 1.0 + 1e-12]).values[1] == 1.0 + 1e-12
     for bad in (1.0 + 1e-11, -1e-300):

@@ -3,7 +3,10 @@ implementations it replaced, which live on here as references."""
 
 import json
 import math
+import os
+import sys
 import tracemalloc
+from collections import deque
 
 import numpy as np
 import pytest
@@ -15,7 +18,9 @@ from spinstar import (
     DesignInput,
     ReducedParams,
     ResourceLimitError,
+    RoutingState,
     StarSpec,
+    apply_offset,
     build_grouped,
     build_reduced,
     design,
@@ -23,6 +28,7 @@ from spinstar import (
     min_feasible_even_eta,
     retarget,
 )
+from spinstar import cli
 from spinstar.cli import design_document, render_design
 from spinstar.errors import SymmetryError
 from spinstar.model import DENSE_MAX_EDGES, POTENTIAL_MATCH_TOL, check_int, check_route
@@ -272,3 +278,75 @@ def test_design_and_retarget_run_in_constant_memory():
         tracemalloc.stop()
     assert state.target == 777_777
     assert peak < 64 * 1024
+
+
+def _calls_and_peak(make):
+    """The operation ``make()`` returns, made and run twice: once under
+    ``sys.setprofile``, counting the calls into ``spinstar`` code (function
+    entries and generator resumes), once under ``tracemalloc`` for its
+    peak.  Each run gets a fresh operation, so no cached attribute carries
+    work over from an earlier run."""
+    package = os.path.dirname(cli.__file__)
+    calls = 0
+
+    def profile(frame, event, arg):
+        nonlocal calls
+        if event == "call" and frame.f_code.co_filename.startswith(package):
+            calls += 1
+
+    op = make()
+    sys.setprofile(profile)
+    try:
+        op()
+    finally:
+        sys.setprofile(None)
+    op = make()
+    tracemalloc.start()
+    try:
+        op()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return calls, peak
+
+
+def _exception_ops(m, k):
+    """Each operation that claims ``O(len(exceptions))``, on a fresh star:
+    the design at ``m`` wired 1 -> 2 with ``k`` bystanders one ulp above the
+    background, so the route rule still holds."""
+    sol = design(DesignInput(m=m, eta=min_feasible_even_eta(m)))
+    p = sol.params
+    bump = float(np.nextafter(p.d, np.inf))
+    pairs = [(1, p.e), (2, p.e)] + [(j, bump) for j in range(3, k + 3)]
+    spec = StarSpec.sparse(m + 2, p.c, p.a, p.d, pairs)
+    # its own star: constructing the state runs the route rule on it
+    state = RoutingState(base=sol, source=1, target=2,
+                         realized_spec=StarSpec.sparse(m + 2, p.c, p.a, p.d, pairs))
+    doc = design_document(sol, 1, 2, spec, SMALLEST)
+    return {
+        "StarSpec.sparse": lambda: StarSpec.sparse(m + 2, p.c, p.a, p.d, pairs),
+        "StarSpec.replace": lambda: spec.replace({2: bump, k + 3: p.e}),
+        "check_route": lambda: check_route(spec, p, 1, 2),
+        "build_reduced": lambda: build_reduced(spec, 1, 2),
+        "RoutingState": lambda: RoutingState(base=sol, source=1, target=2, realized_spec=spec),
+        "retarget": lambda: retarget(state, k + 3),
+        "apply_offset": lambda: apply_offset(spec, 0.25),
+        "cli._blocks": lambda: deque(cli._blocks(doc), maxlen=0),
+    }
+
+
+def test_sparse_paths_scale_with_exceptions_not_m():
+    costs = {}
+    for m in (10**4, 10**6):
+        for k in (64, 128):
+            ops = _exception_ops(m, k)
+            for name, op in ops.items():
+                op()  # warm up
+                costs[name, m, k] = _calls_and_peak(lambda: _exception_ops(m, k)[name])
+    for name in ops:
+        for k in (64, 128):
+            (calls, peak), (calls6, peak6) = costs[name, 10**4, k], costs[name, 10**6, k]
+            assert calls6 == calls, (name, k)
+            # One float per node is 8 MB at m = 10**6.
+            assert abs(peak6 - peak) <= 8192, (name, k, peak, peak6)
+        assert costs[name, 10**4, 128][0] <= 2 * costs[name, 10**4, 64][0] + 8, name
