@@ -12,7 +12,8 @@ Design files are JSON (schema_version 1); traces are two-column CSV with a
 ``t,fidelity`` header.  All numbers are written in full round-trip precision
 and nothing in the output depends on the clock or on randomness, so reruns
 with the same arguments are byte-identical.  A trace is written in blocks
-of rows, each formatted by one ``%``, so its text is never held whole.
+of rows, each formatted as ``repr`` would by a fixed sequence of numpy
+calls over the whole block, so its text is never held whole.
 
 A design file spells out all ``m + 3`` potentials, but no command holds a
 whole file that the commands wrote in memory.  A command's document holds
@@ -55,12 +56,14 @@ Exit codes: 0 success, 1 usage or file errors, 2 infeasible design requests.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
 import sys
 from dataclasses import dataclass
 from itertools import chain
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -480,29 +483,218 @@ def load_design_file(path: str) -> ParsedDesign:
 
 
 # A fidelity trace is written in blocks of at most this many rows, so a
-# write holds one block of its CSV text, not the whole text.
+# write holds one block of its CSV text, and of the temporaries that format
+# it, not the whole text.
 _TRACE_ROWS = 4096
+
+_LE64, _LE32 = np.dtype("<u8"), np.dtype("<u4")
+_POW10 = 10 ** np.arange(18, dtype=np.uint64)
+_COLUMN = np.arange(2 * _TRACE_ROWS) & 1
+
+
+@functools.cache
+def _trace_tables() -> SimpleNamespace:
+    """The tables that :func:`_csv_rows` formats numbers by, built on first
+    use (a few ms), so that no other command pays for them.
+
+    Schubfach's, by ``2 * biased exponent + edge``, where ``edge`` marks a
+    power of two above the subnormals: the decimal exponent ``k``, the shift
+    ``h`` and, of the 126-bit ``g = floor(10**-k * 2**-r) + 1`` with
+    ``2**125 <= g < 2**126``, ``g1 = g >> 63`` and the 32-bit halves of
+    ``g1`` and of ``g0 = g mod 2**63``.  The constants are Giulietti's
+    integer forms of ``floor(log10(2**q))``, ``floor(log10(3/4 * 2**q))``
+    and ``floor(log2(10**e))``.
+
+    The layout's, by ``e``, the exponent of a number's first digit plus 324:
+    how many digits a positional number shows at least (``shown``), and
+    after how many of them the point goes (``point``, 24 for none).  By
+    ``2 * e + sign bit``, the text before the digits (``head``), and by
+    ``2 * e + column``, the text after them (``tail``), each right-aligned
+    in 8 NUL bytes.  By ``p`` in ``0..24``, 24 bytes that keep the first
+    ``p`` (``keep``) and 24 bytes with a point at ``p`` (``dot``).  By
+    ``c`` in ``0..9999``, ``b"%04d" % c`` (``chunks``), and, for ``c`` as
+    the ``i``-th of the four 4-digit chunks that open a number's 17 digits,
+    how many of those digits run up to the chunk's last nonzero one
+    (``significant[i]``, 0 for ``c = 0``).
+    """
+    q = np.repeat(np.maximum(np.arange(2047), 1) - 1075, 2)
+    k = (q * 661_971_961_083 - np.tile([0, 274_743_187_321], 2047)) >> 41
+    ks = np.arange(-324, 293)
+    r = (-ks * 913_124_641_741 >> 38) - 125
+    g = [(10 ** max(-j, 0) << max(-s, 0)) // (10 ** max(j, 0) << max(s, 0)) + 1
+         for j, s in zip(ks.tolist(), r.tolist())]
+    g1, g1_lo, g1_hi, g0_lo, g0_hi = np.array(
+        [[x >> 63, x >> 63 & 0xFFFFFFFF, x >> 95, x & 0xFFFFFFFF, x >> 32 & 0x7FFFFFFF] for x in g],
+        dtype=np.uint64)[k + 324].T.copy()
+    h = (q + (-k * 913_124_641_741 >> 38) + 2).astype(np.uint64)
+
+    e = np.arange(-324, 309)
+    positional = (e >= -4) & (e < 16)
+    head, tail = [], []
+    for x, pos in zip(e.tolist(), positional.tolist()):
+        zeros = "0." + "0" * (-x - 1) if pos and x < 0 else ""
+        head += [zeros.rjust(8, "\0"), ("-" + zeros).rjust(8, "\0")]
+        tail += [(end if pos else f"e{x:+03d}{end}").rjust(8, "\0") for end in ",\n"]
+    p = np.arange(25)[:, None]
+    c = np.arange(10000)[:, None]
+    last = 4 - np.count_nonzero(c % [10, 100, 1000, 10000] == 0, axis=1)
+    return SimpleNamespace(
+        k=k, h=h, g1=g1, g1_lo=g1_lo, g1_hi=g1_hi, g0_lo=g0_lo, g0_hi=g0_hi,
+        shown=np.where(positional & (e >= 0), e + 2, 0),
+        point=np.where(positional, np.where(e >= 0, e + 1, 24), 1),
+        head=np.frombuffer("".join(head).encode(), _LE64),
+        tail=np.frombuffer("".join(tail).encode(), _LE64),
+        keep=np.where(np.arange(24) < p, 0xFF, 0).astype(np.uint8).view(_LE64),
+        dot=np.where(np.arange(24) == p, ord("."), 0).astype(np.uint8).view(_LE64),
+        chunks=(c // [1000, 100, 10, 1] % 10 + ord("0")).astype(np.uint8).view(_LE32).ravel(),
+        significant=np.where(last, last + 4 * np.arange(4)[:, None], 0))
+
+
+def _mulhi(a_lo, a_hi, b_lo, b_hi) -> np.ndarray:
+    """The high 64 bits of ``a * b`` from the 32-bit halves of ``a < 2**63``
+    and ``b < 2**60``, whose cross terms then sum below ``2**64``."""
+    t = a_lo * b_lo
+    t >>= 32
+    t += a_lo * b_hi
+    t += a_hi * b_lo
+    t >>= 32
+    t += a_hi * b_hi
+    return t
+
+
+def _shortest(x: np.ndarray, t: SimpleNamespace) -> tuple[np.ndarray, np.ndarray]:
+    """The shortest decimals ``f * 10**k`` that read back as the finite,
+    nonzero doubles ``x``, the nearest of them (ties to an even ``f``) where
+    several are shortest: the digits of ``repr``, with ``f < 10**17``
+    (uint64, possibly with trailing zeros) and ``k`` (int64).  A zero gives
+    an arbitrary ``f``.
+
+    This is R. Giulietti's Schubfach ("The Schubfach way to render doubles",
+    2020), as Java's ``Double.toString`` has it, without Java's two-digit
+    minimum, so a subnormal gets its shortest digits too.  The decimals that
+    round to ``x = c * 2**q`` fill an interval about ``x`` whose ends are
+    included when ``c`` is even.  With ``k`` from the tables, the interval
+    holds at most one multiple of ``10**(k+1)``, which is the answer if
+    there is one, and one or two of ``10**k``.  ``vb``, ``vbl`` and ``vbr``
+    are ``x`` and the ends in units of ``10**k / 4``, each ``g * cp /
+    2**127`` rounded to odd, from three products of 64 by 126 bits in
+    32-bit halves (``t`` holds ``g``, :func:`_trace_tables`).  Every
+    operation is on whole arrays, so a wrapping product raises no warning.
+    """
+    bits = x.view(np.int64)
+    exponent = bits >> 52 & 0x7FF
+    c = (bits & (1 << 52) - 1).view(np.uint64)
+    edge = (c == 0) & (exponent > 1)
+    row = exponent << 1 | edge
+    c |= (exponent != 0).astype(np.uint64) << 52
+    cb = c << 2
+    cp = np.stack((cb, cb - 2 + edge, cb + 2))
+    cp <<= t.h[row]
+    lo, hi = cp & 0xFFFFFFFF, cp >> 32
+    cp *= t.g1[row]
+    cp >>= 1
+    cp += _mulhi(t.g0_lo[row], t.g0_hi[row], lo, hi)
+    v = _mulhi(t.g1_lo[row], t.g1_hi[row], lo, hi)
+    del lo, hi
+    v += cp >> 63
+    cp <<= 1
+    v |= cp != 0
+    vb, vbl, vbr = v
+    odd = c & 1
+    vbl += odd
+    vbr -= odd
+    s = vb >> 2  # x in units of 10**k, rounded down
+    sp = s // 10 * 10  # and to a multiple of 10**(k+1)
+    upin, wpin = vbl <= sp << 2, sp + 10 << 2 <= vbr
+    uin, win = vbl <= s << 2, s + 1 << 2 <= vbr
+    mid = s << 2 | 2
+    # s if only it lies inside, or if both do and it is nearer (ties to even)
+    lower = np.where(uin != win, uin, (vb < mid) | (vb == mid) & (s & 1 == 0))
+    return np.where(upin != wpin, np.where(upin, sp, sp + 10), s + ~lower), t.k[row]
+
+
+def _digits(f: np.ndarray, e: np.ndarray, t: SimpleNamespace) -> np.ndarray:
+    """The digits ``f`` (int64, 17 of them, ``10**16 <= f < 10**17`` or 0)
+    of numbers whose first digit has the exponent ``e - 324``, as ``repr``
+    spells them between the sign and the exponent: three little-endian
+    words of ASCII per number, NUL after the text.  ``f`` is overwritten."""
+    body = np.zeros((f.size, 3), _LE64)
+    lanes = body.view(_LE32)
+    # d0..d15 as four 4-digit chunks, then d16; ``shown`` digits run up to
+    # the last nonzero one, and at least to one after a positional point.
+    shown = t.shown[e]
+    for lane, unit in enumerate((10**13, 10**9, 10**5, 10)):
+        chunk = f // unit
+        f -= chunk * unit
+        lanes[:, lane] = t.chunks[chunk]
+        np.maximum(shown, t.significant[lane][chunk], out=shown)
+    body[:, 2] = f + ord("0")
+    np.maximum(shown, (f != 0) * 17, out=shown)
+    point = t.point[e]
+    point[shown <= point] = 24  # one digit in exponent form: no point
+    body &= np.take(t.keep, shown, axis=0)
+    # The digits from the point on move one byte on, across words.
+    front = body & np.take(t.keep, point, axis=0)
+    body ^= front
+    carry = body[:, :2] >> 56
+    body <<= 8
+    body[:, 1:] |= carry
+    body |= front
+    body |= np.take(t.dot, point, axis=0)
+    return body
+
+
+def _csv_rows(cells: np.ndarray) -> bytes:
+    """The CSV rows of ``cells``, a block's times and fidelities interleaved
+    (finite doubles), as ASCII: ``b"%r,%r\\n" % (t, fidelity)`` for each row.
+
+    :func:`_shortest` gives each number's digits, normalized here to 17
+    digits ``d0..d16`` and the exponent ``e`` of ``d0``.  They are laid out
+    as ``repr`` does: positional when ``-4 <= e < 16``, with ``.0`` on an
+    integral value, else ``d0[.d1...]e±XX`` with at least two exponent
+    digits, and a sign on a negative number (``-0.0`` too).  Each number is
+    five little-endian words, NUL where it has no character: the text
+    before the digits, the digits with the point shifted in
+    (:func:`_digits`), and the text after them, the first and last from
+    tables.  Dropping the NULs leaves the rows.  Every step works on the
+    whole block, the same steps for every block.
+    """
+    t = _trace_tables()
+    zero = cells == 0
+    f, k = _shortest(cells, t)
+    f[zero] = 0
+    width = np.searchsorted(_POW10, f, side="right")
+    e = k + width + 323
+    e[zero] = 324
+    words = np.empty((cells.size, 5), _LE64)
+    words[:, 0] = t.head[2 * e + (cells.view(np.int64) < 0)]
+    words[:, 1:4] = _digits((f * _POW10[17 - width]).view(np.int64), e, t)
+    words[:, 4] = t.tail[2 * e + _COLUMN[:cells.size]]
+    text = words.view(np.uint8)
+    return text[text != 0].tobytes()
 
 
 def _trace_blocks(trace: model.FidelityTrace):
-    """The CSV text of ``trace`` as an iterator of strings: the header, then
-    blocks of at most ``_TRACE_ROWS`` rows ``repr(t),repr(fidelity)``.
+    """The CSV bytes of ``trace`` as an iterator: the header, then blocks of
+    at most ``_TRACE_ROWS`` rows ``repr(t),repr(fidelity)``, each one call
+    of :func:`_csv_rows`.
 
-    Each block is one ``%`` over the block's times and values interleaved,
-    so the Python work per row is the two ``float.__repr__`` calls.
+    The Python work per block is a fixed number of numpy calls, whatever
+    its rows hold, as
+    ``tests/test_cli.py::test_render_trace_makes_the_same_calls_at_any_length``
+    counts.
     """
-    yield "t,fidelity\n"
+    yield b"t,fidelity\n"
     times, values = trace.times, trace.values
     for start in range(0, times.size, _TRACE_ROWS):
         stop = start + _TRACE_ROWS
-        cells = np.column_stack((times[start:stop], values[start:stop])).ravel().tolist()
-        yield ("%r,%r\n" * (len(cells) // 2)) % tuple(cells)
+        yield _csv_rows(np.column_stack((times[start:stop], values[start:stop])).ravel())
 
 
 def render_trace(trace: model.FidelityTrace) -> str:
-    """The ``t,fidelity`` CSV text of ``trace``: the join of
-    :func:`_trace_blocks`."""
-    return "".join(_trace_blocks(trace))
+    """The ``t,fidelity`` CSV text of ``trace``, ``repr`` of each number:
+    the join of :func:`_trace_blocks`, decoded."""
+    return b"".join(_trace_blocks(trace)).decode("ascii")
 
 
 # ---------------------------------------------------------------------------
@@ -527,6 +719,7 @@ def _cmd_simulate(ns) -> int:
                                       parsed.target if ns.target is None else ns.target,
                                       ("source", "target"), 1, star.edge_count)
     if ns.full:
+        model.check_times(grid)
         amps = dynamics.StarEvolution.from_spec(star).amplitudes(grid, source, target)
         trace = model.FidelityTrace(times=grid, values=np.abs(amps) ** 2)
     else:
@@ -537,7 +730,7 @@ def _cmd_simulate(ns) -> int:
         h4 = model.reduced_matrix(params)
         trace = dynamics.fidelity_trace(h4, grid, 2, 3)
     # Every refusal has been raised by now, so a refused request writes no file.
-    with open(ns.out, "w") as fh:
+    with open(ns.out, "wb") as fh:
         fh.writelines(_trace_blocks(trace))
     return 0
 

@@ -30,6 +30,7 @@ from .model import (
     build_grouped,
     build_reduced,
     check_int,
+    check_times,
     exchange_permutation,
     reduced_matrix,
 )
@@ -247,10 +248,12 @@ def lift_reduced_amplitude(spec: StarSpec, source: int, target: int, t: float) -
 
 def fidelity_trace(h, t_grid, src: int, dst: int) -> FidelityTrace:
     """Squared transition amplitude sampled over ``t_grid``; the
-    eigendecomposition is done once and reused across the grid.
-    :class:`FidelityTrace` refuses a grid that is not 1-d, non-empty and
-    strictly increasing."""
+    eigendecomposition is done once and reused across the grid.  A grid
+    that is empty, not finite or not strictly increasing is refused
+    (:func:`check_times`) before any amplitude is evaluated;
+    :class:`FidelityTrace` also refuses one that is not 1-d."""
     grid = np.asarray(t_grid, dtype=float)
+    check_times(grid)
     amps = EvolutionCache.from_hamiltonian(h).amplitudes(grid, src, dst)
     return FidelityTrace(times=grid, values=np.abs(amps) ** 2)
 

@@ -432,11 +432,24 @@ def check_route(spec: StarSpec, params: ReducedParams, source, target) -> tuple[
     return source, target
 
 
+def check_times(times: np.ndarray) -> None:
+    """Refuse sample times that :class:`FidelityTrace` refuses: none at all,
+    a time that is not finite, or two that do not strictly increase.  A grid
+    is checked by this before any amplitude is evaluated on it, so a window
+    too narrow for its steps (equal neighbours) fails at once."""
+    if times.size == 0:
+        raise ValueError("trace must contain at least one sample")
+    if not np.all(np.isfinite(times)):
+        raise ValueError("times must be finite")
+    if times.size > 1 and not np.all(np.diff(times) > 0):
+        raise ValueError("times must be strictly increasing")
+
+
 @dataclass(frozen=True)
 class FidelityTrace:
     """Transfer fidelity sampled on a strictly increasing grid of finite
-    times.  Every fidelity lies in ``[0, 1]`` up to a rounding of ``1e-12``;
-    a NaN time or fidelity is refused."""
+    times (:func:`check_times`).  Every fidelity lies in ``[0, 1]`` up to a
+    rounding of ``1e-12``; a NaN time or fidelity is refused."""
 
     times: np.ndarray
     values: np.ndarray
@@ -446,12 +459,7 @@ class FidelityTrace:
         values = np.array(self.values, dtype=float)
         if times.ndim != 1 or values.ndim != 1 or times.size != values.size:
             raise ValueError("times and values must be 1-d sequences of equal length")
-        if times.size == 0:
-            raise ValueError("trace must contain at least one sample")
-        if not np.all(np.isfinite(times)):
-            raise ValueError("times must be finite")
-        if times.size > 1 and not np.all(np.diff(times) > 0):
-            raise ValueError("times must be strictly increasing")
+        check_times(times)
         # Written so that a NaN fails it.
         if not np.all((values >= 0.0) & (values <= 1.0 + 1e-12)):
             raise ValueError("fidelities must lie in [0, 1] up to rounding")

@@ -8,7 +8,9 @@ import json
 import math
 import os
 import stat
+import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -630,21 +632,59 @@ def test_simulate_window_whose_phases_overflow_is_one_error_line(tmp_path, capsy
     assert not out.exists()
 
 
+def _simulated(design, full: bool, **window) -> model.FidelityTrace:
+    """The trace that ``simulate`` of ``design`` on its own route evolves."""
+    parsed = cli.load_design_file(str(design))
+    grid = dynamics.transfer_time_grid(parsed.base.transfer_time, **window)
+    if full:
+        amps = dynamics.StarEvolution.from_spec(parsed.realized_spec).amplitudes(
+            grid, parsed.source, parsed.target)
+        return model.FidelityTrace(times=grid, values=np.abs(amps) ** 2)
+    return dynamics.fidelity_trace(model.reduced_matrix(parsed.base.params), grid, 2, 3)
+
+
 @pytest.mark.parametrize("full", [False, True], ids=["reduced", "full"])
 def test_simulate_writes_every_block_of_its_trace(design_file, tmp_path, full):
     steps, out = 2 * cli._TRACE_ROWS + 1, tmp_path / "trace.csv"
     assert execute(["simulate", "--design", str(design_file), "--steps", str(steps),
                     "--out", str(out)] + ["--full"] * full) == 0
-    parsed = cli.load_design_file(str(design_file))
-    grid = dynamics.transfer_time_grid(parsed.base.transfer_time, steps=steps)
-    if full:
-        amps = dynamics.StarEvolution.from_spec(parsed.realized_spec).amplitudes(grid, 1, 2)
-        trace = model.FidelityTrace(times=grid, values=np.abs(amps) ** 2)
-    else:
-        trace = dynamics.fidelity_trace(model.reduced_matrix(parsed.base.params), grid, 2, 3)
+    trace = _simulated(design_file, full, steps=steps)
     text = out.read_bytes()
     assert text.count(b"\n") == steps + 1
     assert text == cli.render_trace(trace).encode()
+
+
+@pytest.mark.parametrize("full", [False, True], ids=["reduced", "full"])
+@pytest.mark.parametrize("t_max", ["1e-306", "1e-320", "1e300"])
+def test_simulate_writes_repr_of_every_number(tmp_path, t_max, full):
+    # Windows whose times are subnormal (1e-320), near the smallest normal
+    # (1e-306) or have three-digit exponents (1e300).
+    design, out = GOLDEN / "design_m2_smallest.json", tmp_path / "trace.csv"
+    assert execute(["simulate", "--design", str(design), "--t-max", t_max,
+                    "--out", str(out)] + ["--full"] * full) == 0
+    trace = _simulated(design, full, t_max=float(t_max))
+    assert out.read_bytes() == _repr_rows(trace.times, trace.values).encode()
+
+
+@pytest.mark.parametrize("full", [False, True], ids=["reduced", "full"])
+def test_simulate_refuses_a_collapsed_window_before_evaluating_it(tmp_path, capsys, monkeypatch,
+                                                                 full):
+    # 10**6 steps in [0, 1e-318] repeat subnormal times: one error line, no
+    # trace written, and no amplitude evaluated first.
+    calls, amplitudes = [], dynamics.EvolutionCache.amplitudes
+
+    def counted(self, *args):
+        calls.append(args)
+        return amplitudes(self, *args)
+
+    monkeypatch.setattr(dynamics.EvolutionCache, "amplitudes", counted)
+    out = tmp_path / "trace.csv"
+    argv = ["simulate", "--design", str(GOLDEN / "design_m2_smallest.json"), "--steps", "1000000",
+            "--t-max", "1e-318", "--out", str(out)]
+    assert execute(argv + ["--full"] * full) == 1
+    assert capsys.readouterr().err == "error: times must be strictly increasing\n"
+    assert not out.exists()
+    assert not calls
 
 
 def test_simulate_write_errors_are_one_error_line(design_file, tmp_path, capsys):
@@ -988,13 +1028,90 @@ def test_undecodable_design_file_is_one_error_line(tmp_path, capsys, head, body)
         assert "is not valid JSON" in err
 
 
+def _repr_rows(times, values) -> str:
+    """The CSV text of a trace, row by row with ``repr``."""
+    rows = (f"{t!r},{v!r}\n" for t, v in zip(np.asarray(times, float).tolist(),
+                                             np.asarray(values, float).tolist()))
+    return "t,fidelity\n" + "".join(rows)
+
+
+def _columns(cells) -> SimpleNamespace:
+    """A trace-like pair of columns holding any finite doubles, which a
+    FidelityTrace would refuse as times or fidelities; the CSV writer reads
+    only ``times`` and ``values``."""
+    cells = np.asarray(cells, float).reshape(-1, 2)
+    return SimpleNamespace(times=cells[:, 0], values=cells[:, 1])
+
+
+def _format_edges() -> list[float]:
+    """Doubles at every edge of the shortest-digit layout: signed zeros, the
+    largest subnormal and the largest double, every power of two (subnormal
+    and normal) and every power of ten with their neighbours (the switches
+    to exponent notation at 1e-5, 1e-4 and 1e16 among them, three-digit
+    exponents too), and fidelities up to ``1 + 1e-12``."""
+    edges = [0.0, 2.2250738585072009e-308, 1.7976931348623157e308, 1.0 + 1e-12,
+             math.nextafter(1.0 + 1e-12, 0.0), 0.1 + 0.2, 1.0 / 3.0]
+    for centre in [math.ldexp(1.0, q) for q in range(-1074, 1024)] + \
+            [float(f"1e{p}") for p in range(-323, 309)]:
+        edges += [math.nextafter(centre, 0.0), centre, math.nextafter(centre, math.inf)]
+    return edges + [-x for x in edges]
+
+
+_FORMAT_EDGES = _format_edges()
+_FINITE = st.sampled_from(_FORMAT_EDGES) | st.floats(allow_nan=False, allow_infinity=False)
+
+
 @settings(deadline=None)
-@given(values=st.lists(st.sampled_from(_EDGE_FLOATS[:4] + [1.0, 0.1 + 0.2, 1e-300]) |
-                       st.floats(0.0, 1.0), min_size=1, max_size=60))
-def test_render_trace_matches_row_by_row_repr(values):
-    trace = model.FidelityTrace(times=np.arange(len(values)) * 0.1, values=np.abs(values))
-    rows = [f"{float(t)!r},{float(v)!r}" for t, v in zip(trace.times, trace.values)]
-    assert cli.render_trace(trace) == "\n".join(["t,fidelity", *rows]) + "\n"
+@given(cells=st.lists(st.tuples(_FINITE, _FINITE), min_size=1, max_size=60))
+def test_render_trace_matches_row_by_row_repr(cells):
+    trace = _columns(cells)
+    assert cli.render_trace(trace) == _repr_rows(trace.times, trace.values)
+
+
+def test_render_trace_matches_repr_at_every_layout_edge():
+    edges = np.array(_FORMAT_EDGES)
+    for cells in (edges, edges[::-1]):  # an even count: each number in both columns
+        trace = _columns(cells)
+        assert cli.render_trace(trace) == _repr_rows(trace.times, trace.values)
+
+
+def test_render_trace_matches_repr_on_random_bit_patterns():
+    bits = np.frombuffer(np.random.default_rng(26).bytes(8 * 2**18), np.uint64)
+    cells = bits.view(float)[np.isfinite(bits.view(float))]
+    trace = _columns(cells[:cells.size // 2 * 2])
+    assert len(trace.times) > 10**5 > cli._TRACE_ROWS
+    assert cli.render_trace(trace) == _repr_rows(trace.times, trace.values)
+
+
+def _render_trace_calls(trace) -> tuple[int, int]:
+    """Python function calls and C calls that rendering ``trace`` makes."""
+    counts = [0, 0]
+
+    def profile(frame, event, arg):
+        if event in ("call", "c_call"):
+            counts[event == "c_call"] += 1
+
+    sys.setprofile(profile)
+    try:
+        cli.render_trace(trace)
+    finally:
+        sys.setprofile(None)
+    return counts[0], counts[1]
+
+
+def test_render_trace_makes_the_same_calls_at_any_length():
+    # One block of any length and contents costs the same fixed sequence of
+    # numpy calls: no Python work per row or per number is left.
+    cli.render_trace(model.FidelityTrace(times=[0.0], values=[0.0]))  # tables built
+    rng = np.random.default_rng(7)
+    counts = set()
+    for n in (10, 1000, cli._TRACE_ROWS):
+        steps = np.arange(n)
+        smooth = model.FidelityTrace(times=steps / 7, values=np.sin(steps * 0.7) ** 2)
+        rough = model.FidelityTrace(times=np.cumsum(rng.exponential(1e-310, n)) - 1e-300,
+                                    values=rng.random(n) ** 40)
+        counts |= {_render_trace_calls(smooth), _render_trace_calls(rough)}
+    assert len(counts) == 1, counts
 
 
 _R = cli._TRACE_ROWS
@@ -1015,9 +1132,12 @@ def test_writing_a_trace_holds_one_block(design_file, tmp_path, monkeypatch):
     n, out = 2 * 10**5, tmp_path / "trace.csv"
     steps = np.arange(n)
     trace = model.FidelityTrace(times=steps / 7, values=np.sin(steps * 0.7) ** 2)
+    # The formatting tables are built once per process, on first use; they
+    # are no part of a block.
+    cli.render_trace(model.FidelityTrace(times=[0.0], values=[0.0]))
     tracemalloc.start()
     try:
-        with open(out, "w") as fh:
+        with open(out, "wb") as fh:
             fh.writelines(cli._trace_blocks(trace))
         peak = tracemalloc.get_traced_memory()[1]
     finally:

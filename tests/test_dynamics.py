@@ -248,7 +248,8 @@ def test_fidelity_trace_offset_invariance():
     ([0.0, 2.0, 1.0], "strictly increasing"),
 ])
 def test_fidelity_trace_refuses_a_bad_grid(grid, message):
-    # FidelityTrace checks the grid, once, and its message reaches the caller.
+    # The grid is checked before any evaluation, with the messages of
+    # FidelityTrace, which refuses a grid that is not 1-d.
     with pytest.raises(ValueError, match=message):
         fidelity_trace(np.diag([1.0, 2.0]), grid, 0, 1)
 
