@@ -27,17 +27,26 @@ discriminant is positive: ``16 eta**6 > 27 m**2 (eta**2 - 1)**2``
 exact for any finite ``eta``, is the only feasibility rule: :func:`solve_e`
 returns both roots whenever it holds, or raises that they cannot be resolved
 in floating point.
+
+Designs take one code path, :func:`design_block`.  For a block of requests
+it forms each design polynomial once, solves every companion matrix in one
+``np.linalg.eigvals`` call and every reduced 4x4 matrix in one
+``np.linalg.eigvalsh`` call, and runs each other step request by request.
+:func:`design` is its one-request case, two LAPACK calls; :func:`solve_e`,
+:func:`back_solve` and :func:`design_residuals` share its per-request steps.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import EnvelopeError, InfeasibleDesignError, NoRealDesignError
-from .model import DesignSolution, ReducedParams, check_eta, check_int, reduced_matrix
+from .model import (DesignSolution, ReducedParams, check_eta, check_int, reduced_matrix,
+                    reduced_rows)
 
 # Residual bound on accepted roots, relative to the sizes of the cubic's terms.
 ROOT_RESIDUAL_TOL = 1e-10
@@ -217,8 +226,15 @@ def design_residuals(params: ReducedParams, eta: int, target_spectrum,
     caller has them already, as ``dynamics.verify_design`` does; otherwise
     they are computed here.
     """
-    root = abs(g_polynomial(params.m, eta).evaluate(params.e))
+    poly = g_polynomial(params.m, eta)
     evals = np.linalg.eigvalsh(reduced_matrix(params)).tolist() if evals is None else evals
+    return _residuals(poly, params, eta, target_spectrum, evals)
+
+
+def _residuals(poly: GPolynomial, params: ReducedParams, eta, target_spectrum,
+               evals: list[float]) -> tuple[float, float, float]:
+    """:func:`design_residuals` with ``poly`` and ``evals`` at hand."""
+    root = abs(poly.evaluate(params.e))
     spectrum = max(abs(x - y) for x, y in zip(evals, sorted(map(float, target_spectrum))))
     l0, l1, l2 = lambda_coefficients(params.a, params.b, params.c, params.d, params.e)
     return root, spectrum, float(max(abs(l0), abs(l1 - eta**2), abs(l2)))
@@ -269,16 +285,53 @@ def solve_e(m: int, eta: float) -> list[float]:
     the module's root rule, ``|g(e)| <= ROOT_RESIDUAL_TOL * sum |terms|``:
     the roots exist but cannot be resolved in floating point.
     """
+    poly = _checked_polynomial(m, eta)
+    return _polished_roots(poly, m, eta, _companion_roots([poly])[0])
+
+
+def _checked_polynomial(m: int, eta: float) -> GPolynomial:
+    """The design polynomial of ``(m, eta)``, raising as :func:`solve_e`
+    does when it cannot be formed or the exact test finds no roots."""
     poly = g_polynomial(m, eta)
     if not _feasible(check_int(m, "m", lo=1), eta):
         report = feasibility(m, eta)
-        raise InfeasibleDesignError(
-            f"no admissible root for m={m}, eta={eta}: the design polynomial "
-            f"stays positive (minimum {report.g_min!r})",
-            report,
-        )
-    roots = []
-    for z in _companion_roots([poly.x0, poly.x2, poly.x4, poly.x6])[1:]:
+        raise InfeasibleDesignError(f"no admissible root for m={m}, eta={eta}: the design "
+                                    f"polynomial stays positive (minimum {report.g_min!r})", report)
+    return poly
+
+
+def _companion_roots(polys: list[GPolynomial]) -> list[list]:
+    """Roots in ``u`` of each cubic of ``polys`` (nonzero leading
+    coefficient, as the design cubic's is for ``eta > 1``), one list each,
+    ascending by real part: the eigenvalues of their companion matrices, by
+    one ``np.linalg.eigvals`` call.  numpy solves a stack one matrix at a
+    time, so each list has the bits of its matrix solved alone, which are
+    numpy's ``polyroots`` without its series bookkeeping (a third of its
+    time)."""
+    roots = _stacked(np.linalg.eigvals, [[[0.0, 0.0, 0.0 - p.x0 / p.x6],
+                                          [1.0, 0.0, 0.0 - p.x2 / p.x6],
+                                          [0.0, 1.0, 0.0 - p.x4 / p.x6]] for p in polys])
+    roots.sort()
+    return roots.tolist()
+
+
+def _stacked(solve, matrices: list) -> np.ndarray:
+    """``solve`` (``np.linalg.eigvals`` or ``eigvalsh``) of every matrix of
+    the nonempty ``matrices``, nested lists, by one call on their stack; one
+    row of results per matrix.  A single matrix goes in 2-d, which numpy's
+    wrapper takes about 1.3 us faster than a stack of one, for the same
+    LAPACK call and the same bits."""
+    if len(matrices) == 1:
+        return solve(np.array(matrices[0]))[np.newaxis]
+    return solve(np.array(matrices))
+
+
+def _polished_roots(poly: GPolynomial, m: int, eta, roots: list) -> list[float]:
+    """:func:`solve_e`'s roots from the companion eigenvalues ``roots``,
+    ascending by real part: the real parts of the two largest, polished and
+    checked."""
+    polished = []
+    for z in roots[1:]:
         u = z.real
         for _ in range(3):
             slope = poly.derivative_u(u)
@@ -288,26 +341,10 @@ def solve_e(m: int, eta: float) -> list[float]:
         e = math.sqrt(max(u, 0.0))
         if not (e > 0.0 and _is_root(poly, e * e)):
             raise NoRealDesignError(
-                f"the roots of the design polynomial for m={m}, eta={eta} cannot be "
-                f"resolved in floating point (residual {poly.evaluate_u(u)!r} at u={u!r})"
-            )
-        roots.append(e)
-    return sorted(roots)
-
-
-def _companion_roots(coeffs: list[float]) -> list:
-    """Roots of ``sum coeffs[i] x**i`` (nonzero leading coefficient, as the
-    design cubic's is for ``eta > 1``), ascending by real part, as Python
-    numbers: the eigenvalues of the companion matrix, exactly as numpy's
-    ``polyroots`` computes them, without its series bookkeeping (a third of
-    its time)."""
-    *rest, lead = coeffs
-    n = len(rest)
-    companion = [[1.0 if j == i - 1 else 0.0 for j in range(n - 1)] + [0.0 - rest[i] / lead]
-                 for i in range(n)]
-    roots = np.linalg.eigvals(np.array(companion))
-    roots.sort()
-    return roots.tolist()
+                f"the roots of the design polynomial for m={m}, eta={eta} cannot be resolved "
+                f"in floating point (residual {poly.evaluate_u(u)!r} at u={u!r})")
+        polished.append(e)
+    return sorted(polished)
 
 
 def back_solve(e: float, m: int, eta: float) -> tuple[float, float]:
@@ -320,15 +357,16 @@ def back_solve(e: float, m: int, eta: float) -> tuple[float, float]:
     cubic, so an ``e`` that fails the root rule raises
     :class:`NoRealDesignError`.
     """
-    poly = g_polynomial(m, eta)
-    e = float(e)
+    return _back_solve(g_polynomial(m, eta), float(e), m, eta)
+
+
+def _back_solve(poly: GPolynomial, e: float, m: int, eta) -> tuple[float, float]:
+    """:func:`back_solve` with the design polynomial ``poly`` formed."""
     if e == 0.0:
         raise ValueError("e must be nonzero")
     if not _is_root(poly, e * e):
-        raise NoRealDesignError(
-            f"e={e!r} is not a root of the design polynomial for m={m}, eta={eta} "
-            f"(residual {poly.evaluate(e)!r})"
-        )
+        raise NoRealDesignError(f"e={e!r} is not a root of the design polynomial for m={m}, "
+                                f"eta={eta} (residual {poly.evaluate(e)!r})")
     d = e + (1.0 - float(eta) * float(eta)) * e**3 / 2.0
     return -e - d, d
 
@@ -394,33 +432,78 @@ def min_feasible_even_eta(m: int) -> int:
 
 
 def design(request: DesignInput) -> DesignSolution:
-    """Solve a design request end to end, in constant time.
+    """Solve a design request end to end, in constant time: the one-row
+    case of :func:`design_block`, which holds the only design path.
 
     Finds the admissible roots, picks one per the request's root policy,
     recovers the hub/bystander potentials, and realizes the star network in
-    coupling units (``coupling = c = 1``).  The solve is a cubic plus a 4x4
-    eigendecomposition; the solution stores the realized star as its hub,
-    bystander and route values (:func:`~spinstar.model.routed_star`), so
-    time and memory are ``O(1)`` in ``m``, as
+    coupling units (``coupling = c = 1``).  The solve is one 3x3 companion
+    ``eigvals`` and one 4x4 ``eigvalsh``; the solution stores the realized
+    star as its hub, bystander and route values
+    (:func:`~spinstar.model.routed_star`), so time and memory are ``O(1)``
+    in ``m``, as
     ``tests/test_sparse_star.py::test_design_and_retarget_run_in_constant_memory``
     and ``tests/test_cli.py::test_every_command_is_constant_time_in_m`` check.
     """
+    return list(design_block((request,)))[0]
+
+
+def design_block(requests: Iterable[DesignInput]) -> Iterator[DesignSolution]:
+    """Solve ``requests`` as :func:`design` solves each, yielding their
+    solutions in order.
+
+    Each request's design polynomial is formed once.  All companion
+    matrices go to one ``np.linalg.eigvals`` call and all reduced 4x4
+    matrices to one ``np.linalg.eigvalsh`` call; numpy solves a stack one
+    matrix at a time, so every solution has the bits that a request solved
+    alone gets.  Every other step runs per request, in order: the
+    feasibility test, the Newton polish and root rule, the root policy, the
+    back-solve, :class:`~spinstar.model.ReducedParams`, the residuals, the
+    spectrum guard and :class:`~spinstar.model.DesignSolution`.  The block
+    is solved when its first solution is asked for.  A request that fails
+    raises its error in its turn, after the solutions of the requests before
+    it, and ends the block.  Memory grows with the block, not with ``m``.
+    """
+    # Each stage stops at the first request that fails in it and keeps that
+    # request's error; the next stage takes only the requests before it.
+    rows, solved, failure = [], [], None
+    try:
+        for request in requests:
+            rows.append((request, _checked_polynomial(request.m, request.eta)))
+    except Exception as exc:  # re-raised in its turn, below
+        failure = exc
+    roots = _companion_roots([poly for _, poly in rows]) if rows else []
+    try:
+        for (request, poly), eigenvalues in zip(rows, roots):
+            solved.append(_reduced_params(request, poly, eigenvalues))
+    except Exception as exc:  # an earlier request than any that failed above
+        failure = exc
+    matrices = [reduced_rows(p) for p in solved]
+    spectra = _stacked(np.linalg.eigvalsh, matrices).tolist() if matrices else []
+    for (request, poly), params, evals in zip(rows, solved, spectra):
+        yield _solution(request, poly, params, evals)
+    if failure is not None:
+        raise failure
+
+
+def _reduced_params(request: DesignInput, poly: GPolynomial, roots: list) -> ReducedParams:
+    """The request's matrix elements, from its companion eigenvalues
+    ``roots``, ascending by real part."""
     m, eta = request.m, request.eta
-    e = request.root_choice.select(solve_e(m, eta))
-    a, d = back_solve(e, m, eta)
-    params = ReducedParams(a=a, b=math.sqrt(m), c=1.0, d=d, e=e, m=m)
+    e = request.root_choice.select(_polished_roots(poly, m, eta, roots))
+    a, d = _back_solve(poly, e, m, eta)
+    return ReducedParams(a=a, b=math.sqrt(m), c=1.0, d=d, e=e, m=m)
+
+
+def _solution(request: DesignInput, poly: GPolynomial, params: ReducedParams,
+              evals: list[float]) -> DesignSolution:
+    """The request's solution, from its matrix elements and their 4x4
+    eigenvalues ``evals``, ascending."""
+    m, eta, e = request.m, request.eta, params.e
     target = (0.0, e, eta * e, -eta * e)
-    root, deviation, lambda_deviation = design_residuals(params, eta, target)
+    root, deviation, lambda_deviation = _residuals(poly, params, eta, target, evals)
     if deviation > SPECTRUM_TOL * max(1.0, abs(eta * e)):
-        raise NoRealDesignError(
-            f"design for m={m}, eta={eta} misses its spectrum by {deviation!r}"
-        )
-    return DesignSolution(
-        params=params,
-        eta=eta,
-        transfer_time=math.pi / e,
-        target_spectrum=target,
-        root_residual=root,
-        spectrum_residual=deviation,
-        lambda_residual=lambda_deviation,
-    )
+        raise NoRealDesignError(f"design for m={m}, eta={eta} misses its spectrum by {deviation!r}")
+    return DesignSolution(params=params, eta=eta, transfer_time=math.pi / e, target_spectrum=target,
+                          root_residual=root, spectrum_residual=deviation,
+                          lambda_residual=lambda_deviation)

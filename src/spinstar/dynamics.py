@@ -250,12 +250,12 @@ def fidelity_trace(h, t_grid, src: int, dst: int) -> FidelityTrace:
     """Squared transition amplitude sampled over ``t_grid``; the
     eigendecomposition is done once and reused across the grid.  A grid
     that is empty, not finite or not strictly increasing is refused
-    (:func:`check_times`) before any amplitude is evaluated;
+    (:func:`check_times`, once) before any amplitude is evaluated;
     :class:`FidelityTrace` also refuses one that is not 1-d."""
     grid = np.asarray(t_grid, dtype=float)
     check_times(grid)
     amps = EvolutionCache.from_hamiltonian(h).amplitudes(grid, src, dst)
-    return FidelityTrace(times=grid, values=np.abs(amps) ** 2)
+    return FidelityTrace.on_checked_grid(grid, np.abs(amps) ** 2)
 
 
 def transfer_time_grid(tau: float, t_max: float | None = None, steps: int = 1000) -> np.ndarray:
@@ -268,7 +268,10 @@ def transfer_time_grid(tau: float, t_max: float | None = None, steps: int = 1000
     falls outside the window, or within its first half-spacing, the grid is
     a plain ``linspace``.  ``t_max`` must be positive and finite.  More than
     ``STEPS_MAX`` steps raise :class:`EnvelopeError` before anything is
-    allocated.
+    allocated.  The grid is finite and is checked to increase strictly once
+    built, so it passes :func:`check_times` without a second pass: a window
+    too narrow for its steps, whose times round to equal neighbours, raises
+    ``ValueError`` naming ``t_max`` and ``steps``.
     """
     tau = float(tau)
     steps = check_int(steps, "steps", lo=2)
@@ -284,9 +287,10 @@ def transfer_time_grid(tau: float, t_max: float | None = None, steps: int = 1000
     if not 0 < t_max < math.inf:
         raise ValueError("t_max must be positive and finite")
     segments = round((steps - 1) * tau / t_max) if 0.0 < tau <= t_max else 0
-    if segments:
-        return np.arange(steps) * (tau / segments)
-    return np.linspace(0.0, t_max, steps)
+    grid = np.arange(steps) * (tau / segments) if segments else np.linspace(0.0, t_max, steps)
+    if not np.all(np.diff(grid) > 0):
+        raise ValueError(f"t_max={t_max!r} is too small for steps={steps}: the grid's times repeat")
+    return grid
 
 
 def exchange_parities(evals: np.ndarray, vecs: np.ndarray, i: int, j: int,

@@ -455,11 +455,24 @@ class FidelityTrace:
     values: np.ndarray
 
     def __post_init__(self):
-        times = np.array(self.times, dtype=float)
-        values = np.array(self.values, dtype=float)
+        self._freeze(self.times, self.values, check_grid=True)
+
+    @classmethod
+    def on_checked_grid(cls, times, values) -> "FidelityTrace":
+        """The trace of ``values`` on ``times``, a grid that
+        :func:`check_times` has passed: every other rule is applied, the
+        grid's is not applied again."""
+        trace = object.__new__(cls)
+        trace._freeze(times, values, check_grid=False)
+        return trace
+
+    def _freeze(self, times, values, check_grid: bool) -> None:
+        times = np.array(times, dtype=float)
+        values = np.array(values, dtype=float)
         if times.ndim != 1 or values.ndim != 1 or times.size != values.size:
             raise ValueError("times and values must be 1-d sequences of equal length")
-        check_times(times)
+        if check_grid:
+            check_times(times)
         # Written so that a NaN fails it.
         if not np.all((values >= 0.0) & (values <= 1.0 + 1e-12)):
             raise ValueError("fidelities must lie in [0, 1] up to rounding")
@@ -589,15 +602,14 @@ def build_reduced(spec: StarSpec, source: int, target: int) -> ReducedParams:
 def reduced_matrix(params: ReducedParams) -> np.ndarray:
     """The 4x4 effective Hamiltonian in the basis (hub, bystander-symmetric,
     source, target)."""
+    return np.array(reduced_rows(params))
+
+
+def reduced_rows(params: ReducedParams) -> list[list[float]]:
+    """The rows of :func:`reduced_matrix` as lists, for a caller that
+    stacks many of them into one array."""
     a, b, c, d, e = params.a, params.b, params.c, params.d, params.e
-    return np.array(
-        [
-            [a, b, c, c],
-            [b, d, 0.0, 0.0],
-            [c, 0.0, e, 0.0],
-            [c, 0.0, 0.0, e],
-        ]
-    )
+    return [[a, b, c, c], [b, d, 0.0, 0.0], [c, 0.0, e, 0.0], [c, 0.0, 0.0, e]]
 
 
 # ---------------------------------------------------------------------------

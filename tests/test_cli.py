@@ -408,9 +408,10 @@ def test_plain_simulate_takes_route_nodes_within_the_rule_on_both_sides_of_e(tmp
 
 def test_design_residuals_are_computed_once_per_design_and_never_on_read(tmp_path, monkeypatch,
                                                                            capsys):
+    # designer._residuals computes them for design_residuals and for design
     calls = []
-    residuals = designer.design_residuals
-    monkeypatch.setattr(designer, "design_residuals",
+    residuals = designer._residuals
+    monkeypatch.setattr(designer, "_residuals",
                         lambda *args: calls.append(args) or residuals(*args))
     path, moved = tmp_path / "design.json", tmp_path / "moved.json"
     runs = [(["design", "--bystanders", "7", "--eta", "10", "--out", str(path)], 1),
@@ -682,9 +683,28 @@ def test_simulate_refuses_a_collapsed_window_before_evaluating_it(tmp_path, caps
     argv = ["simulate", "--design", str(GOLDEN / "design_m2_smallest.json"), "--steps", "1000000",
             "--t-max", "1e-318", "--out", str(out)]
     assert execute(argv + ["--full"] * full) == 1
-    assert capsys.readouterr().err == "error: times must be strictly increasing\n"
+    assert capsys.readouterr().err == ("error: t_max=1e-318 is too small for steps=1000000: "
+                                       "the grid's times repeat\n")
     assert not out.exists()
     assert not calls
+
+
+@pytest.mark.parametrize("full", [False, True], ids=["reduced", "full"])
+def test_simulate_checks_its_grid_once(tmp_path, monkeypatch, full):
+    # Each check that a grid strictly increases is one np.diff over it.
+    sizes, diff = [], np.diff
+
+    def counted(a, *args, **kwargs):
+        sizes.append(np.size(a))
+        return diff(a, *args, **kwargs)
+
+    monkeypatch.setattr(np, "diff", counted)
+    out = tmp_path / "trace.csv"
+    assert execute(["simulate", "--design", str(GOLDEN / "design_m2_smallest.json"),
+                    "--steps", "50", "--out", str(out)] + ["--full"] * full) == 0
+    assert sizes == [50]
+    golden = "simulate_m2_full.csv" if full else "simulate_m2.csv"
+    assert out.read_bytes() == (GOLDEN / golden).read_bytes()
 
 
 def test_simulate_write_errors_are_one_error_line(design_file, tmp_path, capsys):
@@ -768,6 +788,131 @@ def test_sweep_validation(capsys):
     assert capsys.readouterr() == ("", "error: --m-min must be at least 1, got 0\n")
     assert execute(["sweep", "--m-min", "5", "--m-max", "3"]) == 1
     assert capsys.readouterr() == ("", "error: --m-max must be at least 5, got 3\n")
+
+
+_SWEEP_HEADER = "m,eta,e,a,d,tau,abs_a_over_sqrt_m,abs_d_over_sqrt_m\n"
+
+
+def _sweep_reference(ms, eta_max=None, eta_of=min_feasible_even_eta) -> list[str]:
+    """The lines of a sweep over ``ms``, each row from its own
+    ``designer.design``, with the skip lines of ``--eta-max`` in place."""
+    lines = []
+    for m in ms:
+        eta = eta_of(m)
+        if eta_max is not None and eta > eta_max:
+            lines.append(f"m={m}: no feasible even eta up to {eta_max}; skipping\n")
+            continue
+        sol = design(DesignInput(m=m, eta=eta, root_choice=SMALLEST))
+        p, scale = sol.params, math.sqrt(m)
+        lines.append(f"{m},{eta},{p.e!r},{p.a!r},{p.d!r},{sol.transfer_time!r},"
+                     f"{abs(p.a) / scale!r},{abs(p.d) / scale!r}\n")
+    return lines
+
+
+def _sweep_one_stream(ms, *extra):
+    """Exit status and the text of a sweep over ``ms`` with standard output
+    and standard error written to one stream."""
+    both = io.StringIO()
+    with contextlib.redirect_stdout(both), contextlib.redirect_stderr(both):
+        status = execute(["sweep", "--m-min", str(ms[0]), "--m-max", str(ms[-1]), *extra])
+    return status, both.getvalue()
+
+
+@pytest.mark.parametrize("start", [1, designer.M_MAX - 2 * cli._SWEEP_BLOCK])
+def test_sweep_blocks_equal_row_by_row_designs(capsys, start):
+    # two full blocks and one row, from m = 1 or up to m = 10**6
+    ms = range(start, start + 2 * cli._SWEEP_BLOCK + 1)
+    assert execute(["sweep", "--m-min", str(ms[0]), "--m-max", str(ms[-1])]) == 0
+    out = capsys.readouterr().out
+    assert out.splitlines(keepends=True) == [_SWEEP_HEADER, *_sweep_reference(ms)]
+
+
+def test_sweep_skip_lines_keep_their_place_among_rows(monkeypatch, capsys):
+    # m = 5, 6 and 700 are lifted over the cap inside the first block; from
+    # about m = 1800 on, every row lies over it, into the third block.
+    ms, eta_max, lifted = range(1, 2101), min_feasible_even_eta(1800) - 1, {5, 6, 700}
+    minimal = designer.min_feasible_even_eta
+
+    def eta_of(m):
+        return 2 * eta_max if m in lifted else minimal(m)
+
+    monkeypatch.setattr(designer, "min_feasible_even_eta", eta_of)
+    lines = _sweep_reference(ms, eta_max, eta_of)
+    skips = [line for line in lines if line.startswith("m=")]
+    rows = [line for line in lines if not line.startswith("m=")]
+    assert [line.startswith("m=") for line in lines[1024:1026]] == [False, False]
+    assert lines[-1].startswith("m=2100:") and 3 < len(skips) < 400
+    assert _sweep_one_stream(ms, "--eta-max", str(eta_max)) == (0, _SWEEP_HEADER + "".join(lines))
+    assert execute(["sweep", "--m-min", "1", "--m-max", "2100", "--eta-max", str(eta_max)]) == 0
+    assert capsys.readouterr() == (_SWEEP_HEADER + "".join(rows), "".join(skips))
+
+
+@pytest.mark.parametrize("stage", ["_checked_polynomial", "_reduced_params", "_solution"])
+def test_a_sweep_row_that_fails_mid_block_ends_the_sweep(monkeypatch, stage):
+    # Row m = 500 of the window 1..block + 50 fails in each stage of the
+    # block designer: rows 1..499, then one error line, exit status 1.
+    ms, failing, step = range(1, cli._SWEEP_BLOCK + 51), 500, getattr(designer, stage)
+
+    def failing_at(first, *rest):
+        m = first if isinstance(first, int) else first.m
+        if m == failing:
+            raise NoRealDesignError(f"row m={m} made to fail")
+        return step(first, *rest)
+
+    monkeypatch.setattr(designer, stage, failing_at)
+    expected = _SWEEP_HEADER + "".join(_sweep_reference(range(1, failing)))
+    assert _sweep_one_stream(ms) == (1, expected + "error: row m=500 made to fail\n")
+
+
+def test_an_infeasible_sweep_row_mid_block_is_exit_status_2(monkeypatch, capsys):
+    minimal = designer.min_feasible_even_eta
+    monkeypatch.setattr(designer, "min_feasible_even_eta", lambda m: 2 if m == 500 else minimal(m))
+    assert execute(["design", "--bystanders", "500", "--eta", "2"]) == 2
+    infeasible = capsys.readouterr().err
+    assert len(infeasible.splitlines()) == 4
+    expected = _SWEEP_HEADER + "".join(_sweep_reference(range(1, 500)))
+    assert _sweep_one_stream(range(1, 800)) == (2, expected + infeasible)
+
+
+@pytest.mark.parametrize("rows, blocks", [(1, 1), (3, 1), (cli._SWEEP_BLOCK, 1),
+                                          (cli._SWEEP_BLOCK + 1, 2)])
+def test_sweep_solves_each_block_with_one_eigvals_and_one_eigvalsh(monkeypatch, capsys,
+                                                                   rows, blocks):
+    calls = []
+    for name in ("eigvals", "eigvalsh"):
+        monkeypatch.setattr(np.linalg, name, lambda a, *args, _name=name,
+                            _solve=getattr(np.linalg, name): calls.append(_name) or _solve(a, *args))
+    assert execute(["sweep", "--m-min", "1", "--m-max", str(rows)]) == 0
+    assert len(capsys.readouterr().out.splitlines()) == rows + 1
+    assert calls == ["eigvals", "eigvalsh"] * blocks
+
+
+def test_sweep_memory_is_set_by_the_block_not_the_window(monkeypatch):
+    import gc
+    import tracemalloc
+
+    # Blocks of 256 rows keep the traced windows short.  A first window of 8
+    # blocks, untraced, fills the interpreter's free lists, which otherwise
+    # keep more memory after each window until they are full; the collector
+    # is off while windows are traced, so its timing does not move a peak
+    # (and memory held in reference cycles would grow with the window).
+    monkeypatch.setattr(cli, "_SWEEP_BLOCK", 256)
+    peaks = []
+    with open(os.devnull, "w") as sink, contextlib.redirect_stdout(sink):
+        assert execute(["sweep", "--m-min", "1", "--m-max", str(256 * 8)]) == 0
+        gc.disable()
+        tracemalloc.start()
+        try:
+            for blocks in (2, 2, 8):
+                start = tracemalloc.get_traced_memory()[0]
+                tracemalloc.reset_peak()
+                assert execute(["sweep", "--m-min", "1", "--m-max", str(256 * blocks)]) == 0
+                peaks.append(tracemalloc.get_traced_memory()[1] - start)
+        finally:
+            tracemalloc.stop()
+            gc.enable()
+    two, eight = peaks[1:]  # the first traced window only warms up
+    assert abs(eight - two) <= 0.1 * two, peaks
 
 
 def _without(doc, key):

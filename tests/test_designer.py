@@ -628,13 +628,77 @@ def test_design_input_refuses_requests_beyond_the_envelope():
 
 
 def test_companion_roots_match_numpy_polyroots():
+    # one stacked call for all 500 cubics, each row against polyroots alone
     rng = np.random.default_rng(41)
+    polys = []
     for _ in range(500):
         m = int(10 ** rng.uniform(0, 6))
         eta = int(rng.integers(1, ETA_MAX // 2)) * 2
-        p = g_polynomial(m, eta)
+        polys.append(g_polynomial(m, eta))
+    for p, roots in zip(polys, _companion_roots(polys)):
         coeffs = [p.x0, p.x2, p.x4, p.x6]
-        assert _companion_roots(coeffs) == np.polynomial.polynomial.polyroots(coeffs).tolist()
+        assert roots == np.polynomial.polynomial.polyroots(coeffs).tolist()
+
+
+def test_stacked_eigensolves_equal_single_calls_bit_for_bit():
+    # numpy solves a stack one matrix at a time, with the LAPACK build at
+    # hand: 3000 companions (feasible or not, so real or complex roots) and
+    # 3000 four-level matrices, each against its own call.
+    rng = np.random.default_rng(7)
+    polys, params = [], []
+    for _ in range(3000):
+        m = int(10 ** rng.uniform(0, 6))
+        eta = int(rng.integers(1, ETA_MAX // 2)) * 2
+        polys.append(g_polynomial(m, eta))
+        a, d, e = rng.normal(0.0, 10.0 ** rng.uniform(-3, 3), size=3)
+        params.append(ReducedParams(a=a, b=math.sqrt(m), c=1.0, d=d, e=e, m=m))
+    companions = np.array([(0.0, 0.0, -p.x0 / p.x6, 1.0, 0.0, -p.x2 / p.x6, 0.0, 1.0, -p.x4 / p.x6)
+                           for p in polys]).reshape(-1, 3, 3)
+    stacked = np.linalg.eigvals(companions).astype(complex)
+    assert any(np.iscomplexobj(np.linalg.eigvals(c)) for c in companions[:100])
+    for matrix, roots in zip(companions, stacked):
+        assert np.linalg.eigvals(matrix).astype(complex).tobytes() == roots.tobytes()
+    reduced = np.array([reduced_matrix(p) for p in params])
+    for matrix, evals in zip(reduced, np.linalg.eigvalsh(reduced)):
+        assert np.linalg.eigvalsh(matrix).tobytes() == evals.tobytes()
+
+
+def _bits(sol) -> tuple:
+    p = sol.params
+    return (p.m, sol.eta, *(float(x).hex() for x in (p.a, p.b, p.c, p.d, p.e, sol.transfer_time,
+                                                     *sol.target_spectrum, sol.root_residual,
+                                                     sol.spectrum_residual, sol.lambda_residual)),
+            sol.realized)
+
+
+def test_design_block_equals_design_request_by_request():
+    rng = np.random.default_rng(11)
+    requests = []
+    for _ in range(300):
+        m = int(10 ** rng.uniform(0, 6))
+        eta = min(ETA_MAX, min_feasible_even_eta(m) + 2 * int(10 ** rng.uniform(0, 5)))
+        policy = (SMALLEST, LARGEST, RootChoice("index", 1))[int(rng.integers(3))]
+        requests.append(DesignInput(m=m, eta=eta, root_choice=policy))
+    assert [_bits(sol) for sol in designer.design_block(requests)] == [
+        _bits(design(r)) for r in requests]
+    assert list(designer.design_block([])) == []
+
+
+@pytest.mark.parametrize("bad, error", [
+    (DesignInput(m=500, eta=2), InfeasibleDesignError),
+    (DesignInput(m=500, eta=650, root_choice=RootChoice("index", 2)), ValueError),
+])
+def test_design_block_raises_a_failing_request_in_its_turn(bad, error):
+    # the solutions before it, then design's own error for it; none after
+    good = [DesignInput(m=m, eta=min_feasible_even_eta(m)) for m in (3, 40, 7000)]
+    with pytest.raises(error) as alone:
+        design(bad)
+    solutions = designer.design_block(good[:2] + [bad] + good[2:])
+    assert [_bits(next(solutions)) for _ in range(2)] == [_bits(design(r)) for r in good[:2]]
+    with pytest.raises(error) as in_block:
+        next(solutions)
+    assert str(in_block.value) == str(alone.value)
+    assert next(solutions, None) is None
 
 
 def test_root_choice_parse_and_select():

@@ -7,7 +7,8 @@ step without ``{out}`` records its standard output.  The outputs of the
 largest supported design, about 20 MB a file, are pinned by their SHA-256
 digests in ``m1000000.sha256`` (``sha256sum`` format) instead.  The bits
 of the design roots over a grid of ``(m, eta)`` are pinned the same way, in
-``solve_e.sha256``.  To regenerate the files after a deliberate output
+``solve_e.sha256``, and the 10 000 rows of ``sweep --m-min 1 --m-max 10000``
+in ``sweep_1_10000.sha256``.  To regenerate the files after a deliberate output
 change, run ``python tests/test_golden.py``.
 """
 
@@ -26,6 +27,7 @@ from spinstar.designer import ETA_MAX, min_feasible_even_eta, solve_e
 GOLDEN = Path(__file__).parent / "data" / "golden"
 DIGESTS = GOLDEN / "m1000000.sha256"
 ROOT_DIGEST = GOLDEN / "solve_e.sha256"
+SWEEP_DIGEST = GOLDEN / "sweep_1_10000.sha256"
 
 STEPS = [
     *[
@@ -70,6 +72,8 @@ def _largest_steps(root: str) -> list:
 
 
 DIGEST_STEPS = _largest_steps("smallest") + _largest_steps("largest")
+
+SWEEP_STEPS = [("sweep_1_10000.csv", ["sweep", "--m-min", "1", "--m-max", "10000"])]
 
 
 def run_steps(workdir: Path, steps: list = STEPS) -> dict[str, Path]:
@@ -123,10 +127,16 @@ def test_design_roots_match_golden_digest():
     assert solve_e_grid() == ROOT_DIGEST.read_text()
 
 
+def test_long_sweep_matches_golden_digest(tmp_path):
+    assert sha256sum(run_steps(tmp_path, SWEEP_STEPS)) == SWEEP_DIGEST.read_text()
+
+
 if __name__ == "__main__":
     GOLDEN.mkdir(parents=True, exist_ok=True)
     run_steps(GOLDEN)
     with tempfile.TemporaryDirectory() as workdir:
         DIGESTS.write_text(sha256sum(run_steps(Path(workdir), DIGEST_STEPS)))
+        SWEEP_DIGEST.write_text(sha256sum(run_steps(Path(workdir), SWEEP_STEPS)))
     ROOT_DIGEST.write_text(solve_e_grid())
-    sys.stdout.write(f"wrote {len(STEPS)} files, {DIGESTS.name} and {ROOT_DIGEST.name} to {GOLDEN}\n")
+    sys.stdout.write(f"wrote {len(STEPS)} files, {DIGESTS.name}, {ROOT_DIGEST.name} and "
+                     f"{SWEEP_DIGEST.name} to {GOLDEN}\n")
