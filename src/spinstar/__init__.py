@@ -8,6 +8,8 @@ Routes are switched by swapping potentials (:mod:`spinstar.switchboard`);
 :mod:`spinstar.cli` exposes everything as the ``spinstar`` command.
 """
 
+from types import ModuleType as _ModuleType
+
 from .designer import (
     ETA_MAX,
     LARGEST,
@@ -30,7 +32,6 @@ from .dynamics import (
     EvolutionCache,
     StarEvolution,
     VerificationReport,
-    exchange_parities,
     fidelity_trace,
     lift_reduced_amplitude,
     propagate,
@@ -57,8 +58,6 @@ from .model import (
     build_full_spin_hamiltonian,
     build_grouped,
     build_reduced,
-    exchange_operator,
-    is_exchange_symmetric,
     reduced_matrix,
     single_excitation_indices,
 )
@@ -66,55 +65,7 @@ from .switchboard import RoutingState, apply_offset, initial_routing, retarget
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "ArrowheadMatrix",
-    "DesignInput",
-    "DesignSolution",
-    "ETA_MAX",
-    "EnvelopeError",
-    "EvolutionCache",
-    "FeasibilityReport",
-    "FidelityTrace",
-    "GPolynomial",
-    "GroupedStar",
-    "InfeasibleDesignError",
-    "LARGEST",
-    "M_MAX",
-    "NoRealDesignError",
-    "ReducedParams",
-    "ResourceLimitError",
-    "RootChoice",
-    "RoutingState",
-    "SMALLEST",
-    "STEPS_MAX",
-    "SpinStarError",
-    "StarEvolution",
-    "StarSpec",
-    "SymmetryError",
-    "VerificationReport",
-    "apply_offset",
-    "back_solve",
-    "build_arrowhead",
-    "build_full_spin_hamiltonian",
-    "build_grouped",
-    "build_reduced",
-    "design",
-    "exchange_operator",
-    "exchange_parities",
-    "feasibility",
-    "fidelity_trace",
-    "g_polynomial",
-    "initial_routing",
-    "is_exchange_symmetric",
-    "lambda_coefficients",
-    "lift_reduced_amplitude",
-    "min_feasible_even_eta",
-    "propagate",
-    "reduced_matrix",
-    "retarget",
-    "single_excitation_indices",
-    "solve_e",
-    "transfer_time_grid",
-    "transition_amplitude",
-    "verify_design",
-]
+# The public API is every name imported above that is not private and not a
+# submodule: the import lists are its one spelling.
+__all__ = sorted(name for name, value in globals().items()
+                 if not name.startswith("_") and not isinstance(value, _ModuleType))

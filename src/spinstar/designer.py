@@ -357,16 +357,18 @@ def back_solve(e: float, m: int, eta: float) -> tuple[float, float]:
     cubic, so an ``e`` that fails the root rule raises
     :class:`NoRealDesignError`.
     """
-    return _back_solve(g_polynomial(m, eta), float(e), m, eta)
-
-
-def _back_solve(poly: GPolynomial, e: float, m: int, eta) -> tuple[float, float]:
-    """:func:`back_solve` with the design polynomial ``poly`` formed."""
+    poly, e = g_polynomial(m, eta), float(e)
     if e == 0.0:
         raise ValueError("e must be nonzero")
     if not _is_root(poly, e * e):
         raise NoRealDesignError(f"e={e!r} is not a root of the design polynomial for m={m}, "
                                 f"eta={eta} (residual {poly.evaluate(e)!r})")
+    return _potentials(e, eta)
+
+
+def _potentials(e: float, eta) -> tuple[float, float]:
+    """The closed forms ``(a, d)`` of :func:`back_solve` at the root ``e``,
+    unchecked."""
     d = e + (1.0 - float(eta) * float(eta)) * e**3 / 2.0
     return -e - d, d
 
@@ -488,10 +490,12 @@ def design_block(requests: Iterable[DesignInput]) -> Iterator[DesignSolution]:
 
 def _reduced_params(request: DesignInput, poly: GPolynomial, roots: list) -> ReducedParams:
     """The request's matrix elements, from its companion eigenvalues
-    ``roots``, ascending by real part."""
+    ``roots``, ascending by real part.  :func:`_polished_roots` has applied
+    the root rule to the chosen root, so its potentials are the closed forms
+    without :func:`back_solve`'s checks."""
     m, eta = request.m, request.eta
     e = request.root_choice.select(_polished_roots(poly, m, eta, roots))
-    a, d = _back_solve(poly, e, m, eta)
+    a, d = _potentials(e, eta)
     return ReducedParams(a=a, b=math.sqrt(m), c=1.0, d=d, e=e, m=m)
 
 

@@ -31,7 +31,6 @@ from .model import (
     build_reduced,
     check_int,
     check_times,
-    exchange_permutation,
     reduced_matrix,
 )
 
@@ -39,9 +38,6 @@ from .model import (
 SYMMETRY_TOL = 1e-12
 
 DEFAULT_VERIFY_TOL = 1e-9
-
-# Relative eigenvalue gap that :func:`exchange_parities` (not verify) treats as one cluster.
-DEGENERACY_TOL = 1e-8
 
 # The longest time grid :func:`transfer_time_grid` builds.  A trace's phase
 # factors are evaluated in blocks of at most 1 MiB at any length
@@ -291,33 +287,6 @@ def transfer_time_grid(tau: float, t_max: float | None = None, steps: int = 1000
     if not np.all(np.diff(grid) > 0):
         raise ValueError(f"t_max={t_max!r} is too small for steps={steps}: the grid's times repeat")
     return grid
-
-
-def exchange_parities(evals: np.ndarray, vecs: np.ndarray, i: int, j: int,
-                      degeneracy_tol: float = DEGENERACY_TOL) -> np.ndarray:
-    """Exchange parity (+-1) of each eigenvector under swapping slots i and j.
-
-    Individual eigenvectors of a degenerate eigenvalue are basis-arbitrary, so
-    eigenvalues closer than ``degeneracy_tol`` (relative to the spectral
-    radius) are grouped and the swap operator is re-diagonalized inside each
-    group; the parities of a group are well defined even though its vectors
-    are not.
-    """
-    evals = np.asarray(evals, dtype=float)
-    vecs = np.asarray(vecs, dtype=float)
-    n = evals.size
-    swapped = exchange_permutation(n, i, j)
-    gap = degeneracy_tol * max(1.0, float(np.max(np.abs(evals))))
-    parities = np.empty(n)
-    start = 0
-    for stop in range(1, n + 1):
-        if stop < n and evals[stop] - evals[stop - 1] <= gap:
-            continue
-        block = vecs[:, start:stop]
-        overlap = block[swapped].T @ block
-        parities[start:stop] = np.linalg.eigvalsh(overlap)
-        start = stop
-    return parities
 
 
 def _parity_pattern_ok(cache: EvolutionCache, e_value: float) -> bool:

@@ -1,4 +1,4 @@
-"""Star-network Hamiltonians and the symmetry machinery built on them.
+"""Star-network Hamiltonians.
 
 A star is one hub spin coupled with uniform strength to ``N`` edge spins,
 each node carrying its own local potential.  The same network shows up here
@@ -33,7 +33,6 @@ from .errors import ResourceLimitError, SymmetryError
 
 # Tolerance of the route rule (:func:`check_route`), relative to
 # ``max(1, |wanted|)``; inputs are user-specified reals, not measured data.
-# It is absolute only as the default of :func:`is_exchange_symmetric`.
 POTENTIAL_MATCH_TOL = 1e-12
 
 # The full spin space exists only as an oracle; 2**(N+1) <= 2048.
@@ -616,6 +615,8 @@ def reduced_rows(params: ReducedParams) -> list[list[float]]:
 # Full spin space (oracle scale)
 # ---------------------------------------------------------------------------
 
+# No command uses the full spin space; it stays here, not with the test
+# oracles, because the benchmark's oracle operation (bench/ops.py) reads it.
 def build_full_spin_hamiltonian(spec: StarSpec) -> np.ndarray:
     """Brute-force star Hamiltonian on all ``2**(N+1)`` spin states.
 
@@ -647,38 +648,3 @@ def single_excitation_indices(edge_count: int) -> np.ndarray:
     space, ordered (hub, edge 1, ..., edge N) to match ``build_arrowhead``."""
     n = check_int(edge_count, "edge_count", lo=0)
     return np.array([1 << (n - j) for j in range(n + 1)], dtype=np.intp)
-
-
-# ---------------------------------------------------------------------------
-# Exchange symmetry
-# ---------------------------------------------------------------------------
-
-def exchange_permutation(dimension: int, i: int, j: int) -> np.ndarray:
-    """Indices ``0..dimension-1`` with ``i`` and ``j`` swapped: ``x[perm]``
-    is ``exchange_operator(dimension, i, j) @ x`` without the dense matrix."""
-    dimension = check_int(dimension, "dimension")
-    i, j = check_pair(i, j, ("i", "j"), 0, dimension - 1)
-    perm = np.arange(dimension)
-    perm[[i, j]] = j, i
-    return perm
-
-
-def exchange_operator(dimension: int, i: int, j: int) -> np.ndarray:
-    """Permutation matrix swapping basis vectors ``i`` and ``j``.
-
-    Implemented as a genuine transposition, so it is self-inverse: P @ P = I.
-    """
-    perm = exchange_permutation(dimension, i, j)
-    return np.eye(perm.size)[perm]
-
-
-def is_exchange_symmetric(h: np.ndarray, i: int, j: int, tol: float = POTENTIAL_MATCH_TOL) -> bool:
-    """True iff conjugating ``h`` by the (i, j) swap changes no entry by more
-    than ``tol`` in max-norm.  ``i`` and ``j`` are two different indices of
-    ``h`` (:func:`exchange_permutation`); anything else raises
-    ``ValueError`` naming them."""
-    h = np.asarray(h, dtype=float)
-    if h.ndim != 2 or h.shape[0] != h.shape[1]:
-        raise ValueError("h must be a square matrix")
-    perm = exchange_permutation(h.shape[0], i, j)
-    return bool(np.max(np.abs(h[np.ix_(perm, perm)] - h)) <= tol)

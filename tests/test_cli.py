@@ -887,23 +887,42 @@ def test_sweep_solves_each_block_with_one_eigvals_and_one_eigvalsh(monkeypatch, 
     assert calls == ["eigvals", "eigvalsh"] * blocks
 
 
+def test_the_root_rule_runs_twice_per_design_and_per_sweep_row(monkeypatch, capsys):
+    # Once on each polished root; the potentials of the chosen root are its
+    # closed forms, with no third test.
+    calls = []
+    is_root = designer._is_root
+    monkeypatch.setattr(designer, "_is_root", lambda poly, u: calls.append(u) or is_root(poly, u))
+    for m, root in ((1, SMALLEST), (10**6, designer.LARGEST)):
+        calls.clear()
+        design(DesignInput(m=m, eta=min_feasible_even_eta(m), root_choice=root))
+        assert len(calls) == 2, m
+    calls.clear()
+    rows = cli._SWEEP_BLOCK + 3
+    assert execute(["sweep", "--m-min", "1", "--m-max", str(rows)]) == 0
+    assert len(capsys.readouterr().out.splitlines()) == rows + 1
+    assert len(calls) == 2 * rows
+
+
 def test_sweep_memory_is_set_by_the_block_not_the_window(monkeypatch):
     import gc
     import tracemalloc
 
-    # Blocks of 256 rows keep the traced windows short.  A first window of 8
-    # blocks, untraced, fills the interpreter's free lists, which otherwise
-    # keep more memory after each window until they are full; the collector
-    # is off while windows are traced, so its timing does not move a peak
-    # (and memory held in reference cycles would grow with the window).
+    # Blocks of 256 rows keep the traced windows short.  The interpreter's
+    # free lists keep freed objects, and tracemalloc counts those allocated
+    # while it traces.  So the first window, of 8 blocks, is traced too: it
+    # fills the free lists with traced objects, and the windows after it
+    # count only what their blocks hold, whatever ran earlier in the
+    # process.  The collector is off while windows are traced, so its
+    # timing does not move a peak (and memory held in reference cycles
+    # would grow with the window).
     monkeypatch.setattr(cli, "_SWEEP_BLOCK", 256)
     peaks = []
     with open(os.devnull, "w") as sink, contextlib.redirect_stdout(sink):
-        assert execute(["sweep", "--m-min", "1", "--m-max", str(256 * 8)]) == 0
         gc.disable()
         tracemalloc.start()
         try:
-            for blocks in (2, 2, 8):
+            for blocks in (8, 2, 8):
                 start = tracemalloc.get_traced_memory()[0]
                 tracemalloc.reset_peak()
                 assert execute(["sweep", "--m-min", "1", "--m-max", str(256 * blocks)]) == 0

