@@ -124,21 +124,12 @@ def design_document(sol: model.DesignSolution, source: int, target: int,
                     spec: model.StarSpec, root_choice: designer.RootChoice) -> dict:
     """JSON-ready dictionary for a design routed source -> target, with the
     realized star itself under ``potentials``; ``O(1)``.  :func:`render_design`
-    spells the star out node by node.  The spectrum and lambda residuals are
-    the solution's own: the designer's for a fresh design, the file's for one
-    read back.  Both are computed here only if it lacks one, as for a file
-    written without them; one that cannot be computed or is not finite, so
-    that no file could hold it, is refused with ``ValueError``."""
-    params = sol.params
-    spectrum_dev, lambda_dev = sol.spectrum_residual, sol.lambda_residual
-    if spectrum_dev is None or lambda_dev is None:
-        try:
-            _, spectrum_dev, lambda_dev = designer.design_residuals(params, sol.eta, sol.target_spectrum)
-        except ArithmeticError as exc:  # e**3 leaves the float range in lambda_coefficients
-            raise ValueError(f"design file: residuals.lambda cannot be computed: {exc}") from exc
-        for name, value in (("spectrum", spectrum_dev), ("lambda", lambda_dev)):
-            if not math.isfinite(value):
-                raise ValueError(f"design file: residuals.{name} is {value!r}, not a finite number")
+    spells the star out node by node.  The residuals are the solution's own,
+    as they are: the designer's for a fresh design, the file's for one read
+    back.  A solution that holds its spectrum and lambda residuals writes
+    ``root``, ``spectrum`` and ``lambda``; one that lacks either, such as
+    one read from a file written without them, writes ``root`` alone."""
+    params, pair = sol.params, (sol.spectrum_residual, sol.lambda_residual)
     return {
         "schema_version": SCHEMA_VERSION,
         "m": params.m,
@@ -155,11 +146,8 @@ def design_document(sol: model.DesignSolution, source: int, target: int,
         "spectrum": list(sol.target_spectrum),
         "coupling": spec.coupling,
         "potentials": spec,
-        "residuals": {
-            "root": sol.root_residual,
-            "spectrum": spectrum_dev,
-            "lambda": lambda_dev,
-        },
+        "residuals": {"root": sol.root_residual} if None in pair else {
+            "root": sol.root_residual, "spectrum": pair[0], "lambda": pair[1]},
     }
 
 
@@ -330,6 +318,7 @@ def parse_design_document(doc: dict) -> ParsedDesign:
     itself when its coupling is that one.  ``residuals.spectrum`` and
     ``residuals.lambda``, where the file has them, are carried into the
     solution, so a command that writes the design again writes them as read.
+    They come as a pair: a file that holds one must hold the other.
     """
     if not isinstance(doc, dict):
         raise ValueError("design file: top level must be a JSON object")
@@ -358,9 +347,10 @@ def parse_design_document(doc: dict) -> ParsedDesign:
             f"design file: field 'potentials' must hold m + 3 = {m + 3} entries, got {count}"
         )
     root_residual = _field(residuals, "root", float, "residuals.root")
-    spectrum_residual, lambda_residual = (
-        _field(residuals, key, float, f"residuals.{key}") if key in residuals else None
-        for key in ("spectrum", "lambda"))
+    spectrum_residual = lambda_residual = None
+    if "spectrum" in residuals or "lambda" in residuals:
+        spectrum_residual, lambda_residual = (
+            _field(residuals, key, float, f"residuals.{key}") for key in ("spectrum", "lambda"))
 
     try:
         solution = model.DesignSolution(
@@ -761,9 +751,9 @@ def _claims_hold(parsed: ParsedDesign, tol: float, evals) -> bool:
     within ``tol`` of its value recomputed from the design and its
     four-level eigenvalues ``evals`` (ascending), and ``e`` is the root that
     the file's ``root_choice`` picks, within 1e-12 relative.  An infeasible
-    ``(m, eta)``, roots that cannot be resolved, a root index past the roots
-    or residuals that cannot be computed (``e**3`` beyond the float range) is
-    a false claim: any package error is; ``O(1)``."""
+    ``(m, eta)``, roots that cannot be resolved or residuals that cannot be
+    computed (``e**3`` beyond the float range) is a false claim: any package
+    error is; ``O(1)``."""
     sol, p = parsed.base, parsed.base.params
     try:
         e = parsed.root_choice.select(designer.solve_e(p.m, sol.eta))
@@ -797,6 +787,7 @@ def _cmd_sweep(ns) -> int:
             params, scale = sol.params, math.sqrt(m)
             print(f"{m},{eta},{params.e!r},{params.a!r},{params.d!r},{sol.transfer_time!r},"
                   f"{abs(params.a) / scale!r},{abs(params.d) / scale!r}")
+        del designs  # the block's designer goes before the next block's rows are built
     return 0
 
 
@@ -828,7 +819,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--eta", type=int, required=True,
                    help="even spectrum ratio (the outer eigenvalue pair sits at +-eta*e)")
     p.add_argument("--root", default="smallest",
-                   help="smallest | largest | index:k (default smallest)")
+                   help="smallest | largest (default smallest); index:0 and index:1 "
+                   "read as those")
     p.add_argument("--out", default=None, help="output file (default: standard output)")
     p.set_defaults(handler=_cmd_design)
 

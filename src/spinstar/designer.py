@@ -80,45 +80,30 @@ def check_envelope(m: int | None = None, eta: int | None = None) -> None:
 
 @dataclass(frozen=True)
 class RootChoice:
-    """Which positive root of the design polynomial to use.
-
-    ``smallest`` reproduces the longest transfer time, ``largest`` the
-    shortest, ``index`` picks position ``index`` in the ascending root list.
-    ``index`` is 0 for the other two kinds, so each choice has one value.
-    """
+    """Which of the two positive roots of the design polynomial to use:
+    ``smallest`` gives the longer transfer time, ``largest`` the shorter."""
 
     kind: str
-    index: int = 0
 
     def __post_init__(self):
-        if self.kind not in ("smallest", "largest", "index"):
-            raise ValueError(f"unknown root choice {self.kind!r}")
-        hi = None if self.kind == "index" else 0
-        object.__setattr__(self, "index", check_int(self.index, "index", lo=0, hi=hi))
+        if self.kind not in ("smallest", "largest"):
+            raise ValueError(f"root choice must be 'smallest' or 'largest', got {self.kind!r}")
 
     @classmethod
     def parse(cls, text: str) -> "RootChoice":
-        """Accepts ``smallest``, ``largest`` or ``index:k``."""
-        if text == "smallest":
-            return SMALLEST
-        if text == "largest":
-            return LARGEST
-        kind, _, k = text.partition(":")
-        if kind == "index" and k.isdecimal():
-            return cls("index", int(k))
-        raise ValueError(f"root choice must be 'smallest', 'largest' or 'index:k', got {text!r}")
+        """Accepts ``smallest`` or ``largest``, and the older spellings
+        ``index:0`` and ``index:1`` of the same two choices."""
+        choices = {"smallest": SMALLEST, "largest": LARGEST, "index:0": SMALLEST, "index:1": LARGEST}
+        if text not in choices:
+            raise ValueError(f"root choice must be 'smallest' or 'largest', got {text!r}")
+        return choices[text]
 
     def select(self, roots: list[float]) -> float:
-        if self.kind == "smallest":
-            return roots[0]
-        if self.kind == "largest":
-            return roots[-1]
-        if self.index >= len(roots):
-            raise ValueError(f"root index {self.index} out of range; {len(roots)} root(s) exist")
-        return roots[self.index]
+        """The chosen one of the ascending ``roots``."""
+        return roots[0] if self.kind == "smallest" else roots[-1]
 
     def __str__(self) -> str:
-        return self.kind if self.kind != "index" else f"index:{self.index}"
+        return self.kind
 
 
 SMALLEST = RootChoice("smallest")
@@ -127,7 +112,8 @@ LARGEST = RootChoice("largest")
 
 @dataclass(frozen=True)
 class DesignInput:
-    """A design request: bystander count, spectrum ratio, root policy.
+    """A design request: bystander count, spectrum ratio, and which of the
+    two roots to use (:data:`SMALLEST` or :data:`LARGEST`).
 
     The supported envelope is ``1 <= m <= M_MAX = 10**6`` and even
     ``2 <= eta <= ETA_MAX = 1 400 000``; requests beyond it raise
@@ -301,29 +287,18 @@ def _checked_polynomial(m: int, eta: float) -> GPolynomial:
 
 
 def _companion_roots(polys: list[GPolynomial]) -> list[list]:
-    """Roots in ``u`` of each cubic of ``polys`` (nonzero leading
-    coefficient, as the design cubic's is for ``eta > 1``), one list each,
-    ascending by real part: the eigenvalues of their companion matrices, by
-    one ``np.linalg.eigvals`` call.  numpy solves a stack one matrix at a
-    time, so each list has the bits of its matrix solved alone, which are
-    numpy's ``polyroots`` without its series bookkeeping (a third of its
-    time)."""
-    roots = _stacked(np.linalg.eigvals, [[[0.0, 0.0, 0.0 - p.x0 / p.x6],
-                                          [1.0, 0.0, 0.0 - p.x2 / p.x6],
-                                          [0.0, 1.0, 0.0 - p.x4 / p.x6]] for p in polys])
+    """Roots in ``u`` of each cubic of the nonempty ``polys`` (nonzero
+    leading coefficient, as the design cubic's is for ``eta > 1``), one list
+    each, ascending by real part: the eigenvalues of their companion
+    matrices, by one ``np.linalg.eigvals`` call on their stack.  numpy
+    solves a stack one matrix at a time, so each list has the bits of its
+    matrix solved alone, which are numpy's ``polyroots`` without its series
+    bookkeeping (a third of its time)."""
+    roots = np.linalg.eigvals(np.array([[[0.0, 0.0, 0.0 - p.x0 / p.x6],
+                                         [1.0, 0.0, 0.0 - p.x2 / p.x6],
+                                         [0.0, 1.0, 0.0 - p.x4 / p.x6]] for p in polys]))
     roots.sort()
     return roots.tolist()
-
-
-def _stacked(solve, matrices: list) -> np.ndarray:
-    """``solve`` (``np.linalg.eigvals`` or ``eigvalsh``) of every matrix of
-    the nonempty ``matrices``, nested lists, by one call on their stack; one
-    row of results per matrix.  A single matrix goes in 2-d, which numpy's
-    wrapper takes about 1.3 us faster than a stack of one, for the same
-    LAPACK call and the same bits."""
-    if len(matrices) == 1:
-        return solve(np.array(matrices[0]))[np.newaxis]
-    return solve(np.array(matrices))
 
 
 def _polished_roots(poly: GPolynomial, m: int, eta, roots: list) -> list[float]:
@@ -437,7 +412,7 @@ def design(request: DesignInput) -> DesignSolution:
     """Solve a design request end to end, in constant time: the one-row
     case of :func:`design_block`, which holds the only design path.
 
-    Finds the admissible roots, picks one per the request's root policy,
+    Finds the admissible roots, picks one by the request's root choice,
     recovers the hub/bystander potentials, and realizes the star network in
     coupling units (``coupling = c = 1``).  The solve is one 3x3 companion
     ``eigvals`` and one 4x4 ``eigvalsh``; the solution stores the realized
@@ -459,7 +434,7 @@ def design_block(requests: Iterable[DesignInput]) -> Iterator[DesignSolution]:
     matrices to one ``np.linalg.eigvalsh`` call; numpy solves a stack one
     matrix at a time, so every solution has the bits that a request solved
     alone gets.  Every other step runs per request, in order: the
-    feasibility test, the Newton polish and root rule, the root policy, the
+    feasibility test, the Newton polish and root rule, the root choice, the
     back-solve, :class:`~spinstar.model.ReducedParams`, the residuals, the
     spectrum guard and :class:`~spinstar.model.DesignSolution`.  The block
     is solved when its first solution is asked for.  A request that fails
@@ -481,7 +456,7 @@ def design_block(requests: Iterable[DesignInput]) -> Iterator[DesignSolution]:
     except Exception as exc:  # an earlier request than any that failed above
         failure = exc
     matrices = [reduced_rows(p) for p in solved]
-    spectra = _stacked(np.linalg.eigvalsh, matrices).tolist() if matrices else []
+    spectra = np.linalg.eigvalsh(np.array(matrices)).tolist() if matrices else []
     for (request, poly), params, evals in zip(rows, solved, spectra):
         yield _solution(request, poly, params, evals)
     if failure is not None:

@@ -94,7 +94,7 @@ def test_design_usage_errors_exit_1(capsys):
 def test_design_malformed_root_index_is_one_error_line(capsys):
     assert execute(["design", "--bystanders", "2", "--eta", "4", "--root", "index:abc"]) == 1
     assert capsys.readouterr().err == (
-        "error: root choice must be 'smallest', 'largest' or 'index:k', got 'index:abc'\n"
+        "error: root choice must be 'smallest' or 'largest', got 'index:abc'\n"
     )
 
 
@@ -486,7 +486,6 @@ _FALSE_CLAIMS = {
     "residuals": lambda doc: doc.update(residuals={"root": 0.5, "spectrum": 0.25, "lambda": 3.0}),
     "root residual": lambda doc: doc["residuals"].update(root=1e-6),
     "largest root": lambda doc: doc.update(root_choice="largest"),
-    "root index past the roots": lambda doc: doc.update(root_choice="index:2"),
     "infeasible eta": _infeasible,
 }
 
@@ -501,6 +500,23 @@ def test_verify_refuses_a_file_whose_claims_are_false(tmp_path, capsys, case):
     assert out.splitlines()[-1] == "  result              : FAIL"
     if case != "infeasible eta":  # the dynamics are the file's, so is the report
         assert out.splitlines()[:-1] == passed.splitlines()[:-1]
+
+
+def test_a_file_spelling_its_root_index_1_reads_as_the_largest_root(tmp_path, capsys):
+    # index:0 and index:1, older spellings of the two roots, read as those
+    largest = GOLDEN / "design_m7_largest.json"
+    text = largest.read_text()
+    path = tmp_path / "index1.json"
+    path.write_text(text.replace('"root_choice": "largest"', '"root_choice": "index:1"', 1))
+    outputs = []
+    for design_path in (largest, path):
+        moved = tmp_path / f"moved_{design_path.name}"
+        assert execute(["verify", "--design", str(design_path)]) == 0
+        assert execute(["retarget", "--design", str(design_path), "--target", "5",
+                        "--out", str(moved)]) == 0
+        outputs.append((capsys.readouterr(), moved.read_bytes()))
+    assert outputs[0] == outputs[1]
+    assert '"root_choice": "largest"' in outputs[1][1].decode()
 
 
 def test_verify_reports_roots_that_cannot_be_resolved_as_a_false_claim(monkeypatch, capsys):
@@ -915,14 +931,15 @@ def test_sweep_memory_is_set_by_the_block_not_the_window(monkeypatch):
     # count only what their blocks hold, whatever ran earlier in the
     # process.  The collector is off while windows are traced, so its
     # timing does not move a peak (and memory held in reference cycles
-    # would grow with the window).
+    # would grow with the window).  Each block's designer is released before
+    # the next block's rows are built, so eight blocks peak where one does.
     monkeypatch.setattr(cli, "_SWEEP_BLOCK", 256)
     peaks = []
     with open(os.devnull, "w") as sink, contextlib.redirect_stdout(sink):
         gc.disable()
         tracemalloc.start()
         try:
-            for blocks in (8, 2, 8):
+            for blocks in (8, 1, 8):
                 start = tracemalloc.get_traced_memory()[0]
                 tracemalloc.reset_peak()
                 assert execute(["sweep", "--m-min", "1", "--m-max", str(256 * blocks)]) == 0
@@ -930,8 +947,8 @@ def test_sweep_memory_is_set_by_the_block_not_the_window(monkeypatch):
         finally:
             tracemalloc.stop()
             gc.enable()
-    two, eight = peaks[1:]  # the first traced window only warms up
-    assert abs(eight - two) <= 0.1 * two, peaks
+    one, eight = peaks[1:]  # the first traced window only warms up
+    assert abs(eight - one) <= 0.08 * one, peaks
 
 
 def _without(doc, key):
@@ -945,8 +962,11 @@ _FILE_REFUSALS = {
     "wrong type": (lambda doc: {**doc, "spectrum": {}},
                    "field 'spectrum' has the wrong type, got {}"),
     "root choice": (lambda doc: {**doc, "root_choice": "median"},
-                    "field 'root_choice': root choice must be 'smallest', 'largest' or "
-                    "'index:k', got 'median'"),
+                    "field 'root_choice': root choice must be 'smallest' or 'largest', "
+                    "got 'median'"),
+    "root index past the roots": (lambda doc: {**doc, "root_choice": "index:2"},
+                                  "field 'root_choice': root choice must be 'smallest' or "
+                                  "'largest', got 'index:2'"),
     "three spectrum entries": (lambda doc: {**doc, "spectrum": doc["spectrum"][:3]},
                                "field 'spectrum' must hold four numbers"),
     "string in spectrum": (lambda doc: {**doc, "spectrum": ["0.0"] + doc["spectrum"][1:]},
@@ -974,6 +994,12 @@ _FILE_REFUSALS = {
     "string residuals.spectrum": (
         lambda doc: {**doc, "residuals": {**doc["residuals"], "spectrum": "0"}},
         "field 'residuals.spectrum' must be a number, got '0'"),
+    "lone residuals.spectrum": (
+        lambda doc: {**doc, "residuals": _without(doc["residuals"], "lambda")},
+        "missing field 'residuals.lambda'"),
+    "lone residuals.lambda": (
+        lambda doc: {**doc, "residuals": _without(doc["residuals"], "spectrum")},
+        "missing field 'residuals.spectrum'"),
 }
 
 
@@ -1095,20 +1121,21 @@ def test_load_design_file_decodes_floats_exactly(tmp_path, monkeypatch):
 
 
 @pytest.mark.parametrize("e", [1e-105, 1e-110, 1e105])
-def test_retarget_refuses_residuals_that_could_not_be_read_back(tmp_path, capsys, e):
+def test_retarget_copies_residuals_it_could_not_compute(tmp_path, capsys, e):
     # A file without the spectrum and lambda residuals, whose lambda residual
-    # is infinite (e = 1e-105) or whose e**3 leaves the float range.
+    # would be infinite (e = 1e-105) or whose e**3 leaves the float range:
+    # retarget copies the root residual alone, and a swap back restores it.
     doc = json.loads((GOLDEN / "design_m7_smallest.json").read_text())
     eta = doc["eta"]
     doc.update(e=e, tau=math.pi / e, spectrum=[0.0, e, eta * e, -eta * e], residuals={"root": 0.0})
     doc["potentials"][1:3] = [e, e]
-    path, out = tmp_path / "tiny.json", tmp_path / "out.json"
-    path.write_text(json.dumps(doc, indent=2))
-    assert execute(["retarget", "--design", str(path), "--target", "5", "--out", str(out)]) == 1
-    captured = capsys.readouterr()
-    assert captured.out == "" and captured.err.count("\n") == 1
-    assert captured.err.startswith("error: design file: residuals.lambda "), captured.err
-    assert not out.exists()
+    path, out, back = tmp_path / "tiny.json", tmp_path / "out.json", tmp_path / "back.json"
+    path.write_text(json.dumps(doc, indent=2) + "\n")
+    assert execute(["retarget", "--design", str(path), "--target", "5", "--out", str(out)]) == 0
+    assert json.loads(out.read_text())["residuals"] == {"root": 0.0}
+    assert execute(["retarget", "--design", str(out), "--target", "2", "--out", str(back)]) == 0
+    assert back.read_bytes() == path.read_bytes()
+    assert capsys.readouterr() == ("", "")
     # verify at a tolerance every check passes: the claims fail, no traceback
     assert execute(["verify", "--design", str(path), "--tol", "100"]) == 1
     assert capsys.readouterr().out.endswith("result              : FAIL\n")
@@ -1121,7 +1148,7 @@ def test_retarget_round_trip_keeps_signed_zeros(design_file, tmp_path):
     design_file.write_text(json.dumps(doc))
     parsed = cli.load_design_file(str(design_file))
     doc = design_document(parsed.base, parsed.source, parsed.target, parsed.realized_spec,
-                          parsed.root_choice)  # residuals recomputed for d = 0
+                          parsed.root_choice)  # the residuals as read
     design_file.write_text(json.dumps(_spelled_out(doc), indent=2) + "\n")
     moved, back = tmp_path / "moved.json", tmp_path / "back.json"
     assert execute(["retarget", "--design", str(design_file), "--target", "4",
@@ -1614,26 +1641,23 @@ def _residual_hexes(path):
 
 
 @pytest.mark.parametrize("m", _SIZES)
-def test_retarget_copies_the_files_residuals_and_fills_in_missing_ones(written, m, tmp_path):
+def test_retarget_copies_the_files_residuals(written, m, tmp_path):
     files, _ = written
     # Residuals no design gives, so a recomputation would show.
     doc = json.loads(files[m, "smallest"].read_text())
     doc["residuals"] = {"root": 5e-324, "spectrum": 1.2345678901234567e-300, "lambda": 0.0}
     odd = tmp_path / "odd.json"
     odd.write_text(render_design(_star_document(doc)))
-    for path in (files[m, "smallest"], files[m, "largest"], odd):
-        moved = tmp_path / "moved.json"
+    # A file without residuals.spectrum and residuals.lambda stays without them.
+    for path in (files[m, "smallest"], files[m, "largest"], odd, files[m, "zeros"]):
+        moved, back = tmp_path / "moved.json", tmp_path / "back.json"
         assert execute(["retarget", "--design", str(path), "--target", "3",
                         "--out", str(moved)]) == 0
         assert _residual_hexes(moved) == _residual_hexes(path)
-    # A file without residuals.spectrum and residuals.lambda gets them computed.
-    zeros, moved = files[m, "zeros"], tmp_path / "zeros.json"
-    assert execute(["retarget", "--design", str(zeros), "--target", "3", "--out", str(moved)]) == 0
-    sol = cli.load_design_file(str(zeros)).base
-    assert (sol.spectrum_residual, sol.lambda_residual) == (None, None)
-    _, spectrum, lam = designer.design_residuals(sol.params, sol.eta, sol.target_spectrum)
-    assert _residual_hexes(moved) == {"root": (0.0).hex(), "spectrum": spectrum.hex(),
-                                      "lambda": lam.hex()}
+        assert execute(["retarget", "--design", str(moved), "--target", "2",
+                        "--out", str(back)]) == 0
+        assert back.read_bytes() == path.read_bytes()
+    assert _residual_hexes(moved) == {"root": (0.0).hex()}
 
 
 def test_written_file_array_is_never_decoded(tmp_path, monkeypatch, capsys):

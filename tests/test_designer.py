@@ -198,19 +198,25 @@ def test_back_solve_rejects_non_root():
 
 
 def test_root_choice_refuses_an_unknown_kind():
-    with pytest.raises(ValueError, match="^unknown root choice 'median'$"):
-        RootChoice("median")
+    for kind in ("median", "index"):
+        with pytest.raises(ValueError, match=f"^root choice must be 'smallest' or 'largest', "
+                                             f"got '{kind}'$"):
+            RootChoice(kind)
+    with pytest.raises(TypeError):
+        RootChoice("index", 1)  # one field: a choice names one of the two roots
 
 
-@pytest.mark.parametrize("kind, index, message", [
-    ("smallest", 3, r"^index must lie in 0\.\.0, got 3$"),
-    ("largest", -7, r"^index must lie in 0\.\.0, got -7$"),
-    ("index", -1, r"^index must be at least 0, got -1$"),
+# The ids name the refusal each case got while a choice still carried an index.
+@pytest.mark.parametrize("kind, index", [("smallest", 3), ("largest", -7), ("index", -1)], ids=[
+    r"smallest-3-^index must lie in 0\.\.0, got 3$",
+    r"largest--7-^index must lie in 0\.\.0, got -7$",
+    r"index--1-^index must be at least 0, got -1$",
 ])
-def test_root_choice_refuses_an_index_its_kind_does_not_read(kind, index, message):
-    # Only "index" reads its index, so the other kinds have one value each.
-    with pytest.raises(ValueError, match=message):
+def test_root_choice_refuses_an_index_its_kind_does_not_read(kind, index):
+    # No kind reads an index: a choice has the one field ``kind``.
+    with pytest.raises(TypeError):
         RootChoice(kind, index)
+    assert [f.name for f in dataclasses.fields(RootChoice)] == ["kind"]
 
 
 @pytest.mark.parametrize("eta, message", [
@@ -678,7 +684,7 @@ def test_design_block_equals_design_request_by_request():
     for _ in range(300):
         m = int(10 ** rng.uniform(0, 6))
         eta = min(ETA_MAX, min_feasible_even_eta(m) + 2 * int(10 ** rng.uniform(0, 5)))
-        policy = (SMALLEST, LARGEST, RootChoice("index", 1))[int(rng.integers(3))]
+        policy = (SMALLEST, LARGEST)[int(rng.integers(2))]
         requests.append(DesignInput(m=m, eta=eta, root_choice=policy))
     assert [_bits(sol) for sol in designer.design_block(requests)] == [
         _bits(design(r)) for r in requests]
@@ -687,7 +693,6 @@ def test_design_block_equals_design_request_by_request():
 
 @pytest.mark.parametrize("bad, error", [
     (DesignInput(m=500, eta=2), InfeasibleDesignError),
-    (DesignInput(m=500, eta=650, root_choice=RootChoice("index", 2)), ValueError),
 ])
 def test_design_block_raises_a_failing_request_in_its_turn(bad, error):
     # the solutions before it, then design's own error for it; none after
@@ -705,20 +710,20 @@ def test_design_block_raises_a_failing_request_in_its_turn(bad, error):
 def test_root_choice_parse_and_select():
     assert RootChoice.parse("smallest") is SMALLEST
     assert RootChoice.parse("largest") is LARGEST
-    assert RootChoice.parse("index:1") == RootChoice("index", 1)
-    with pytest.raises(ValueError):
-        RootChoice.parse("middle")
+    # the older spellings of the two choices
+    assert RootChoice.parse("index:0") is SMALLEST
+    assert RootChoice.parse("index:1") is LARGEST
     roots = [0.3, 0.8]
     assert SMALLEST.select(roots) == 0.3
     assert LARGEST.select(roots) == 0.8
-    assert RootChoice("index", 1).select(roots) == 0.8
-    with pytest.raises(ValueError):
-        RootChoice("index", 2).select(roots)
+    assert (str(SMALLEST), str(LARGEST)) == ("smallest", "largest")
 
 
-@pytest.mark.parametrize("text", ["index:abc", "index:1.5", "index:", "index:-1"])
+@pytest.mark.parametrize("text", ["index:2", "index:abc", "index:1.5", "index:", "index:-1",
+                                  "median", "middle"])
 def test_root_choice_parse_names_the_allowed_forms(text):
-    with pytest.raises(ValueError, match="root choice must be 'smallest', 'largest' or 'index:k'"):
+    with pytest.raises(ValueError, match=f"^root choice must be 'smallest' or 'largest', "
+                                         f"got '{text}'$"):
         RootChoice.parse(text)
 
 
@@ -764,5 +769,6 @@ def test_design_core_over_the_envelope(log_m, frac):
 
 
 def test_design_with_index_policy():
-    sol = design(DesignInput(m=2, eta=4, root_choice=RootChoice("index", 1)))
+    # index:1, the older spelling of the largest root
+    sol = design(DesignInput(m=2, eta=4, root_choice=RootChoice.parse("index:1")))
     assert abs(sol.params.e - E_LARGE) < 1e-12
