@@ -127,8 +127,9 @@ def design_document(sol: model.DesignSolution, source: int, target: int,
     spells the star out node by node.  The residuals are the solution's own,
     as they are: the designer's for a fresh design, the file's for one read
     back.  A solution that holds its spectrum and lambda residuals writes
-    ``root``, ``spectrum`` and ``lambda``; one that lacks either, such as
-    one read from a file written without them, writes ``root`` alone."""
+    ``root``, ``spectrum`` and ``lambda``; one without them (they come as a
+    pair), such as one read from a file written without them, writes
+    ``root`` alone."""
     params, pair = sol.params, (sol.spectrum_residual, sol.lambda_residual)
     return {
         "schema_version": SCHEMA_VERSION,

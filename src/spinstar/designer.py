@@ -415,10 +415,11 @@ def design(request: DesignInput) -> DesignSolution:
     Finds the admissible roots, picks one by the request's root choice,
     recovers the hub/bystander potentials, and realizes the star network in
     coupling units (``coupling = c = 1``).  The solve is one 3x3 companion
-    ``eigvals`` and one 4x4 ``eigvalsh``; the solution stores the realized
-    star as its hub, bystander and route values
-    (:func:`~spinstar.model.routed_star`), so time and memory are ``O(1)``
-    in ``m``, as
+    ``eigvals`` and one 4x4 ``eigvalsh``.  The solution derives its
+    transfer time and target spectrum from ``e`` and ``eta``, and builds
+    the realized star on first read of ``realized``, from its hub,
+    bystander and route values (:func:`~spinstar.model.routed_star`), so
+    time and memory are ``O(1)`` in ``m``, as
     ``tests/test_sparse_star.py::test_design_and_retarget_run_in_constant_memory``
     and ``tests/test_cli.py::test_every_command_is_constant_time_in_m`` check.
     """
@@ -477,12 +478,12 @@ def _reduced_params(request: DesignInput, poly: GPolynomial, roots: list) -> Red
 def _solution(request: DesignInput, poly: GPolynomial, params: ReducedParams,
               evals: list[float]) -> DesignSolution:
     """The request's solution, from its matrix elements and their 4x4
-    eigenvalues ``evals``, ascending."""
+    eigenvalues ``evals``, ascending.  ``target`` is the spectrum that the
+    solution derives for itself, in the same order."""
     m, eta, e = request.m, request.eta, params.e
     target = (0.0, e, eta * e, -eta * e)
     root, deviation, lambda_deviation = _residuals(poly, params, eta, target, evals)
     if deviation > SPECTRUM_TOL * max(1.0, abs(eta * e)):
         raise NoRealDesignError(f"design for m={m}, eta={eta} misses its spectrum by {deviation!r}")
-    return DesignSolution(params=params, eta=eta, transfer_time=math.pi / e, target_spectrum=target,
-                          root_residual=root, spectrum_residual=deviation,
+    return DesignSolution(params, eta, root_residual=root, spectrum_residual=deviation,
                           lambda_residual=lambda_deviation)

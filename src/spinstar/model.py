@@ -327,20 +327,31 @@ class ReducedParams:
                 )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class DesignSolution:
-    """A solved transfer design plus the star network that realizes it.
+    """A solved transfer design: its matrix elements, eta and residuals,
+    plus what those determine, the transfer time, the target spectrum and
+    the star that realizes it.
 
-    ``realized`` defaults to :func:`routed_star` of ``params``, the star
-    wired for ``1 -> 2`` in ``O(1)``; a star the caller passes is checked
-    against ``params`` by the route rule (:func:`check_route`).
+    ``DesignSolution(params, eta, *, root_residual, transfer_time=None,
+    target_spectrum=None, realized=None, spectrum_residual=None,
+    lambda_residual=None)``.  ``transfer_time`` and ``target_spectrum``
+    default to ``pi / e`` and ``(0, e, eta*e, -eta*e)`` of ``e = params.e``,
+    as the designer builds them; values the caller passes, as a design file
+    does, are checked against those (1e-12 and 1e-9 relative) and kept as
+    given.  :attr:`realized` is :func:`routed_star` of ``params``, the star
+    wired for ``1 -> 2``, built on first read in ``O(1)``; a star the caller
+    passes is checked against ``params`` by the route rule
+    (:func:`check_route`) and kept.  It is not a field, so it takes no part
+    in ``==``.
 
     ``spectrum_residual`` and ``lambda_residual`` are the design's residuals
     as :func:`~spinstar.designer.design_residuals` computes them: stored by
     the designer, or read back with the design from a file that holds them;
-    ``None`` where neither gave them.  Every residual given is a finite
-    number ``>= 0``.  Each tolerance test passes only when the deviation is
-    within the tolerance, so a NaN fails it.
+    ``None`` where neither gave them.  They come as a pair: one without the
+    other raises ``ValueError`` naming the missing one.  Every residual
+    given is a finite number ``>= 0``.  Each tolerance test passes only when
+    the deviation is within the tolerance, so a NaN fails it.
     """
 
     params: ReducedParams
@@ -348,38 +359,51 @@ class DesignSolution:
     transfer_time: float
     target_spectrum: tuple[float, float, float, float]
     root_residual: float
-    realized: StarSpec | None = None
-    spectrum_residual: float | None = None
-    lambda_residual: float | None = None
+    spectrum_residual: float | None
+    lambda_residual: float | None
 
-    def __post_init__(self):
-        object.__setattr__(self, "eta", check_eta(self.eta))
-        e = self.params.e
+    def __init__(self, params, eta, *, root_residual, transfer_time=None, target_spectrum=None,
+                 realized=None, spectrum_residual=None, lambda_residual=None):
+        eta, e = check_eta(eta), params.e
         if e == 0.0:
             raise ValueError("params.e must be nonzero (transfer time is pi/e)")
-        object.__setattr__(self, "transfer_time", float(self.transfer_time))
-        if not abs(self.transfer_time - math.pi / e) <= 1e-12 * abs(math.pi / e):
-            raise ValueError("transfer_time must equal pi / params.e")
-        spectrum = tuple(float(x) for x in self.target_spectrum)
-        object.__setattr__(self, "target_spectrum", spectrum)
-        if len(spectrum) != 4:
-            raise ValueError("target_spectrum must have four entries")
-        expected = sorted((0.0, e, self.eta * e, -self.eta * e))
-        scale = max(1.0, abs(self.eta * e))
-        if not all(abs(x - y) <= 1e-9 * scale for x, y in zip(sorted(spectrum), expected)):
-            raise ValueError("target_spectrum must be {0, e, +eta*e, -eta*e}")
-        for name in ("root_residual", "spectrum_residual", "lambda_residual"):
-            value = getattr(self, name)
-            if value is None and name != "root_residual":
-                continue
-            value = float(value)
-            if not 0.0 <= value < math.inf:
-                raise ValueError(f"{name} must be a finite number >= 0, got {value!r}")
-            object.__setattr__(self, name, value)
-        if self.realized is None:
-            object.__setattr__(self, "realized", routed_star(self.params))
+        if transfer_time is None:
+            transfer_time = math.pi / e
         else:
-            check_route(self.realized, self.params, 1, 2)
+            transfer_time = float(transfer_time)
+            if not abs(transfer_time - math.pi / e) <= 1e-12 * abs(math.pi / e):
+                raise ValueError("transfer_time must equal pi / params.e")
+        derived = (0.0, e, eta * e, -eta * e)
+        if target_spectrum is None:
+            target_spectrum = derived
+        else:
+            target_spectrum = tuple(float(x) for x in target_spectrum)
+            if len(target_spectrum) != 4:
+                raise ValueError("target_spectrum must have four entries")
+            tol = 1e-9 * max(1.0, abs(eta * e))
+            if not all(abs(x - y) <= tol for x, y in zip(sorted(target_spectrum), sorted(derived))):
+                raise ValueError("target_spectrum must be {0, e, +eta*e, -eta*e}")
+        if (spectrum_residual is None) != (lambda_residual is None):
+            missing = "lambda_residual" if lambda_residual is None else "spectrum_residual"
+            raise ValueError(f"{missing} is missing: the spectrum and lambda residuals are a pair")
+        residuals = {"root_residual": root_residual, "spectrum_residual": spectrum_residual,
+                     "lambda_residual": lambda_residual}
+        for name, value in residuals.items():
+            if value is not None or name == "root_residual":
+                value = residuals[name] = float(value)
+                if not 0.0 <= value < math.inf:
+                    raise ValueError(f"{name} must be a finite number >= 0, got {value!r}")
+        self.__dict__.update(params=params, eta=eta, transfer_time=transfer_time,
+                             target_spectrum=target_spectrum, **residuals)
+        if realized is not None:
+            check_route(realized, params, 1, 2)
+            self.__dict__["realized"] = realized
+
+    @cached_property
+    def realized(self) -> StarSpec:
+        """The star that realizes the design wired ``1 -> 2``:
+        :func:`routed_star` of ``params`` unless one was passed."""
+        return routed_star(self.params)
 
 
 def routed_star(params: ReducedParams) -> StarSpec:

@@ -920,6 +920,31 @@ def test_the_root_rule_runs_twice_per_design_and_per_sweep_row(monkeypatch, caps
     assert len(calls) == 2 * rows
 
 
+@pytest.mark.parametrize("m", [7, 10**4])
+def test_only_design_builds_the_routed_star(m, tmp_path, monkeypatch, capsys):
+    # A solution builds its star on first read of realized: design writes
+    # it; a sweep row prints numbers, and a file read brings its own star.
+    calls = []
+    routed_star = model.routed_star
+    monkeypatch.setattr(model, "routed_star",
+                        lambda params: calls.append(params.m) or routed_star(params))
+    path, trace = str(tmp_path / "design.json"), str(tmp_path / "t.csv")
+    rows = cli._SWEEP_BLOCK + 3
+    runs = [(["design", "--bystanders", str(m), "--eta", str(min_feasible_even_eta(m)),
+              "--out", path], 1),
+            (["verify", "--design", path], 0),
+            (["simulate", "--design", path, "--steps", "10", "--out", trace], 0),
+            (["simulate", "--design", path, "--steps", "10", "--full", "--out", trace], 0),
+            (["retarget", "--design", path, "--target", "3", "--out", str(tmp_path / "r.json")],
+             0),
+            (["sweep", "--m-min", "1", "--m-max", str(rows)], 0)]
+    for argv, count in runs:
+        calls.clear()
+        assert execute(argv) == 0
+        assert len(calls) == count, argv
+    assert len(capsys.readouterr().out.splitlines()) == 7 + rows + 1  # verify, then sweep
+
+
 def test_sweep_memory_is_set_by_the_block_not_the_window(monkeypatch):
     import gc
     import tracemalloc

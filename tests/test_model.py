@@ -6,12 +6,15 @@ evaluating the design polynomial), or brute-force comparisons against the
 full spin space.
 """
 
+import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
 
 from spinstar import (
+    LARGEST,
     SMALLEST,
     DesignInput,
     ReducedParams,
@@ -21,9 +24,11 @@ from spinstar import (
     build_arrowhead,
     build_full_spin_hamiltonian,
     build_reduced,
+    cli,
     design,
     g_polynomial,
     lift_reduced_amplitude,
+    min_feasible_even_eta,
     reduced_matrix,
     single_excitation_indices,
     transition_amplitude,
@@ -36,6 +41,7 @@ from spinstar.model import (
     check_int,
     check_pair,
     check_route,
+    routed_star,
 )
 
 from oracle import exchange_operator
@@ -173,6 +179,62 @@ def test_design_solution_needs_four_spectrum_entries():
         DesignSolution(params=sol.params, eta=4, transfer_time=sol.transfer_time,
                        target_spectrum=sol.target_spectrum[:3], root_residual=0.0,
                        realized=sol.realized)
+
+
+@pytest.mark.parametrize("m, root", [(1, SMALLEST), (2, LARGEST), (7, SMALLEST),
+                                     (10**6, LARGEST)])
+def test_design_solution_derives_its_transfer_time_spectrum_and_star(m, root):
+    sol = design(DesignInput(m=m, eta=min_feasible_even_eta(m), root_choice=root))
+    assert "realized" not in vars(sol)  # built on first read
+    p, eta, e = sol.params, sol.eta, sol.params.e
+    given = DesignSolution(params=p, eta=eta, transfer_time=math.pi / e,
+                           target_spectrum=(0.0, e, eta * e, -eta * e),
+                           root_residual=sol.root_residual, realized=routed_star(p),
+                           spectrum_residual=sol.spectrum_residual,
+                           lambda_residual=sol.lambda_residual)
+    # repr spells every float exactly, so equal reprs are equal bits.
+    assert sol == given and repr(sol) == repr(given)
+    assert [f.name for f in dataclasses.fields(sol)] == [
+        "params", "eta", "transfer_time", "target_spectrum", "root_residual",
+        "spectrum_residual", "lambda_residual"]
+    assert sol.realized is sol.realized and sol.realized._parts() == given.realized._parts()
+    assert cli.render_design(cli.design_document(sol, 1, 2, sol.realized, root)) == \
+        cli.render_design(cli.design_document(given, 1, 2, given.realized, root))
+
+
+def test_design_solution_checks_what_it_is_given():
+    # A three-entry spectrum: test_design_solution_needs_four_spectrum_entries.
+    sol = design(DesignInput(m=2, eta=4))
+    p, e = sol.params, sol.params.e
+    off_route = routed_star(p).replace({2: p.d, 3: e})
+    zero = ReducedParams(a=p.a, b=p.b, c=p.c, d=p.d, e=0.0, m=2)
+    cases = [
+        ({"transfer_time": math.pi / e * (1.0 + 1e-11)}, "transfer_time must equal pi / params.e"),
+        ({"transfer_time": math.nan}, "transfer_time must equal pi / params.e"),
+        ({"target_spectrum": (0.0, e, 4 * e, -2 * e)},
+         "target_spectrum must be {0, e, +eta*e, -eta*e}"),
+        ({"realized": off_route}, "potentials do not realize the route (source=1, target=2): "
+                                  f"node 2 carries {p.d!r} where {e!r} is required"),
+        ({"params": zero}, "params.e must be nonzero (transfer time is pi/e)"),
+        ({"root_residual": -1.0}, "root_residual must be a finite number >= 0, got -1.0"),
+    ]
+    given = {"params": p, "eta": 4, "transfer_time": sol.transfer_time,
+             "target_spectrum": sol.target_spectrum, "root_residual": 0.0}
+    for change, message in cases:
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            DesignSolution(**{**given, **change})
+
+
+@pytest.mark.parametrize("given, missing", [("spectrum_residual", "lambda_residual"),
+                                            ("lambda_residual", "spectrum_residual")])
+def test_a_lone_spectrum_or_lambda_residual_is_refused_by_name(given, missing):
+    # Accepted alone, the residual was dropped: design_document wrote the
+    # root residual only.
+    sol = design(DesignInput(m=2, eta=4))
+    with pytest.raises(ValueError, match=f"^{missing} is missing: the spectrum and lambda "
+                                         "residuals are a pair$"):
+        DesignSolution(params=sol.params, eta=sol.eta, root_residual=sol.root_residual,
+                       **{given: getattr(sol, given)})
 
 
 def test_stars_equal_node_by_node_hash_alike_across_a_signed_zero_hub():
