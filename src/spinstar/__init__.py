@@ -33,10 +33,7 @@ from .dynamics import (
     StarEvolution,
     VerificationReport,
     fidelity_trace,
-    lift_reduced_amplitude,
-    propagate,
     transfer_time_grid,
-    transition_amplitude,
     verify_design,
 )
 from .errors import (
@@ -61,7 +58,7 @@ from .model import (
     reduced_matrix,
     single_excitation_indices,
 )
-from .switchboard import RoutingState, apply_offset, initial_routing, retarget
+from .switchboard import RoutingState, retarget
 
 __version__ = "0.1.0"
 

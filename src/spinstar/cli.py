@@ -99,6 +99,7 @@ class ParsedDesign(switchboard.RoutingState):
 
     root_choice: designer.RootChoice
 
+    # No command reads these two aliases; bench/ops.py does.
     @property
     def solution(self) -> model.DesignSolution:
         return self.base
@@ -320,6 +321,8 @@ def parse_design_document(doc: dict) -> ParsedDesign:
     ``residuals.lambda``, where the file has them, are carried into the
     solution, so a command that writes the design again writes them as read.
     They come as a pair: a file that holds one must hold the other.
+    ``tau`` and ``spectrum`` are checked against the values the solution
+    derives (:class:`~spinstar.model.DesignSolution`) and not kept.
     """
     if not isinstance(doc, dict):
         raise ValueError("design file: top level must be a JSON object")

@@ -322,6 +322,7 @@ def _polished_roots(poly: GPolynomial, m: int, eta, roots: list) -> list[float]:
     return sorted(polished)
 
 
+# No command calls this; it stays public because bench/ops.py times it.
 def back_solve(e: float, m: int, eta: float) -> tuple[float, float]:
     """Recover the hub and bystander potentials ``(a, d)`` from a root ``e``.
 

@@ -28,7 +28,6 @@ from .model import (
     GroupedStar,
     StarSpec,
     build_grouped,
-    build_reduced,
     check_int,
     check_times,
     reduced_matrix,
@@ -88,16 +87,8 @@ class EvolutionCache:
         """The largest eigenvalue magnitude, which bounds every phase."""
         return float(np.abs(self.eigenvalues).max(initial=0.0))
 
-    def propagator(self, t: float) -> np.ndarray:
-        """The unitary ``V diag(exp(-i E t)) V^T``.  Raises ``ValueError``
-        when a phase ``t * E`` would overflow the float range."""
-        t = float(t)
-        _check_phases(abs(t), self._e_abs)
-        phases = np.exp(-1j * self.eigenvalues * t)
-        return (self.eigenvectors * phases) @ self.eigenvectors.T
-
     def amplitude(self, t: float, src: int, dst: int) -> complex:
-        """``<dst| exp(-i H t) |src>``; refused like :meth:`propagator`."""
+        """``<dst| exp(-i H t) |src>``; refused like :meth:`amplitudes`."""
         src, dst = _check_states(self.dimension, src, dst)
         t = float(t)
         _check_phases(abs(t), self._e_abs)
@@ -216,32 +207,7 @@ class VerificationReport:
     eigenvalues: tuple[float, float, float, float]
 
 
-def propagate(h, t: float) -> np.ndarray:
-    """Evolution operator ``exp(-i h t)`` for real symmetric ``h``; unitary
-    to rounding (max-norm defect below 1e-10)."""
-    return EvolutionCache.from_hamiltonian(h).propagator(t)
-
-
-def transition_amplitude(h, t: float, src: int, dst: int) -> complex:
-    """Matrix element ``<dst| exp(-i h t) |src>``."""
-    return EvolutionCache.from_hamiltonian(h).amplitude(t, src, dst)
-
-
-def lift_reduced_amplitude(spec: StarSpec, source: int, target: int, t: float) -> complex:
-    """Source-to-target transition amplitude at time ``t`` computed entirely
-    inside the four-level reduction.
-
-    :func:`build_reduced` accepts the spec when the route rule holds: the
-    target within ``POTENTIAL_MATCH_TOL * max(1, |e|)`` of the source and
-    every bystander within ``POTENTIAL_MATCH_TOL * max(1, |d|)`` of the
-    first.  Then this equals the amplitude obtained from the full
-    (N+1)-dimensional arrowhead dynamics (to 1e-10 or better); the reduced
-    subspace is exactly invariant.
-    """
-    h4 = reduced_matrix(build_reduced(spec, source, target))
-    return EvolutionCache.from_hamiltonian(h4).amplitude(t, 2, 3)
-
-
+# No command calls this; it stays public because bench/ops.py times it.
 def fidelity_trace(h, t_grid, src: int, dst: int) -> FidelityTrace:
     """Squared transition amplitude sampled over ``t_grid``; the
     eigendecomposition is done once and reused across the grid.  A grid

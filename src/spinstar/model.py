@@ -335,15 +335,16 @@ class DesignSolution:
 
     ``DesignSolution(params, eta, *, root_residual, transfer_time=None,
     target_spectrum=None, realized=None, spectrum_residual=None,
-    lambda_residual=None)``.  ``transfer_time`` and ``target_spectrum``
-    default to ``pi / e`` and ``(0, e, eta*e, -eta*e)`` of ``e = params.e``,
-    as the designer builds them; values the caller passes, as a design file
-    does, are checked against those (1e-12 and 1e-9 relative) and kept as
-    given.  :attr:`realized` is :func:`routed_star` of ``params``, the star
-    wired for ``1 -> 2``, built on first read in ``O(1)``; a star the caller
-    passes is checked against ``params`` by the route rule
-    (:func:`check_route`) and kept.  It is not a field, so it takes no part
-    in ``==``.
+    lambda_residual=None)``.  :attr:`transfer_time` and
+    :attr:`target_spectrum` are derived from ``e = params.e``, ``pi / e``
+    and ``(0, e, eta*e, -eta*e)``, checked when passed, not stored: a value
+    the caller passes, as a design file does, is checked against them
+    (1e-12 and 1e-9 relative) and then dropped, so ``dataclasses.replace``
+    with new ``params`` and ``eta`` derives them anew.  :attr:`realized` is
+    :func:`routed_star` of ``params``, the star wired for ``1 -> 2``, built
+    on first read in ``O(1)``; a star the caller passes is checked against
+    ``params`` by the route rule (:func:`check_route`) and kept.  None of
+    the three is a field, so none takes part in ``==``.
 
     ``spectrum_residual`` and ``lambda_residual`` are the design's residuals
     as :func:`~spinstar.designer.design_residuals` computes them: stored by
@@ -356,8 +357,6 @@ class DesignSolution:
 
     params: ReducedParams
     eta: int
-    transfer_time: float
-    target_spectrum: tuple[float, float, float, float]
     root_residual: float
     spectrum_residual: float | None
     lambda_residual: float | None
@@ -367,21 +366,18 @@ class DesignSolution:
         eta, e = check_eta(eta), params.e
         if e == 0.0:
             raise ValueError("params.e must be nonzero (transfer time is pi/e)")
-        if transfer_time is None:
-            transfer_time = math.pi / e
-        else:
-            transfer_time = float(transfer_time)
-            if not abs(transfer_time - math.pi / e) <= 1e-12 * abs(math.pi / e):
+        self.__dict__.update(params=params, eta=eta)
+        if transfer_time is not None:
+            tau = self.transfer_time
+            if not abs(float(transfer_time) - tau) <= 1e-12 * abs(tau):
                 raise ValueError("transfer_time must equal pi / params.e")
-        derived = (0.0, e, eta * e, -eta * e)
-        if target_spectrum is None:
-            target_spectrum = derived
-        else:
-            target_spectrum = tuple(float(x) for x in target_spectrum)
+        if target_spectrum is not None:
+            target_spectrum = sorted(float(x) for x in target_spectrum)
             if len(target_spectrum) != 4:
                 raise ValueError("target_spectrum must have four entries")
             tol = 1e-9 * max(1.0, abs(eta * e))
-            if not all(abs(x - y) <= tol for x, y in zip(sorted(target_spectrum), sorted(derived))):
+            if not all(abs(x - y) <= tol
+                       for x, y in zip(target_spectrum, sorted(self.target_spectrum))):
                 raise ValueError("target_spectrum must be {0, e, +eta*e, -eta*e}")
         if (spectrum_residual is None) != (lambda_residual is None):
             missing = "lambda_residual" if lambda_residual is None else "spectrum_residual"
@@ -393,11 +389,22 @@ class DesignSolution:
                 value = residuals[name] = float(value)
                 if not 0.0 <= value < math.inf:
                     raise ValueError(f"{name} must be a finite number >= 0, got {value!r}")
-        self.__dict__.update(params=params, eta=eta, transfer_time=transfer_time,
-                             target_spectrum=target_spectrum, **residuals)
+        self.__dict__.update(residuals)
         if realized is not None:
             check_route(realized, params, 1, 2)
             self.__dict__["realized"] = realized
+
+    @property
+    def transfer_time(self) -> float:
+        """``pi / e``: the time of a perfect transfer."""
+        return math.pi / self.params.e
+
+    @property
+    def target_spectrum(self) -> tuple[float, float, float, float]:
+        """``(0, e, eta*e, -eta*e)``: the four-level spectrum the design
+        places."""
+        e = self.params.e
+        return (0.0, e, self.eta * e, -self.eta * e)
 
     @cached_property
     def realized(self) -> StarSpec:
@@ -504,14 +511,13 @@ class FidelityTrace:
         object.__setattr__(self, "times", times)
         object.__setattr__(self, "values", values)
 
-    def __len__(self) -> int:
-        return int(self.times.size)
-
 
 # ---------------------------------------------------------------------------
 # Single-excitation subspace
 # ---------------------------------------------------------------------------
 
+# No command builds the dense arrowhead; it stays public because bench/ops.py
+# times it.
 def build_arrowhead(spec: StarSpec) -> ArrowheadMatrix:
     """Hamiltonian of ``spec`` restricted to single-excitation states, in the
     basis (hub, edge 1, ..., edge N)."""

@@ -5,11 +5,15 @@ identically, so redirecting the transfer is just moving the distinguished
 local potential from one node to another.  Switching is meaningful only while
 the excitation is parked at a node (t = 0 or a multiple of the transfer
 time); this module does not model mid-flight changes.
+
+A fresh design is wired ``1 -> 2``, ``RoutingState(sol, 1, 2, sol.realized)``,
+and :func:`retarget` moves its target, as the ``retarget`` command does.  A
+shift of every potential by one constant changes only a global phase, so no
+function here offers one.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 from .model import DesignSolution, StarSpec, check_pair, check_route
@@ -34,11 +38,6 @@ class RoutingState:
         object.__setattr__(self, "target", target)
 
 
-def initial_routing(sol: DesignSolution) -> RoutingState:
-    """The route a fresh design is wired for: edge 1 to edge 2."""
-    return RoutingState(base=sol, source=1, target=2, realized_spec=sol.realized)
-
-
 def retarget(state: RoutingState, new_target: int) -> RoutingState:
     """Redirect the transfer to ``new_target`` by exchanging its local
     potential with the current target's, in ``O(len(exceptions))``, as
@@ -60,23 +59,3 @@ def retarget(state: RoutingState, new_target: int) -> RoutingState:
     moved.__dict__.update(base=state.base, source=state.source, target=new_target,
                           realized_spec=new_spec)
     return moved
-
-
-def apply_offset(spec: StarSpec, delta: float) -> StarSpec:
-    """Shift every local potential by ``delta``, in ``O(len(exceptions))``,
-    as ``tests/test_sparse_star.py::test_sparse_paths_scale_with_exceptions_not_m``
-    counts.
-
-    Transfer probabilities are unchanged: the shift multiplies the evolution
-    by a global phase.  Useful to park the bystanders at zero potential.
-    """
-    delta = float(delta)
-    if not math.isfinite(delta):
-        raise ValueError("delta must be finite")
-    return StarSpec.sparse(
-        spec.edge_count,
-        spec.coupling,
-        spec.hub + delta,
-        spec.background + delta,
-        [(j, value + delta) for j, value in spec.exceptions],
-    )

@@ -1,14 +1,23 @@
-"""Exchange-symmetry references for the tests.
+"""Dense references for the tests: time evolution and exchange symmetry.
 
-No command needs them: ``dynamics.verify_design`` reads each parity as
-``v.Pv`` off the four-level eigenvectors (``dynamics._parity_pattern_ok``).
-The tests check that shortcut, and the designs, against these dense and
-cluster-wise definitions.
+No command needs them.  Commands evolve a star through
+``dynamics.EvolutionCache`` or ``dynamics.StarEvolution``, and
+``dynamics.verify_design`` reads each parity as ``v.Pv`` off the four-level
+eigenvectors (``dynamics._parity_pattern_ok``).  The tests check those, and
+the designs, against these dense and cluster-wise definitions.
 """
 
 import numpy as np
 
 from spinstar.model import check_int, check_pair
+
+
+def transition_amplitude(h, t: float, src: int, dst: int) -> complex:
+    """``<dst| exp(-i h t) |src>`` of a real symmetric ``h``, dense, from one
+    ``numpy.linalg.eigh``."""
+    evals, vecs = np.linalg.eigh(np.asarray(h, dtype=float))
+    return complex(np.sum(vecs[dst] * vecs[src] * np.exp(-1j * evals * t)))
+
 
 # Relative eigenvalue gap that :func:`exchange_parities` treats as one cluster.
 DEGENERACY_TOL = 1e-8

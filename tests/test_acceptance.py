@@ -16,24 +16,24 @@ from spinstar import (
     LARGEST,
     SMALLEST,
     DesignInput,
+    RoutingState,
     StarSpec,
-    apply_offset,
     build_arrowhead,
     build_full_spin_hamiltonian,
+    build_reduced,
     design,
     feasibility,
     fidelity_trace,
-    initial_routing,
-    lift_reduced_amplitude,
     min_feasible_even_eta,
     reduced_matrix,
     retarget,
     single_excitation_indices,
     transfer_time_grid,
-    transition_amplitude,
 )
 from spinstar.cli import execute
 from spinstar.dynamics import EvolutionCache
+
+from oracle import transition_amplitude
 
 E_SMALL = 2.0 / math.sqrt(15.0)
 
@@ -143,7 +143,8 @@ def test_criterion_05_reduction_equivalence():
         m = int(rng.integers(1, 51))
         spec, source, target = _random_symmetric_spec(rng, m)
         t = float(rng.uniform(0.0, 20.0))
-        reduced = lift_reduced_amplitude(spec, source, target, t)
+        h4 = reduced_matrix(build_reduced(spec, source, target))
+        reduced = EvolutionCache.from_hamiltonian(h4).amplitude(t, 2, 3)
         full = transition_amplitude(build_arrowhead(spec).to_dense(), t, source, target)
         worst = max(worst, abs(reduced - full))
     assert worst < 1e-10
@@ -170,7 +171,7 @@ def test_criterion_05_reduction_equivalence():
 def test_criterion_06_switching():
     sol = design(DesignInput(m=2, eta=4, root_choice=SMALLEST))
     tau = sol.transfer_time
-    state = initial_routing(sol)
+    state = RoutingState(base=sol, source=1, target=2, realized_spec=sol.realized)
     moved = retarget(state, 3)
     h = build_arrowhead(moved.realized_spec).to_dense()
     f_new = abs(transition_amplitude(h, tau, 1, 3)) ** 2
@@ -186,7 +187,7 @@ def test_criterion_07_offset_invariance():
     sol = design(DesignInput(m=3, eta=6, root_choice=SMALLEST))
     grid = transfer_time_grid(sol.transfer_time, steps=500)
     base_h = build_arrowhead(sol.realized).to_dense()
-    shifted_h = build_arrowhead(apply_offset(sol.realized, 7.3)).to_dense()
+    shifted_h = base_h + 7.3 * np.eye(base_h.shape[0])  # every potential, hub included
     base = fidelity_trace(base_h, grid, 1, 2)
     shifted = fidelity_trace(shifted_h, grid, 1, 2)
     gap = float(np.max(np.abs(base.values - shifted.values)))

@@ -1756,9 +1756,10 @@ def test_background_runs_are_written_as_few_repeated_blocks():
     # block holds as many whole entries as fit.
     m, eta = 10**6, 1_299_040
     sol = design(DesignInput(m=m, eta=eta))
-    moved = switchboard.retarget(switchboard.initial_routing(sol), 777777)
+    fresh = switchboard.RoutingState(sol, 1, 2, sol.realized)
+    moved = switchboard.retarget(fresh, 777777)
     run = (",\n    " + repr(sol.params.d)).encode()
-    for state, pairs in ((switchboard.initial_routing(sol), 4), (moved, 7)):
+    for state, pairs in ((fresh, 4), (moved, 7)):
         doc = design_document(state.base, state.source, state.target, state.realized_spec,
                               SMALLEST)
         blocks = list(cli._blocks(doc))

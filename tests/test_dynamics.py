@@ -17,6 +17,7 @@ from spinstar import (
     EvolutionCache,
     ReducedParams,
     ResourceLimitError,
+    RoutingState,
     StarEvolution,
     StarSpec,
     back_solve,
@@ -24,24 +25,32 @@ from spinstar import (
     build_grouped,
     design,
     fidelity_trace,
-    initial_routing,
-    propagate,
     reduced_matrix,
     retarget,
     solve_e,
     transfer_time_grid,
-    transition_amplitude,
     verify_design,
 )
 from spinstar.dynamics import _parity_pattern_ok
 from spinstar.model import routed_star
 
-from oracle import exchange_operator, exchange_parities
+from oracle import exchange_operator, exchange_parities, transition_amplitude
 
 
 def _random_symmetric_matrix(rng, dim):
     raw = rng.standard_normal((dim, dim))
     return (raw + raw.T) / 2.0
+
+
+def _propagator(h, t):
+    """``exp(-i h t)`` from the eigensystem that :class:`EvolutionCache`
+    holds: the sum its amplitudes take one entry at a time."""
+    cache = EvolutionCache.from_hamiltonian(h)
+    return (cache.eigenvectors * np.exp(-1j * cache.eigenvalues * t)) @ cache.eigenvectors.T
+
+
+def _amplitude(h, t, src, dst):
+    return EvolutionCache.from_hamiltonian(h).amplitude(t, src, dst)
 
 
 # ---------------------------------------------------------------------------
@@ -51,13 +60,13 @@ def _random_symmetric_matrix(rng, dim):
 def test_propagate_identity_at_t0():
     rng = np.random.default_rng(2)
     h = _random_symmetric_matrix(rng, 8)
-    u = propagate(h, 0.0)
+    u = _propagator(h, 0.0)
     assert np.max(np.abs(u - np.eye(8))) < 1e-12
 
 
 def test_propagate_diagonal_hamiltonian():
     lam = np.array([0.3, -1.1, 2.0])
-    u = propagate(np.diag(lam), 1.7)
+    u = _propagator(np.diag(lam), 1.7)
     expected = np.diag(np.exp(-1j * lam * 1.7))
     assert np.max(np.abs(u - expected)) < 1e-12
 
@@ -66,16 +75,17 @@ def test_propagate_two_level_swap():
     # closed form: exp(-i t X) = cos(t) I - i sin(t) X
     h = np.array([[0.0, 1.0], [1.0, 0.0]])
     for t in (0.4, math.pi / 2, 2.9):
-        u = propagate(h, t)
+        u = _propagator(h, t)
         expected = math.cos(t) * np.eye(2) - 1j * math.sin(t) * h
         assert np.max(np.abs(u - expected)) < 1e-12
-    u = propagate(h, math.pi / 2)
+        assert abs(_amplitude(h, t, 0, 1) - expected[1, 0]) < 1e-12
+    u = _propagator(h, math.pi / 2)
     assert abs(abs(u[0, 1]) - 1.0) < 1e-12
 
 
 def test_propagate_rejects_asymmetric():
     with pytest.raises(ValueError):
-        propagate(np.array([[0.0, 1.0], [0.0, 0.0]]), 1.0)
+        _propagator(np.array([[0.0, 1.0], [0.0, 0.0]]), 1.0)
 
 
 def test_unitarity_random_sweep():
@@ -85,7 +95,7 @@ def test_unitarity_random_sweep():
         dim = int(rng.integers(2, 65))
         h = _random_symmetric_matrix(rng, dim)
         t = float(rng.uniform(0.0, 100.0))
-        u = propagate(h, t)
+        u = _propagator(h, t)
         worst = max(worst, float(np.max(np.abs(u.conj().T @ u - np.eye(dim)))))
     assert worst < 1e-10
 
@@ -94,7 +104,7 @@ def test_group_property():
     rng = np.random.default_rng(5)
     h = _random_symmetric_matrix(rng, 12)
     t1, t2 = 0.9, 2.3
-    gap = np.max(np.abs(propagate(h, t1 + t2) - propagate(h, t1) @ propagate(h, t2)))
+    gap = np.max(np.abs(_propagator(h, t1 + t2) - _propagator(h, t1) @ _propagator(h, t2)))
     assert gap < 1e-9
 
 
@@ -122,29 +132,29 @@ def test_evolution_cache_invariants():
 
 def test_transition_amplitude_t0_off_diagonal():
     h = np.diag([1.0, 2.0, 3.0])
-    assert transition_amplitude(h, 0.0, 0, 2) == 0.0
+    assert _amplitude(h, 0.0, 0, 2) == 0.0
 
 
 def test_transition_amplitude_at_transfer_time():
     sol = design(DesignInput(m=2, eta=4, root_choice=SMALLEST))
     h4 = reduced_matrix(sol.params)
-    amp = transition_amplitude(h4, sol.transfer_time, 2, 3)
+    amp = _amplitude(h4, sol.transfer_time, 2, 3)
     assert abs(amp - 1.0) < 1e-9
 
 
 def test_transition_amplitude_halfway_below_unit():
     sol = design(DesignInput(m=2, eta=4, root_choice=SMALLEST))
     h4 = reduced_matrix(sol.params)
-    amp = transition_amplitude(h4, sol.transfer_time / 2.0, 2, 3)
+    amp = _amplitude(h4, sol.transfer_time / 2.0, 2, 3)
     assert abs(amp) < 1.0
 
 
 def test_transition_amplitude_index_validation():
     h = np.diag([1.0, 2.0])
     with pytest.raises(ValueError):
-        transition_amplitude(h, 1.0, 0, 2)
+        _amplitude(h, 1.0, 0, 2)
     with pytest.raises(ValueError):
-        transition_amplitude(h, 1.0, -1, 0)
+        _amplitude(h, 1.0, -1, 0)
 
 
 @pytest.mark.filterwarnings("error")
@@ -155,10 +165,8 @@ def test_every_query_refuses_phases_beyond_the_float_range(t):
     h = [[0.0, 2.0], [2.0, 0.0]]
     cache = EvolutionCache.from_hamiltonian(h)
     star = StarEvolution.from_spec(StarSpec(3, 1.0, (0.0, 0.5, 0.5, -0.5)))
-    calls = [lambda: transition_amplitude(h, t, 0, 1), lambda: propagate(h, t),
-             lambda: cache.amplitude(t, 0, 1), lambda: cache.propagator(t),
-             lambda: cache.amplitudes([0.0, t], 0, 1), lambda: star.amplitude(t, 1, 2),
-             lambda: star.amplitudes([0.0, t], 1, 2)]
+    calls = [lambda: cache.amplitude(t, 0, 1), lambda: cache.amplitudes([0.0, t], 0, 1),
+             lambda: star.amplitude(t, 1, 2), lambda: star.amplitudes([0.0, t], 1, 2)]
     for call in calls:
         with pytest.raises(ValueError, match=r"give phases t\*E beyond the float range"):
             call()
@@ -469,7 +477,7 @@ def test_parity_pattern_matches_exchange_parities():
 
 def test_verify_design_evolves_the_given_star_and_route():
     sol = design(DesignInput(m=3, eta=6))
-    moved = retarget(initial_routing(sol), 4).realized_spec
+    moved = retarget(RoutingState(sol, 1, 2, sol.realized), 4).realized_spec
     assert verify_design(sol, spec=moved, source=1, target=4).passed
     report = verify_design(sol, spec=moved, source=1, target=2)
     assert not report.passed and report.reduction_deviation > 0.1

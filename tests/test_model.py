@@ -17,6 +17,7 @@ from spinstar import (
     LARGEST,
     SMALLEST,
     DesignInput,
+    EvolutionCache,
     ReducedParams,
     ResourceLimitError,
     StarSpec,
@@ -27,11 +28,9 @@ from spinstar import (
     cli,
     design,
     g_polynomial,
-    lift_reduced_amplitude,
     min_feasible_even_eta,
     reduced_matrix,
     single_excitation_indices,
-    transition_amplitude,
 )
 from spinstar.model import (
     ArrowheadMatrix,
@@ -44,7 +43,7 @@ from spinstar.model import (
     routed_star,
 )
 
-from oracle import exchange_operator
+from oracle import exchange_operator, transition_amplitude
 
 # Closed-form smallest admissible potential for m=2, eta=4: e**2 = 4/15.
 E_M2_ETA4 = 2.0 / math.sqrt(15.0)
@@ -194,12 +193,31 @@ def test_design_solution_derives_its_transfer_time_spectrum_and_star(m, root):
                            lambda_residual=sol.lambda_residual)
     # repr spells every float exactly, so equal reprs are equal bits.
     assert sol == given and repr(sol) == repr(given)
+    # transfer_time and target_spectrum are derived, so not fields.
     assert [f.name for f in dataclasses.fields(sol)] == [
-        "params", "eta", "transfer_time", "target_spectrum", "root_residual",
-        "spectrum_residual", "lambda_residual"]
+        "params", "eta", "root_residual", "spectrum_residual", "lambda_residual"]
+    assert (sol.transfer_time, sol.target_spectrum) == (math.pi / e, (0.0, e, eta * e, -eta * e))
     assert sol.realized is sol.realized and sol.realized._parts() == given.realized._parts()
     assert cli.render_design(cli.design_document(sol, 1, 2, sol.realized, root)) == \
         cli.render_design(cli.design_document(given, 1, 2, given.realized, root))
+
+
+def test_replace_re_derives_a_design_solution():
+    sol, other = design(DesignInput(m=2, eta=4)), design(DesignInput(m=2, eta=6))
+    replaced = dataclasses.replace(sol, params=other.params, eta=6,
+                                   root_residual=other.root_residual,
+                                   spectrum_residual=other.spectrum_residual,
+                                   lambda_residual=other.lambda_residual)
+    assert replaced == other
+    assert (replaced.transfer_time, replaced.target_spectrum) == \
+        (other.transfer_time, other.target_spectrum)
+    # A passed value within tolerance is checked, then the derived one is kept.
+    e = sol.params.e
+    nudged = DesignSolution(sol.params, 4, root_residual=0.0,
+                            transfer_time=sol.transfer_time * (1.0 + 1e-13),
+                            target_spectrum=(-4 * e, 0.0, e, 4 * e * (1.0 + 1e-13)))
+    assert (nudged.transfer_time, nudged.target_spectrum) == \
+        (sol.transfer_time, sol.target_spectrum)
 
 
 def test_design_solution_checks_what_it_is_given():
@@ -514,20 +532,16 @@ def test_reduced_params_coupling_consistency_enforced():
 # Reduced-basis amplitudes
 # ---------------------------------------------------------------------------
 
-def test_lift_reduced_amplitude_identity_at_t0():
-    spec = StarSpec(5, 1.0, (0.2, 0.7, 0.7, -0.1, -0.1, -0.1))
-    assert abs(lift_reduced_amplitude(spec, 1, 2, 0.0)) < 1e-12
-
-
-def test_lift_reduced_amplitude_unit_at_transfer_time():
-    sol = design(DesignInput(m=2, eta=4, root_choice=SMALLEST))
-    amp = lift_reduced_amplitude(sol.realized, 1, 2, sol.transfer_time)
-    assert abs(abs(amp) - 1.0) < 1e-9
+def _lift_reduced_amplitude(spec, source, target, t):
+    """The source-to-target amplitude evolved inside the four-level
+    reduction, as ``simulate`` evolves it."""
+    h4 = reduced_matrix(build_reduced(spec, source, target))
+    return EvolutionCache.from_hamiltonian(h4).amplitude(t, 2, 3)
 
 
 def test_lift_reduced_amplitude_matches_full_dynamics():
     spec = StarSpec(52, 1.0, (0.4,) + (0.9, 0.9) + (-0.3,) * 50)
-    reduced = lift_reduced_amplitude(spec, 1, 2, 1.3)
+    reduced = _lift_reduced_amplitude(spec, 1, 2, 1.3)
     full = transition_amplitude(build_arrowhead(spec).to_dense(), 1.3, 1, 2)
     assert abs(reduced - full) < 1e-10
 
@@ -539,13 +553,7 @@ def test_lift_reduced_amplitude_random_sweep():
         m = int(rng.integers(1, 51))
         spec, source, target = _random_symmetric_spec(rng, m)
         t = float(rng.uniform(0.0, 20.0))
-        reduced = lift_reduced_amplitude(spec, source, target, t)
+        reduced = _lift_reduced_amplitude(spec, source, target, t)
         full = transition_amplitude(build_arrowhead(spec).to_dense(), t, source, target)
         worst = max(worst, abs(reduced - full))
     assert worst < 1e-10
-
-
-def test_lift_reduced_amplitude_propagates_symmetry_error():
-    spec = StarSpec(4, 1.0, (0.0, 0.5, 0.4, -0.5, -0.5))
-    with pytest.raises(SymmetryError):
-        lift_reduced_amplitude(spec, 1, 2, 1.0)

@@ -20,11 +20,9 @@ from spinstar import (
     ResourceLimitError,
     RoutingState,
     StarSpec,
-    apply_offset,
     build_grouped,
     build_reduced,
     design,
-    initial_routing,
     min_feasible_even_eta,
     retarget,
 )
@@ -259,7 +257,7 @@ def test_designed_and_retargeted_stars_have_two_exceptions(m):
     e, d = sol.params.e, sol.params.d
     assert sol.realized.background == d
     assert sol.realized.exceptions == ((1, e), (2, e))
-    moved = retarget(initial_routing(sol), m + 2).realized_spec
+    moved = retarget(RoutingState(sol, 1, 2, sol.realized), m + 2).realized_spec
     assert moved.background == d and moved.exceptions == ((1, e), (m + 2, e))
     # read node by node, the star splits into at most two exceptions too
     read = StarSpec(m + 2, 1.0, moved.potentials)
@@ -269,10 +267,12 @@ def test_designed_and_retargeted_stars_have_two_exceptions(m):
 def test_design_and_retarget_run_in_constant_memory():
     m = 10**6
     eta = min_feasible_even_eta(m)
-    retarget(initial_routing(design(DesignInput(m=2, eta=4))), 3)  # imports and caches
+    small = design(DesignInput(m=2, eta=4))
+    retarget(RoutingState(small, 1, 2, small.realized), 3)  # imports and caches
     tracemalloc.start()
     try:
-        state = retarget(initial_routing(design(DesignInput(m=m, eta=eta))), 777_777)
+        sol = design(DesignInput(m=m, eta=eta))
+        state = retarget(RoutingState(sol, 1, 2, sol.realized), 777_777)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -330,7 +330,6 @@ def _exception_ops(m, k):
         "build_reduced": lambda: build_reduced(spec, 1, 2),
         "RoutingState": lambda: RoutingState(base=sol, source=1, target=2, realized_spec=spec),
         "retarget": lambda: retarget(state, k + 3),
-        "apply_offset": lambda: apply_offset(spec, 0.25),
         "cli._blocks": lambda: deque(cli._blocks(doc), maxlen=0),
     }
 
