@@ -48,12 +48,10 @@ from .model import (
     ArrowheadMatrix,
     DesignSolution,
     FidelityTrace,
-    GroupedStar,
     ReducedParams,
     StarSpec,
     build_arrowhead,
     build_full_spin_hamiltonian,
-    build_grouped,
     build_reduced,
     reduced_matrix,
     single_excitation_indices,

@@ -896,10 +896,9 @@ def execute(argv=None) -> int:
     except InfeasibleDesignError as exc:
         print(f"infeasible: {exc}", file=sys.stderr)
         report = exc.report
-        if report is not None:
-            print(f"  g_min (must be < 0)  : {report.g_min!r}", file=sys.stderr)
-            print(f"  e_star               : {report.e_star!r}", file=sys.stderr)
-            print(f"  asymptotic eta scale : {report.asymptotic_threshold!r}", file=sys.stderr)
+        print(f"  g_min (must be < 0)  : {report.g_min!r}", file=sys.stderr)
+        print(f"  e_star               : {report.e_star!r}", file=sys.stderr)
+        print(f"  asymptotic eta scale : {report.asymptotic_threshold!r}", file=sys.stderr)
         return 2
     except (ValueError, SpinStarError, OSError, MemoryError) as exc:
         print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)

@@ -45,8 +45,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import EnvelopeError, InfeasibleDesignError, NoRealDesignError
-from .model import (DesignSolution, ReducedParams, check_eta, check_int, reduced_matrix,
-                    reduced_rows)
+from .model import DesignSolution, ReducedParams, check_eta, check_int, reduced_rows
 
 # Residual bound on accepted roots, relative to the sizes of the cubic's terms.
 ROOT_RESIDUAL_TOL = 1e-10
@@ -201,20 +200,17 @@ def lambda_coefficients(a: float, b: float, c: float, d: float, e: float) -> tup
 
 
 def design_residuals(params: ReducedParams, eta: int, target_spectrum,
-                     evals=None) -> tuple[float, float, float]:
+                     evals) -> tuple[float, float, float]:
     """Root, spectrum and lambda residuals of a design.
 
     The root residual is ``|g(e)|``, the design polynomial of ``(m, eta)``
     at ``params.e``; the spectrum residual the largest deviation of the
     four-level eigenvalues from ``target_spectrum``; the lambda residual the
     largest deviation of :func:`lambda_coefficients` from ``(0, eta**2, 0)``.
-    ``evals`` are the four-level eigenvalues in ascending order where a
-    caller has them already, as ``dynamics.verify_design`` does; otherwise
-    they are computed here.
+    ``evals`` are the four-level eigenvalues in ascending order, as
+    ``dynamics.verify_design`` returns them.
     """
-    poly = g_polynomial(params.m, eta)
-    evals = np.linalg.eigvalsh(reduced_matrix(params)).tolist() if evals is None else evals
-    return _residuals(poly, params, eta, target_spectrum, evals)
+    return _residuals(g_polynomial(params.m, eta), params, eta, target_spectrum, evals)
 
 
 def _residuals(poly: GPolynomial, params: ReducedParams, eta, target_spectrum,

@@ -6,28 +6,29 @@ propagator is unitary up to rounding and the one eigendecomposition is reused
 across an entire time grid.
 
 A whole star never needs its dense ``(N+1)**2`` matrix: :class:`StarEvolution`
-groups the edges by potential (the star's background plus its sparse
-exceptions) and diagonalizes only the ``(k+1)``-level bright arrowhead,
-``O(k**3)`` for ``k`` distinct edge potentials (``k = 2`` for every design
-file) and refused above ``DENSE_MAX_EDGES`` groups.  The dark modes
-contribute in closed form.
+groups the edges by potential itself (the star's background plus its sparse
+exceptions) and diagonalizes only the ``(k+1)``-level bright arrowhead, built
+as the dense array it is solved as: ``O(k**3)`` for ``k`` distinct edge
+potentials (``k = 2`` for every design file) and refused above
+``DENSE_MAX_EDGES`` groups.  The dark modes contribute in closed form.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
+from collections import Counter
 from dataclasses import dataclass
+from types import MappingProxyType
 
 import numpy as np
 
-from .errors import EnvelopeError
+from .errors import EnvelopeError, ResourceLimitError
 from .model import (
+    DENSE_MAX_EDGES,
     DesignSolution,
     FidelityTrace,
-    GroupedStar,
     StarSpec,
-    build_grouped,
     check_int,
     check_times,
     reduced_matrix,
@@ -138,19 +139,55 @@ class StarEvolution:
     ``(delta_st - 1/g) exp(-i lam t)`` when ``s`` and ``t`` share a group at
     potential ``lam``: that group's dark modes.  Queries mirror
     :class:`EvolutionCache`.
+
+    ``bright`` is the eigensystem of the arrowhead on (hub, bright mode of
+    group 0, ..., group k-1): group ``i`` has ``sizes[i]`` edges at
+    potential ``levels[i]``, ascending, and its bright mode couples to the
+    hub with ``sqrt(sizes[i]) * coupling``.  Like the star, the edge-to-group
+    map is sparse: an edge is in ``background_group`` unless it is a key of
+    ``exception_groups``, a read-only ``{node: group}`` mapping.
     """
 
-    star: GroupedStar
     bright: EvolutionCache
+    levels: tuple[float, ...]
+    sizes: tuple[int, ...]
+    dimension: int
+    background_group: int
+    exception_groups: MappingProxyType[int, int]
 
     @classmethod
     def from_spec(cls, spec: StarSpec) -> "StarEvolution":
-        star = build_grouped(spec)
-        return cls(star=star, bright=EvolutionCache.from_hamiltonian(star.bright.to_dense()))
+        """Group the edges of ``spec`` by exact potential value (``0.0`` and
+        ``-0.0`` are one value), in ``O(e log e)`` for ``e`` exceptions: the
+        background nodes are one count, however many they are.  A group of
+        ``0.0`` and ``-0.0`` sits at whichever the star lists first: its
+        exceptions in node order, then the background.  Then solve the
+        bright arrowhead, ``O(k**3)``.
 
-    @property
-    def dimension(self) -> int:
-        return self.star.edge_count + 1
+        Raises :class:`ResourceLimitError` above ``DENSE_MAX_EDGES`` distinct
+        edge potentials, before anything of size ``(k+1)**2`` exists.
+        """
+        # Keys compare with ==, so 0.0 and -0.0 fall into one group.
+        counts = Counter(value for _, value in spec.exceptions)
+        rest = spec.edge_count - len(spec.exceptions)
+        if rest:
+            counts[spec.background] += rest
+        k = len(counts)
+        if k > DENSE_MAX_EDGES:
+            raise ResourceLimitError(
+                f"grouped star dynamics is limited to {DENSE_MAX_EDGES} distinct edge "
+                f"potentials (a dense (k+1)^2 eigensolve); got k={k}"
+            )
+        levels = sorted(counts)
+        sizes = tuple(map(counts.__getitem__, levels))
+        index = dict(zip(levels, range(k)))
+        h = np.diag([spec.hub, *levels])
+        h[0, 1:] = h[1:, 0] = [spec.coupling * math.sqrt(g) for g in sizes]
+        return cls(bright=EvolutionCache.from_hamiltonian(h), levels=tuple(levels), sizes=sizes,
+                   dimension=spec.edge_count + 1,
+                   background_group=index[spec.background] if rest else -1,
+                   exception_groups=MappingProxyType(
+                       {node: index[value] for node, value in spec.exceptions}))
 
     def _terms(self, src, dst) -> tuple[int, int, float, float, float]:
         """Bright modes of ``src`` and ``dst``, the inverse product of their
@@ -159,11 +196,12 @@ class StarEvolution:
         0 for the hub and ``1 + group`` for an edge; its overlap is
         ``1/sqrt(g)`` with ``g`` the group's size (1 for the hub)."""
         src, dst = _check_states(self.dimension, src, dst)
-        p, q = (self.star.group(state) + 1 if state else 0 for state in (src, dst))
-        g_src, g_dst = (self.star.sizes[mode - 1] if mode else 1 for mode in (p, q))
+        groups, background = self.exception_groups, self.background_group
+        p, q = (groups.get(state, background) + 1 if state else 0 for state in (src, dst))
+        g_src, g_dst = (self.sizes[mode - 1] if mode else 1 for mode in (p, q))
         dark, lam = 0.0, 0.0
         if p == q and p > 0:
-            dark, lam = float(src == dst) - 1.0 / g_src, self.star.bright.arm_values[p - 1]
+            dark, lam = float(src == dst) - 1.0 / g_src, self.levels[p - 1]
         return p, q, math.sqrt(g_src * g_dst), dark, lam
 
     def amplitude(self, t: float, src: int, dst: int) -> complex:

@@ -32,8 +32,8 @@ class NoRealDesignError(SpinStarError):
 class InfeasibleDesignError(SpinStarError):
     """No admissible root exists for the requested bystander count and
     spectrum ratio.  Carries the :class:`FeasibilityReport` that explains why
-    in ``report`` (may be ``None`` when raised before the analysis ran)."""
+    in ``report``."""
 
-    def __init__(self, message: str, report=None):
+    def __init__(self, message: str, report):
         super().__init__(message)
         self.report = report

@@ -7,8 +7,9 @@ at three levels of resolution:
 * the full spin space of ``2**(N+1)`` states (brute-force oracle only),
 * the single-excitation subspace, where the Hamiltonian is an arrowhead
   matrix in the basis ``(hub, edge 1, ..., edge N)``; grouping the edges by
-  potential shrinks it to a ``(k+1)``-level arrowhead for ``k`` distinct
-  edge potentials, plus dark modes that never reach the hub,
+  potential, which :class:`spinstar.dynamics.StarEvolution` does, shrinks it
+  to a ``(k+1)``-level arrowhead for ``k`` distinct edge potentials, plus
+  dark modes that never reach the hub,
 * the four-level reduction ``(hub, symmetric bystander combination, source,
   target)`` that applies when source and target share a potential and all
   bystanders share another.
@@ -22,7 +23,6 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left
-from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from operator import itemgetter
@@ -40,8 +40,8 @@ FULL_SPACE_MAX_EDGES = 10
 
 # A dense arrowhead with n arms takes 8*(n+1)**2 bytes, about 134 MB at
 # n = 4096, before its O(n**3) eigendecomposition.  Refuse anything larger:
-# dense star matrices above this many edges, and grouped stars above this
-# many distinct edge potentials.
+# ArrowheadMatrix.to_dense above this many edges, and StarEvolution above
+# this many distinct edge potentials (its bright arrowhead).
 DENSE_MAX_EDGES = 4096
 
 
@@ -516,8 +516,8 @@ class FidelityTrace:
 # Single-excitation subspace
 # ---------------------------------------------------------------------------
 
-# No command builds the dense arrowhead; it stays public because bench/ops.py
-# times it.
+# No command builds the dense arrowhead, and nothing else builds an
+# ArrowheadMatrix; both stay public because bench/ops.py times them.
 def build_arrowhead(spec: StarSpec) -> ArrowheadMatrix:
     """Hamiltonian of ``spec`` restricted to single-excitation states, in the
     basis (hub, edge 1, ..., edge N)."""
@@ -527,73 +527,6 @@ def build_arrowhead(spec: StarSpec) -> ArrowheadMatrix:
         hub_value=spec.hub,
         arm_couplings=(spec.coupling,) * n,
         arm_values=spec.potentials[1:],
-    )
-
-
-@dataclass(frozen=True)
-class GroupedStar:
-    """A star's single-excitation Hamiltonian with its edges grouped by equal
-    potential.
-
-    The ``g`` edges of a group at potential ``lam`` span one bright mode, the
-    normalized sum of their states, which couples to the hub with
-    ``sqrt(g) * coupling``, and ``g - 1`` dark modes orthogonal to it: exact
-    eigenvectors at ``lam`` that never reach the hub.  ``bright`` is the
-    arrowhead on (hub, bright mode of group 0, ..., group k-1), with the
-    group potentials ascending, and group ``i`` has ``sizes[i]`` edges.
-    Like the star, the edge-to-group map is sparse: :meth:`group` gives
-    ``background_group`` except at the nodes of ``exception_groups``, sorted
-    ``(node, group)`` pairs.
-    """
-
-    bright: ArrowheadMatrix
-    sizes: tuple[int, ...]
-    edge_count: int
-    background_group: int
-    exception_groups: tuple[tuple[int, int], ...]
-
-    def group(self, node: int) -> int:
-        """Group of edge ``node`` (``1..edge_count``)."""
-        return _sparse_get(self.exception_groups, node, self.background_group)
-
-
-def build_grouped(spec: StarSpec) -> GroupedStar:
-    """Group the edges of ``spec`` by exact potential value (``0.0`` and
-    ``-0.0`` are one value), in ``O(e log e)`` for ``e`` exceptions: the
-    background nodes are one count, however many they are.
-
-    Raises :class:`ResourceLimitError` above ``DENSE_MAX_EDGES`` distinct
-    edge potentials, before anything of size ``(k+1)**2`` exists.
-    """
-    exceptions = spec.exceptions
-    values = list(map(itemgetter(1), exceptions))
-    # Keys compare with ==, so 0.0 and -0.0 fall into one group.
-    counts = Counter(values)
-    rest = spec.edge_count - len(exceptions)
-    if rest:
-        counts[spec.background] += rest
-    k = len(counts)
-    if k > DENSE_MAX_EDGES:
-        raise ResourceLimitError(
-            f"grouped star dynamics is limited to {DENSE_MAX_EDGES} distinct edge "
-            f"potentials (a dense (k+1)^2 eigensolve); got k={k}"
-        )
-    levels = sorted(counts)
-    sizes = tuple(map(counts.__getitem__, levels))
-    index = dict(zip(levels, range(k)))
-    bright = ArrowheadMatrix(
-        dimension=k + 1,
-        hub_value=spec.hub,
-        arm_couplings=[spec.coupling * math.sqrt(g) for g in sizes],
-        arm_values=levels,
-    )
-    return GroupedStar(
-        bright=bright,
-        sizes=sizes,
-        edge_count=spec.edge_count,
-        background_group=index[spec.background] if rest else -1,
-        exception_groups=tuple(zip(map(itemgetter(0), exceptions),
-                                   map(index.__getitem__, values))),
     )
 
 

@@ -328,7 +328,7 @@ def test_verify_evolves_the_files_own_star_and_route(design_file, tmp_path, monk
     amplitude = dynamics.StarEvolution.amplitude
 
     def spy(self, t, src, dst):
-        evolved.append((self.star, src, dst))
+        evolved.append((self, src, dst))
         return amplitude(self, t, src, dst)
 
     monkeypatch.setattr(dynamics.StarEvolution, "amplitude", spy)
@@ -337,7 +337,8 @@ def test_verify_evolves_the_files_own_star_and_route(design_file, tmp_path, monk
     (star, src, dst), = evolved
     assert (src, dst) == (1, 4)
     # the file's star: source and target share a group, node 2 is a bystander
-    assert star.group(1) == star.group(4) != star.group(2) == star.group(3)
+    group = [star.exception_groups.get(node, star.background_group) for node in range(5)]
+    assert group[1] == group[4] != group[2] == group[3]
 
 
 def test_design_beyond_the_envelope_is_one_error_line(capsys):
@@ -920,6 +921,25 @@ def test_the_root_rule_runs_twice_per_design_and_per_sweep_row(monkeypatch, caps
     assert len(calls) == 2 * rows
 
 
+def _run_every_command(m, tmp_path, capsys):
+    """Run design, verify, simulate, simulate --full, retarget and a sweep
+    of one block and three rows on a design at ``m``, yielding each argv
+    after its run."""
+    path, trace = str(tmp_path / "design.json"), str(tmp_path / "t.csv")
+    rows = cli._SWEEP_BLOCK + 3
+    runs = [["design", "--bystanders", str(m), "--eta", str(min_feasible_even_eta(m)),
+             "--out", path],
+            ["verify", "--design", path],
+            ["simulate", "--design", path, "--steps", "10", "--out", trace],
+            ["simulate", "--design", path, "--steps", "10", "--full", "--out", trace],
+            ["retarget", "--design", path, "--target", "3", "--out", str(tmp_path / "r.json")],
+            ["sweep", "--m-min", "1", "--m-max", str(rows)]]
+    for argv in runs:
+        assert execute(argv) == 0
+        yield argv
+    assert len(capsys.readouterr().out.splitlines()) == 7 + rows + 1  # verify, then sweep
+
+
 @pytest.mark.parametrize("m", [7, 10**4])
 def test_only_design_builds_the_routed_star(m, tmp_path, monkeypatch, capsys):
     # A solution builds its star on first read of realized: design writes
@@ -928,21 +948,21 @@ def test_only_design_builds_the_routed_star(m, tmp_path, monkeypatch, capsys):
     routed_star = model.routed_star
     monkeypatch.setattr(model, "routed_star",
                         lambda params: calls.append(params.m) or routed_star(params))
-    path, trace = str(tmp_path / "design.json"), str(tmp_path / "t.csv")
-    rows = cli._SWEEP_BLOCK + 3
-    runs = [(["design", "--bystanders", str(m), "--eta", str(min_feasible_even_eta(m)),
-              "--out", path], 1),
-            (["verify", "--design", path], 0),
-            (["simulate", "--design", path, "--steps", "10", "--out", trace], 0),
-            (["simulate", "--design", path, "--steps", "10", "--full", "--out", trace], 0),
-            (["retarget", "--design", path, "--target", "3", "--out", str(tmp_path / "r.json")],
-             0),
-            (["sweep", "--m-min", "1", "--m-max", str(rows)], 0)]
-    for argv, count in runs:
-        calls.clear()
-        assert execute(argv) == 0
+    for argv, count in zip(_run_every_command(m, tmp_path, capsys), (1, 0, 0, 0, 0, 0)):
         assert len(calls) == count, argv
-    assert len(capsys.readouterr().out.splitlines()) == 7 + rows + 1  # verify, then sweep
+        calls.clear()
+
+
+@pytest.mark.parametrize("m", [7, 10**4])
+def test_no_command_builds_an_arrowhead_matrix(m, tmp_path, monkeypatch, capsys):
+    # verify and simulate --full solve the star's bright arrowhead as the
+    # dense array it is; ArrowheadMatrix serves the benchmark's timing only.
+    calls = []
+    check = model.ArrowheadMatrix.__post_init__
+    monkeypatch.setattr(model.ArrowheadMatrix, "__post_init__",
+                        lambda self: calls.append(self.dimension) or check(self))
+    for argv in _run_every_command(m, tmp_path, capsys):
+        assert calls == [], argv
 
 
 def test_sweep_memory_is_set_by_the_block_not_the_window(monkeypatch):

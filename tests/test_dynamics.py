@@ -22,7 +22,6 @@ from spinstar import (
     StarSpec,
     back_solve,
     build_arrowhead,
-    build_grouped,
     design,
     fidelity_trace,
     reduced_matrix,
@@ -334,12 +333,16 @@ def test_star_evolution_matches_dense(data, n, extra, few, hub, coupling, t_max,
     norm = float(np.max(np.abs(np.linalg.eigvalsh(h))))
     assert np.max(np.abs(got - want)) <= 1e-10 * max(1.0, norm * t_max)
     assert star.amplitude(t_max, src, dst) == pytest.approx(got[-1], abs=1e-15)
-    assert star.star.bright.dimension == np.unique(edges).size + 1
+    assert star.bright.dimension == np.unique(edges).size + 1
 
 
 def test_star_evolution_state_validation():
     star = StarEvolution.from_spec(StarSpec(3, 1.0, (0.0, 0.5, 0.5, -0.5)))
     assert star.dimension == 4
+    assert (star.levels, star.sizes, star.background_group) == ((-0.5, 0.5), (1, 2), 1)
+    assert star.exception_groups == {3: 0}
+    with pytest.raises(TypeError):
+        star.exception_groups[3] = 1  # read-only, like the rest of the value
     with pytest.raises(ValueError, match=r"src must lie in 0\.\.3, got 4"):
         star.amplitude(1.0, 4, 1)
     with pytest.raises(ValueError, match=r"dst must lie in 0\.\.3, got -1"):
@@ -348,13 +351,28 @@ def test_star_evolution_state_validation():
         star.amplitude(1.0, 1.0, 1)
 
 
-def test_grouped_star_limits_distinct_potentials():
+def test_grouped_star_limits_distinct_potentials(monkeypatch):
     def spread(k):
         return StarSpec(k, 1.0, (0.0, *np.arange(k, dtype=float).tolist()))
 
-    assert build_grouped(spread(4096)).bright.dimension == 4097
-    with pytest.raises(ResourceLimitError, match="limited to 4096 distinct edge potentials"):
-        build_grouped(spread(4097))
+    # The limit is on the bright arrowhead's size, so its eigensolve (about
+    # 9 s at k = 4096) is left out: the diagonal stands in for the spectrum.
+    solved = []
+    monkeypatch.setattr(EvolutionCache, "from_hamiltonian", classmethod(
+        lambda cls, h: solved.append(h.shape) or cls(np.diagonal(h), h)))
+    assert StarEvolution.from_spec(spread(4096)).bright.dimension == 4097
+    assert solved == [(4097, 4097)]
+    star = spread(4097)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ResourceLimitError, match="limited to 4096 distinct edge potentials"):
+            StarEvolution.from_spec(star)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # Refused before anything of size (k+1)**2, 134 MB here, exists.
+    assert solved == [(4097, 4097)]
+    assert peak < 4 << 20
 
 
 def test_verify_design_at_large_star_without_dense_matrix():
@@ -532,7 +550,7 @@ def test_star_amplitudes_keep_their_phase_factors_under_64_mib():
     # 200 distinct edge potentials over 50 000 steps: the whole
     # steps x (k+1) phase array would take about 160 MB.
     evolution = _star_with_200_potentials()
-    assert evolution.star.bright.dimension == 201
+    assert evolution.bright.dimension == 201
     grid = np.linspace(0.0, 50.0, 50_000)
     evolution.amplitudes(grid[:10], 1, 201)  # warm up numpy
     tracemalloc.start()

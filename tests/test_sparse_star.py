@@ -19,8 +19,9 @@ from spinstar import (
     ReducedParams,
     ResourceLimitError,
     RoutingState,
+    EvolutionCache,
+    StarEvolution,
     StarSpec,
-    build_grouped,
     build_reduced,
     design,
     min_feasible_even_eta,
@@ -65,13 +66,20 @@ def _check_route_per_node(spec, params, source, target):
 
 
 def _build_grouped_per_node(spec):
-    """(hub, arm couplings, arm values, group of each edge, sizes)."""
+    """(hub, arm couplings, arm values, group of each edge, sizes).  Edges
+    group by ``==``, so 0.0 and -0.0 are one group; its value is the first
+    of its members that the star lists: the exceptions (edges off the
+    background bit for bit) in node order, then the background."""
     edges = np.fromiter(spec.potentials, float, spec.edge_count + 1)[1:]
     ordered = np.sort(edges)
     values = ordered[np.concatenate(([True], ordered[1:] != ordered[:-1]))]
     if values.size > DENSE_MAX_EDGES:
         raise ResourceLimitError(f"got k={values.size}")
     group_of = np.searchsorted(values, edges)
+    off = edges.view(np.int64) != np.float64(spec.background).view(np.int64)
+    listed = np.concatenate((edges[off], edges[~off][:1]))
+    groups, first = np.unique(np.searchsorted(values, listed), return_index=True)
+    values[groups] = listed[first]
     sizes = np.bincount(group_of, minlength=values.size)
     couplings = (spec.coupling * np.sqrt(sizes)).tolist()
     return spec.potentials[0], couplings, values.tolist(), group_of.tolist(), sizes.tolist()
@@ -162,17 +170,22 @@ def test_sparse_star_matches_per_node_references(star, route, picks):
     rebuilt = StarSpec.sparse(n, coupling, spec.hub, spec.background, spec.exceptions)
     assert rebuilt._parts() == spec._parts() and rebuilt == spec
 
-    # grouping
+    # grouping, and the bright eigensystem bit for bit against the solve of
+    # the reference's arrowhead
     want = _outcome(_build_grouped_per_node, spec)
-    got = _outcome(build_grouped, spec)
+    got = _outcome(StarEvolution.from_spec, spec)
     assert got[0] == want[0]
     if got[0] == "ok":
-        grouped, (hub, couplings, values, group_of, sizes) = got[1], want[1]
-        assert grouped.bright.hub_value == hub
-        assert list(grouped.bright.arm_couplings) == couplings
-        assert list(grouped.bright.arm_values) == values
-        assert list(grouped.sizes) == sizes
-        assert [grouped.group(j) for j in range(1, n + 1)] == group_of
+        star, (hub, couplings, values, group_of, sizes) = got[1], want[1]
+        assert [x.hex() for x in star.levels] == [x.hex() for x in values]
+        assert list(star.sizes) == sizes
+        assert [star.exception_groups.get(j, star.background_group)
+                for j in range(1, n + 1)] == group_of
+        h = np.diag([hub, *values])
+        h[0, 1:] = h[1:, 0] = couplings
+        reference = EvolutionCache.from_hamiltonian(h)
+        assert star.bright.eigenvalues.tobytes() == reference.eigenvalues.tobytes()
+        assert star.bright.eigenvectors.tobytes() == reference.eigenvectors.tobytes()
 
     # the route rule, against the values the star carries at the route and
     # at its first bystander (picks=None) or at three drawn nodes
