@@ -37,7 +37,9 @@ does works on the star's hub, background and exceptions and is ``O(1)`` in
 counts.  ``verify`` evolves the file's own star along the file's own route
 and checks the file's stored residuals and root choice against its design.
 ``sweep`` designs its rows in blocks of 1024, each by one
-:func:`designer.design_block`: two LAPACK calls per block, not per row.
+:func:`designer.design_block`: two LAPACK calls per block, not per row, and
+scalar arithmetic on floats for everything else, so a row builds no design
+object; each row's floats are formatted by one f-string.
 ``design`` and ``sweep`` requests beyond the envelope ``m <= 10**6``,
 ``eta <= 1 400 000``, and ``--steps`` beyond ``10**6``, are refused before
 any work that grows with them.  A design file, however, is read at whatever
@@ -726,7 +728,7 @@ def _cmd_simulate(ns) -> int:
         own_route = (source, target) == (parsed.source, parsed.target)
         params = parsed.base.params if own_route else model.build_reduced(star, source, target)
         h4 = model.reduced_matrix(params)
-        amps = dynamics.EvolutionCache.from_hamiltonian(h4).amplitudes(grid, 2, 3)
+        amps = dynamics.EvolutionCache.from_symmetric(h4).amplitudes(grid, 2, 3)
     # transfer_time_grid has checked the grid, before any amplitude.
     trace = model.FidelityTrace.on_checked_grid(grid, np.abs(amps) ** 2)
     # Every refusal has been raised by now, so a refused request writes no file.
@@ -776,21 +778,18 @@ def _cmd_sweep(ns) -> int:
     cap = math.inf if ns.eta_max is None else ns.eta_max
     print("m,eta,e,a,d,tau,abs_a_over_sqrt_m,abs_d_over_sqrt_m")
     for start in range(m_min, m_max + 1, _SWEEP_BLOCK):
-        rows = [(m, designer.min_feasible_even_eta(m))
+        rows = [(m, designer.min_feasible_even_eta(m), designer.SMALLEST)
                 for m in range(start, min(start + _SWEEP_BLOCK, m_max + 1))]
         # Designed when the first row is asked for; a row that fails raises
         # when its turn comes, after the rows before it are printed.
-        designs = designer.design_block([
-            designer.DesignInput(m=m, eta=eta, root_choice=designer.SMALLEST)
-            for m, eta in rows if eta <= cap])
-        for m, eta in rows:
+        designs = designer.design_block([row for row in rows if row[1] <= cap])
+        for m, eta, _ in rows:
             if eta > cap:
                 print(f"m={m}: no feasible even eta up to {ns.eta_max}; skipping", file=sys.stderr)
                 continue
-            sol = next(designs)
-            params, scale = sol.params, math.sqrt(m)
-            print(f"{m},{eta},{params.e!r},{params.a!r},{params.d!r},{sol.transfer_time!r},"
-                  f"{abs(params.a) / scale!r},{abs(params.d) / scale!r}")
+            (e, a, d, *_), scale = next(designs), math.sqrt(m)
+            print(f"{m},{eta},{e!r},{a!r},{d!r},{math.pi / e!r},{abs(a) / scale!r},"
+                  f"{abs(d) / scale!r}")
         del designs  # the block's designer goes before the next block's rows are built
     return 0
 

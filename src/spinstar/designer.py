@@ -28,12 +28,16 @@ exact for any finite ``eta``, is the only feasibility rule: :func:`solve_e`
 returns both roots whenever it holds, or raises that they cannot be resolved
 in floating point.
 
-Designs take one code path, :func:`design_block`.  For a block of requests
-it forms each design polynomial once, solves every companion matrix in one
+Designs take one code path, :func:`design_block`.  For a block of rows
+``(m, eta, root choice)`` it solves every companion matrix in one
 ``np.linalg.eigvals`` call and every reduced 4x4 matrix in one
-``np.linalg.eigvalsh`` call, and runs each other step request by request.
-:func:`design` is its one-request case, two LAPACK calls; :func:`solve_e`,
-:func:`back_solve` and :func:`design_residuals` share its per-request steps.
+``np.linalg.eigvalsh`` call.  Every other step is scalar arithmetic on the
+row's Python floats, and a row yields its numbers, with no object built for
+it: ``spinstar sweep`` prints them as they are.  :func:`design` is its
+one-row case, two LAPACK calls, and wraps the row into the validated
+:class:`~spinstar.model.ReducedParams` and
+:class:`~spinstar.model.DesignSolution`.  :func:`solve_e`,
+:func:`back_solve` and :func:`design_residuals` share its per-row steps.
 """
 
 from __future__ import annotations
@@ -41,11 +45,13 @@ from __future__ import annotations
 import math
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
+from operator import sub
+from typing import NamedTuple
 
 import numpy as np
 
 from .errors import EnvelopeError, InfeasibleDesignError, NoRealDesignError
-from .model import DesignSolution, ReducedParams, check_eta, check_int, reduced_rows
+from .model import DesignSolution, ReducedParams, check_eta, check_int, reduced_entries
 
 # Residual bound on accepted roots, relative to the sizes of the cubic's terms.
 ROOT_RESIDUAL_TOL = 1e-10
@@ -75,6 +81,15 @@ def check_envelope(m: int | None = None, eta: int | None = None) -> None:
         raise EnvelopeError(
             f"eta={eta} lies beyond the supported envelope eta <= ETA_MAX = {ETA_MAX}"
         )
+
+
+def _check_request(m, eta) -> tuple[int, int]:
+    """``(m, eta)`` as the ints of a design request: ``m >= 1``, ``eta``
+    even and ``>= 2`` (:func:`~spinstar.model.check_eta`), both within the
+    envelope."""
+    m, eta = check_int(m, "m", lo=1), check_eta(eta)
+    check_envelope(m, eta)
+    return m, eta
 
 
 @dataclass(frozen=True)
@@ -127,17 +142,16 @@ class DesignInput:
     root_choice: RootChoice = SMALLEST
 
     def __post_init__(self):
-        object.__setattr__(self, "m", check_int(self.m, "m", lo=1))
-        object.__setattr__(self, "eta", check_eta(self.eta))
-        check_envelope(self.m, self.eta)
+        m, eta = _check_request(self.m, self.eta)
+        self.__dict__.update(m=m, eta=eta)
         if not isinstance(self.root_choice, RootChoice):
             raise ValueError("root_choice must be a RootChoice")
 
 
-@dataclass(frozen=True)
-class GPolynomial:
+class GPolynomial(NamedTuple):
     """Even polynomial ``x0 + x2 e**2 + x4 e**4 + x6 e**6`` whose positive
-    roots are the admissible source/target potentials."""
+    roots are the admissible source/target potentials: the tuple of its
+    four coefficients, which the designer's helpers take as it is."""
 
     x0: float
     x2: float
@@ -145,22 +159,22 @@ class GPolynomial:
     x6: float
 
     def evaluate(self, e: float) -> float:
-        return self.evaluate_u(float(e) * float(e))
-
-    def evaluate_u(self, u: float) -> float:
-        """Value as a cubic in ``u = e**2``."""
-        return self.x0 + u * (self.x2 + u * (self.x4 + u * self.x6))
-
-    def derivative_u(self, u: float) -> float:
-        return self.x2 + u * (2.0 * self.x4 + 3.0 * u * self.x6)
+        return _value(self, float(e) * float(e))
 
 
-def _is_root(poly: GPolynomial, u: float) -> bool:
+def _value(x: tuple, u: float) -> float:
+    """The cubic of coefficients ``x = (x0, x2, x4, x6)`` at ``u = e**2``."""
+    x0, x2, x4, x6 = x
+    return x0 + u * (x2 + u * (x4 + u * x6))
+
+
+def _is_root(x: tuple, u: float) -> bool:
     """The root rule: ``|g(u)| <= ROOT_RESIDUAL_TOL * sum |terms|`` over the
-    four terms of the cubic in ``u = e**2``."""
+    four terms of the cubic of coefficients ``x`` in ``u = e**2``."""
+    x0, x2, x4, x6 = x
     u2 = u * u
-    scale = abs(poly.x0) + abs(poly.x2 * u) + abs(poly.x4 * u2) + abs(poly.x6 * u2 * u)
-    return abs(poly.evaluate_u(u)) <= ROOT_RESIDUAL_TOL * scale
+    scale = abs(x0) + abs(x2 * u) + abs(x4 * u2) + abs(x6 * u2 * u)
+    return abs(_value(x, u)) <= ROOT_RESIDUAL_TOL * scale
 
 
 @dataclass(frozen=True)
@@ -210,15 +224,17 @@ def design_residuals(params: ReducedParams, eta: int, target_spectrum,
     ``evals`` are the four-level eigenvalues in ascending order, as
     ``dynamics.verify_design`` returns them.
     """
-    return _residuals(g_polynomial(params.m, eta), params, eta, target_spectrum, evals)
+    p, target = params, sorted(map(float, target_spectrum))
+    return _residuals(g_polynomial(p.m, eta), eta, (p.a, p.b, p.c, p.d, p.e), target, evals)
 
 
-def _residuals(poly: GPolynomial, params: ReducedParams, eta, target_spectrum,
-               evals: list[float]) -> tuple[float, float, float]:
-    """:func:`design_residuals` with ``poly`` and ``evals`` at hand."""
-    root = abs(poly.evaluate(params.e))
-    spectrum = max(abs(x - y) for x, y in zip(evals, sorted(map(float, target_spectrum))))
-    l0, l1, l2 = lambda_coefficients(params.a, params.b, params.c, params.d, params.e)
+def _residuals(x: tuple, eta, elements: tuple, target, evals) -> tuple[float, float, float]:
+    """:func:`design_residuals` from the coefficients ``x`` of the design
+    cubic, the matrix elements ``(a, b, c, d, e)`` and the ``target``
+    spectrum, ascending."""
+    root = abs(_value(x, elements[4] * elements[4]))
+    spectrum = max(map(abs, map(sub, evals, target)))
+    l0, l1, l2 = lambda_coefficients(*elements)
     return root, spectrum, float(max(abs(l0), abs(l1 - eta**2), abs(l2)))
 
 
@@ -238,17 +254,22 @@ def g_polynomial(m: int, eta: float) -> GPolynomial:
     ``1.2e77``) or is not finite.
     """
     m = check_int(m, "m", lo=1)
-    x0 = _float_or_inf(m + 2)
-    if x0 == math.inf:
+    if _float_or_inf(m + 2) == math.inf:
         raise ValueError(f"m of {m.bit_length()} bits lies beyond the float range")
     try:
-        eta2 = float(eta) * float(eta)
-        x6 = 0.25 * (1.0 - eta2) ** 2
+        x = _cubic(m, eta)
     except OverflowError:
-        x6 = math.inf
-    if not math.isfinite(x6):
+        x = (math.inf,)
+    if not math.isfinite(x[-1]):
         raise ValueError(f"eta={eta!r} puts the design polynomial beyond the float range")
-    return GPolynomial(x0=x0, x2=3.0 - eta2, x4=1.5 * (1.0 - eta2), x6=x6)
+    return GPolynomial(*x)
+
+
+def _cubic(m: int, eta) -> tuple[float, float, float, float]:
+    """The coefficients ``(x0, x2, x4, x6)`` of :func:`g_polynomial`,
+    unchecked: finite for every ``(m, eta)`` in the envelope."""
+    eta2 = float(eta) * float(eta)
+    return float(m + 2), 3.0 - eta2, 1.5 * (1.0 - eta2), 0.25 * (1.0 - eta2) ** 2
 
 
 def solve_e(m: int, eta: float) -> list[float]:
@@ -267,53 +288,54 @@ def solve_e(m: int, eta: float) -> list[float]:
     the module's root rule, ``|g(e)| <= ROOT_RESIDUAL_TOL * sum |terms|``:
     the roots exist but cannot be resolved in floating point.
     """
-    poly = _checked_polynomial(m, eta)
+    poly = g_polynomial(m, eta)  # which has checked that m is an integer
+    _check_feasible(int(m), eta)
     return _polished_roots(poly, m, eta, _companion_roots([poly])[0])
 
 
-def _checked_polynomial(m: int, eta: float) -> GPolynomial:
-    """The design polynomial of ``(m, eta)``, raising as :func:`solve_e`
-    does when it cannot be formed or the exact test finds no roots."""
-    poly = g_polynomial(m, eta)
-    if not _feasible(check_int(m, "m", lo=1), eta):
+def _check_feasible(m: int, eta) -> None:
+    """Raise :class:`InfeasibleDesignError`, carrying the feasibility
+    analysis, unless ``(m, eta)`` passes the exact test."""
+    if not _feasible(m, eta):
         report = feasibility(m, eta)
         raise InfeasibleDesignError(f"no admissible root for m={m}, eta={eta}: the design "
                                     f"polynomial stays positive (minimum {report.g_min!r})", report)
-    return poly
 
 
-def _companion_roots(polys: list[GPolynomial]) -> list[list]:
-    """Roots in ``u`` of each cubic of the nonempty ``polys`` (nonzero
-    leading coefficient, as the design cubic's is for ``eta > 1``), one list
-    each, ascending by real part: the eigenvalues of their companion
-    matrices, by one ``np.linalg.eigvals`` call on their stack.  numpy
-    solves a stack one matrix at a time, so each list has the bits of its
-    matrix solved alone, which are numpy's ``polyroots`` without its series
-    bookkeeping (a third of its time)."""
-    roots = np.linalg.eigvals(np.array([[[0.0, 0.0, 0.0 - p.x0 / p.x6],
-                                         [1.0, 0.0, 0.0 - p.x2 / p.x6],
-                                         [0.0, 1.0, 0.0 - p.x4 / p.x6]] for p in polys]))
+def _companion_roots(cubics: list[tuple]) -> list[list]:
+    """Roots in ``u`` of each cubic of coefficients ``(x0, x2, x4, x6)`` in
+    the nonempty ``cubics`` (nonzero leading coefficient, as the design
+    cubic's is for ``eta > 1``), one list each, ascending by real part: the
+    eigenvalues of their companion matrices, by one ``np.linalg.eigvals``
+    call on their stack.  numpy solves a stack one matrix at a time, so each
+    list has the bits of its matrix solved alone, which are numpy's
+    ``polyroots`` without its series bookkeeping (a third of its time)."""
+    roots = np.linalg.eigvals(np.array([(0.0, 0.0, 0.0 - x0 / x6,
+                                          1.0, 0.0, 0.0 - x2 / x6,
+                                          0.0, 1.0, 0.0 - x4 / x6)
+                                         for x0, x2, x4, x6 in cubics]).reshape(-1, 3, 3))
     roots.sort()
     return roots.tolist()
 
 
-def _polished_roots(poly: GPolynomial, m: int, eta, roots: list) -> list[float]:
-    """:func:`solve_e`'s roots from the companion eigenvalues ``roots``,
-    ascending by real part: the real parts of the two largest, polished and
-    checked."""
+def _polished_roots(x: tuple, m: int, eta, roots: list) -> list[float]:
+    """:func:`solve_e`'s roots of the cubic of coefficients ``x`` from its
+    companion eigenvalues ``roots``, ascending by real part: the real parts
+    of the two largest, polished and checked."""
+    x0, x2, x4, x6 = x
     polished = []
     for z in roots[1:]:
         u = z.real
-        for _ in range(3):
-            slope = poly.derivative_u(u)
+        for _ in range(3):  # Newton steps, on _value's expression and its slope
+            slope = x2 + u * (2.0 * x4 + 3.0 * u * x6)
             if slope == 0.0:
                 break
-            u -= poly.evaluate_u(u) / slope
+            u -= (x0 + u * (x2 + u * (x4 + u * x6))) / slope
         e = math.sqrt(max(u, 0.0))
-        if not (e > 0.0 and _is_root(poly, e * e)):
+        if not (e > 0.0 and _is_root(x, e * e)):
             raise NoRealDesignError(
                 f"the roots of the design polynomial for m={m}, eta={eta} cannot be resolved "
-                f"in floating point (residual {poly.evaluate_u(u)!r} at u={u!r})")
+                f"in floating point (residual {_value(x, u)!r} at u={u!r})")
         polished.append(e)
     return sorted(polished)
 
@@ -377,7 +399,7 @@ def feasibility(m: int, eta: float) -> FeasibilityReport:
         x = 1.0 / eta
         e_star_sq = (6.0 * x * x + 2.0 * math.sqrt(3.0) * x) / (3.0 * (1.0 - x * x))
     try:
-        g_min = g_polynomial(m, eta).evaluate_u(e_star_sq)
+        g_min = _value(g_polynomial(m, eta), e_star_sq)
     except ValueError:
         g_min = math.nan
     return FeasibilityReport(math.sqrt(e_star_sq), float(g_min), feasible, asymptotic)
@@ -412,7 +434,9 @@ def design(request: DesignInput) -> DesignSolution:
     Finds the admissible roots, picks one by the request's root choice,
     recovers the hub/bystander potentials, and realizes the star network in
     coupling units (``coupling = c = 1``).  The solve is one 3x3 companion
-    ``eigvals`` and one 4x4 ``eigvalsh``.  The solution derives its
+    ``eigvals`` and one 4x4 ``eigvalsh``.  The row's numbers become the
+    validated :class:`~spinstar.model.ReducedParams` and
+    :class:`~spinstar.model.DesignSolution`.  The solution derives its
     transfer time and target spectrum from ``e`` and ``eta``, and builds
     the realized star on first read of ``realized``, from its hub,
     bystander and route values (:func:`~spinstar.model.routed_star`), so
@@ -420,67 +444,58 @@ def design(request: DesignInput) -> DesignSolution:
     ``tests/test_sparse_star.py::test_design_and_retarget_run_in_constant_memory``
     and ``tests/test_cli.py::test_every_command_is_constant_time_in_m`` check.
     """
-    return list(design_block((request,)))[0]
+    m, eta = request.m, request.eta
+    [(e, a, d, root, spectrum, lam)] = design_block(((m, eta, request.root_choice),))
+    return DesignSolution(ReducedParams(a=a, b=math.sqrt(m), c=1.0, d=d, e=e, m=m), eta,
+                          root_residual=root, spectrum_residual=spectrum, lambda_residual=lam)
 
 
-def design_block(requests: Iterable[DesignInput]) -> Iterator[DesignSolution]:
-    """Solve ``requests`` as :func:`design` solves each, yielding their
-    solutions in order.
+def design_block(rows: Iterable[tuple[int, int, RootChoice]]) -> Iterator[tuple[float, ...]]:
+    """Solve each row ``(m, eta, root_choice)`` as :func:`design` solves the
+    request of those fields, yielding ``(e, a, d, root_residual,
+    spectrum_residual, lambda_residual)`` in order: plain floats, with no
+    object built per row.
 
-    Each request's design polynomial is formed once.  All companion
-    matrices go to one ``np.linalg.eigvals`` call and all reduced 4x4
-    matrices to one ``np.linalg.eigvalsh`` call; numpy solves a stack one
-    matrix at a time, so every solution has the bits that a request solved
-    alone gets.  Every other step runs per request, in order: the
-    feasibility test, the Newton polish and root rule, the root choice, the
-    back-solve, :class:`~spinstar.model.ReducedParams`, the residuals, the
-    spectrum guard and :class:`~spinstar.model.DesignSolution`.  The block
-    is solved when its first solution is asked for.  A request that fails
-    raises its error in its turn, after the solutions of the requests before
-    it, and ends the block.  Memory grows with the block, not with ``m``.
+    Each row's ``m`` and ``eta`` are checked as :class:`DesignInput` checks
+    a request's, then its steps run on floats: the exact feasibility test
+    and the coefficients of the design cubic; the Newton polish and root
+    rule; the root choice and the closed-form potentials; the residuals and
+    the spectrum guard.  All companion matrices go to one
+    ``np.linalg.eigvals`` call and all reduced 4x4 matrices to one
+    ``np.linalg.eigvalsh`` call; numpy solves a stack one matrix at a time,
+    so every row has the bits that it gets solved alone.  The block is
+    solved when its first row is asked for.  A row that fails raises its
+    error in its turn, after the rows before it, and ends the block.
+    Memory grows with the block, not with ``m``.
     """
-    # Each stage stops at the first request that fails in it and keeps that
-    # request's error; the next stage takes only the requests before it.
-    rows, solved, failure = [], [], None
+    # Each stage stops at the first row that fails in it and keeps that
+    # row's error; the next stage takes only the rows before it.
+    cubics, solved, failure = [], [], None
     try:
-        for request in requests:
-            rows.append((request, _checked_polynomial(request.m, request.eta)))
+        for m, eta, choice in rows:
+            m, eta = _check_request(m, eta)
+            _check_feasible(m, eta)
+            cubics.append((m, eta, choice, _cubic(m, eta)))
     except Exception as exc:  # re-raised in its turn, below
         failure = exc
-    roots = _companion_roots([poly for _, poly in rows]) if rows else []
+    roots = _companion_roots([x for *_, x in cubics]) if cubics else []
     try:
-        for (request, poly), eigenvalues in zip(rows, roots):
-            solved.append(_reduced_params(request, poly, eigenvalues))
-    except Exception as exc:  # an earlier request than any that failed above
+        for (m, eta, choice, x), z in zip(cubics, roots):
+            # _polished_roots has applied the root rule to the chosen root,
+            # so its potentials are the closed forms without back_solve's checks.
+            e = choice.select(_polished_roots(x, m, eta, z))
+            a, d = _potentials(e, eta)
+            solved.append((m, eta, x, (a, math.sqrt(m), 1.0, d, e)))
+    except Exception as exc:  # an earlier row than any that failed above
         failure = exc
-    matrices = [reduced_rows(p) for p in solved]
-    spectra = np.linalg.eigvalsh(np.array(matrices)).tolist() if matrices else []
-    for (request, poly), params, evals in zip(rows, solved, spectra):
-        yield _solution(request, poly, params, evals)
+    matrices = [reduced_entries(*elements) for *_, elements in solved]
+    spectra = np.linalg.eigvalsh(np.array(matrices).reshape(-1, 4, 4)).tolist() if solved else []
+    for (m, eta, x, elements), evals in zip(solved, spectra):
+        a, _, _, d, e = elements
+        # The target spectrum (0, e, eta*e, -eta*e), ascending as e > 0.
+        root, miss, lam = _residuals(x, eta, elements, (-eta * e, 0.0, e, eta * e), evals)
+        if miss > SPECTRUM_TOL * max(1.0, abs(eta * e)):
+            raise NoRealDesignError(f"design for m={m}, eta={eta} misses its spectrum by {miss!r}")
+        yield e, a, d, root, miss, lam
     if failure is not None:
         raise failure
-
-
-def _reduced_params(request: DesignInput, poly: GPolynomial, roots: list) -> ReducedParams:
-    """The request's matrix elements, from its companion eigenvalues
-    ``roots``, ascending by real part.  :func:`_polished_roots` has applied
-    the root rule to the chosen root, so its potentials are the closed forms
-    without :func:`back_solve`'s checks."""
-    m, eta = request.m, request.eta
-    e = request.root_choice.select(_polished_roots(poly, m, eta, roots))
-    a, d = _potentials(e, eta)
-    return ReducedParams(a=a, b=math.sqrt(m), c=1.0, d=d, e=e, m=m)
-
-
-def _solution(request: DesignInput, poly: GPolynomial, params: ReducedParams,
-              evals: list[float]) -> DesignSolution:
-    """The request's solution, from its matrix elements and their 4x4
-    eigenvalues ``evals``, ascending.  ``target`` is the spectrum that the
-    solution derives for itself, in the same order."""
-    m, eta, e = request.m, request.eta, params.e
-    target = (0.0, e, eta * e, -eta * e)
-    root, deviation, lambda_deviation = _residuals(poly, params, eta, target, evals)
-    if deviation > SPECTRUM_TOL * max(1.0, abs(eta * e)):
-        raise NoRealDesignError(f"design for m={m}, eta={eta} misses its spectrum by {deviation!r}")
-    return DesignSolution(params, eta, root_residual=root, spectrum_residual=deviation,
-                          lambda_residual=lambda_deviation)

@@ -46,16 +46,6 @@ DEFAULT_VERIFY_TOL = 1e-9
 STEPS_MAX = 10**6
 
 
-def _require_symmetric(h) -> np.ndarray:
-    h = np.ascontiguousarray(h, dtype=float)
-    if h.ndim != 2 or h.shape[0] != h.shape[1]:
-        raise ValueError("Hamiltonian must be a square matrix")
-    asym = float(np.max(np.abs(h - h.T)))
-    if asym > SYMMETRY_TOL:
-        raise ValueError(f"Hamiltonian must be symmetric; asymmetry is {asym!r}")
-    return h
-
-
 def _check_phases(t_abs: float, e_abs: float) -> None:
     """Refuse times up to ``t_abs`` when a phase ``t * E`` with ``|E| <= e_abs``
     would overflow the float range, before any phase is formed."""
@@ -73,7 +63,22 @@ class EvolutionCache:
 
     @classmethod
     def from_hamiltonian(cls, h) -> "EvolutionCache":
-        h = _require_symmetric(h)
+        """The eigensystem of a caller's matrix ``h``, refused unless it is
+        square and symmetric within ``SYMMETRY_TOL``."""
+        h = np.ascontiguousarray(h, dtype=float)
+        if h.ndim != 2 or h.shape[0] != h.shape[1]:
+            raise ValueError("Hamiltonian must be a square matrix")
+        asym = float(np.max(np.abs(h - h.T)))
+        if asym > SYMMETRY_TOL:
+            raise ValueError(f"Hamiltonian must be symmetric; asymmetry is {asym!r}")
+        return cls.from_symmetric(h)
+
+    @classmethod
+    def from_symmetric(cls, h: np.ndarray) -> "EvolutionCache":
+        """The eigensystem of a float array that is symmetric by
+        construction, its two triangles assigned from one array, as the
+        package builds its own matrices: ``np.linalg.eigh`` at once, with no
+        symmetry check, which would take two more arrays of its size."""
         evals, vecs = np.linalg.eigh(h)
         evals.setflags(write=False)
         vecs.setflags(write=False)
@@ -183,7 +188,7 @@ class StarEvolution:
         index = dict(zip(levels, range(k)))
         h = np.diag([spec.hub, *levels])
         h[0, 1:] = h[1:, 0] = [spec.coupling * math.sqrt(g) for g in sizes]
-        return cls(bright=EvolutionCache.from_hamiltonian(h), levels=tuple(levels), sizes=sizes,
+        return cls(bright=EvolutionCache.from_symmetric(h), levels=tuple(levels), sizes=sizes,
                    dimension=spec.edge_count + 1,
                    background_group=index[spec.background] if rest else -1,
                    exception_groups=MappingProxyType(
@@ -330,7 +335,7 @@ def verify_design(sol: DesignSolution, tol: float = DEFAULT_VERIFY_TOL,
     if not 0.0 <= tol < math.inf:
         raise ValueError(f"tol must be finite and non-negative, got {tol!r}")
     params = sol.params
-    cache4 = EvolutionCache.from_hamiltonian(reduced_matrix(params))
+    cache4 = EvolutionCache.from_symmetric(reduced_matrix(params))
     wanted = np.sort(np.asarray(sol.target_spectrum, dtype=float))
     spectrum_deviation = float(np.max(np.abs(cache4.eigenvalues - wanted)))
 

@@ -39,7 +39,10 @@ POTENTIAL_MATCH_TOL = 1e-12
 FULL_SPACE_MAX_EDGES = 10
 
 # A dense arrowhead with n arms takes 8*(n+1)**2 bytes, about 134 MB at
-# n = 4096, before its O(n**3) eigendecomposition.  Refuse anything larger:
+# n = 4096.  Its O(n**3) eigendecomposition, np.linalg.eigh, peaks at about
+# 5.2 times that (its input, a working copy, a workspace of two matrices and
+# the eigenvectors; measured at n = 1024 and 2048), about 700 MB at n = 4096.
+# Refuse anything larger:
 # ArrowheadMatrix.to_dense above this many edges, and StarEvolution above
 # this many distinct edge potentials (its bright arrowhead).
 DENSE_MAX_EDGES = 4096
@@ -564,14 +567,14 @@ def build_reduced(spec: StarSpec, source: int, target: int) -> ReducedParams:
 def reduced_matrix(params: ReducedParams) -> np.ndarray:
     """The 4x4 effective Hamiltonian in the basis (hub, bystander-symmetric,
     source, target)."""
-    return np.array(reduced_rows(params))
+    return np.array(reduced_entries(params.a, params.b, params.c, params.d, params.e)).reshape(4, 4)
 
 
-def reduced_rows(params: ReducedParams) -> list[list[float]]:
-    """The rows of :func:`reduced_matrix` as lists, for a caller that
-    stacks many of them into one array."""
-    a, b, c, d, e = params.a, params.b, params.c, params.d, params.e
-    return [[a, b, c, c], [b, d, 0.0, 0.0], [c, 0.0, e, 0.0], [c, 0.0, 0.0, e]]
+def reduced_entries(a: float, b: float, c: float, d: float, e: float) -> tuple[float, ...]:
+    """The 16 entries of :func:`reduced_matrix` of the matrix elements
+    ``a, b, c, d, e``, row by row, for a caller that stacks many of them
+    into one array."""
+    return (a, b, c, c, b, d, 0.0, 0.0, c, 0.0, e, 0.0, c, 0.0, 0.0, e)
 
 
 # ---------------------------------------------------------------------------

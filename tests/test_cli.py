@@ -864,21 +864,46 @@ def test_sweep_skip_lines_keep_their_place_among_rows(monkeypatch, capsys):
     assert capsys.readouterr() == (_SWEEP_HEADER + "".join(rows), "".join(skips))
 
 
-@pytest.mark.parametrize("stage", ["_checked_polynomial", "_reduced_params", "_solution"])
-def test_a_sweep_row_that_fails_mid_block_ends_the_sweep(monkeypatch, stage):
+def _odd_eta_at_500(monkeypatch):
+    minimal = designer.min_feasible_even_eta
+    monkeypatch.setattr(designer, "min_feasible_even_eta", lambda m: 501 if m == 500 else minimal(m))
+
+
+def _no_root_at_500(monkeypatch):
+    # the cubic of m bystanders has x0 = m + 2
+    is_root = designer._is_root
+    monkeypatch.setattr(designer, "_is_root", lambda x, u: x[0] != 502.0 and is_root(x, u))
+
+
+def _spectrum_missed_at_500(monkeypatch):
+    # the reduced matrix of m bystanders has b = sqrt(m) at (0, 1)
+    eigvalsh = np.linalg.eigvalsh
+
+    def shifted(matrices):
+        evals = eigvalsh(matrices)
+        evals[matrices[:, 0, 1] == math.sqrt(500)] += 1.0
+        return evals
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", shifted)
+
+
+@pytest.mark.parametrize("fail_row_500", [
+    pytest.param(_odd_eta_at_500, id="request_check"),
+    pytest.param(_no_root_at_500, id="root_rule"),
+    pytest.param(_spectrum_missed_at_500, id="spectrum_guard"),
+])
+def test_a_sweep_row_that_fails_mid_block_ends_the_sweep(monkeypatch, capsys, fail_row_500):
     # Row m = 500 of the window 1..block + 50 fails in each stage of the
-    # block designer: rows 1..499, then one error line, exit status 1.
-    ms, failing, step = range(1, cli._SWEEP_BLOCK + 51), 500, getattr(designer, stage)
-
-    def failing_at(first, *rest):
-        m = first if isinstance(first, int) else first.m
-        if m == failing:
-            raise NoRealDesignError(f"row m={m} made to fail")
-        return step(first, *rest)
-
-    monkeypatch.setattr(designer, stage, failing_at)
-    expected = _SWEEP_HEADER + "".join(_sweep_reference(range(1, failing)))
-    assert _sweep_one_stream(ms) == (1, expected + "error: row m=500 made to fail\n")
+    # block designer (the checks of its request, the root rule, the spectrum
+    # guard): rows 1..499, then the error line that design gives for that
+    # request, exit status 1.
+    fail_row_500(monkeypatch)
+    eta = designer.min_feasible_even_eta(500)
+    assert execute(["design", "--bystanders", "500", "--eta", str(eta)]) == 1
+    error = capsys.readouterr().err
+    assert error.startswith("error: ") and error.count("\n") == 1
+    expected = _SWEEP_HEADER + "".join(_sweep_reference(range(1, 500)))
+    assert _sweep_one_stream(range(1, cli._SWEEP_BLOCK + 51)) == (1, expected + error)
 
 
 def test_an_infeasible_sweep_row_mid_block_is_exit_status_2(monkeypatch, capsys):
@@ -902,6 +927,55 @@ def test_sweep_solves_each_block_with_one_eigvals_and_one_eigvalsh(monkeypatch, 
     assert execute(["sweep", "--m-min", "1", "--m-max", str(rows)]) == 0
     assert len(capsys.readouterr().out.splitlines()) == rows + 1
     assert calls == ["eigvals", "eigvalsh"] * blocks
+
+
+def test_a_sweep_row_builds_no_design_object(monkeypatch, capsys):
+    # A row is floats from its checked (m, eta) to its printed line: no
+    # request, matrix elements or solution is built, and its integers are
+    # checked three times (m in min_feasible_even_eta, m and eta as a
+    # request's), besides --m-min and --m-max once per sweep.
+    calls = []
+    for cls, method in ((designer.DesignInput, "__post_init__"),
+                        (model.ReducedParams, "__post_init__"),
+                        (model.DesignSolution, "__init__")):
+        monkeypatch.setattr(cls, method, lambda self, *args, _name=cls.__name__,
+                            _method=getattr(cls, method), **kwargs:
+                            calls.append(_name) or _method(self, *args, **kwargs))
+    checks = []
+    check_int = model.check_int
+    for module in (model, designer):
+        monkeypatch.setattr(module, "check_int", lambda *args, **kwargs:
+                            checks.append(args[1]) or check_int(*args, **kwargs))
+    rows = cli._SWEEP_BLOCK + 3
+    assert execute(["sweep", "--m-min", "1", "--m-max", str(rows)]) == 0
+    assert len(capsys.readouterr().out.splitlines()) == rows + 1
+    assert calls == []
+    assert len(checks) <= 3 * rows + 2, len(checks) / rows
+    # The spies count: design builds each object once.
+    design(DesignInput(m=7, eta=10))
+    assert sorted(calls) == ["DesignInput", "DesignSolution", "ReducedParams"]
+
+
+@settings(deadline=None, derandomize=True, max_examples=60)
+@given(start=st.one_of(st.integers(1, 100), st.integers(1, designer.M_MAX)),
+       rows=st.integers(1, 4))
+def test_a_sweep_row_has_the_bits_of_its_design(start, rows):
+    # e, a, d, tau, |a|/sqrt(m), |d|/sqrt(m) of each row, bit for bit, are
+    # those of design's solution for its (m, minimal even eta)
+    start = min(start, designer.M_MAX - rows + 1)
+    ms = range(start, start + rows)
+    status, text = _sweep_one_stream(ms)
+    lines = text.splitlines()
+    assert status == 0 and lines[0] + "\n" == _SWEEP_HEADER and len(lines) == rows + 1
+    for m, line in zip(ms, lines[1:]):
+        eta = min_feasible_even_eta(m)
+        sol = design(DesignInput(m=m, eta=eta))
+        p, scale = sol.params, math.sqrt(m)
+        cells = line.split(",")
+        assert cells[:2] == [str(m), str(eta)]
+        assert [float(cell).hex() for cell in cells[2:]] == [
+            value.hex() for value in (p.e, p.a, p.d, sol.transfer_time, abs(p.a) / scale,
+                                      abs(p.d) / scale)]
 
 
 def test_the_root_rule_runs_twice_per_design_and_per_sweep_row(monkeypatch, capsys):

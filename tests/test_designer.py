@@ -670,12 +670,11 @@ def test_stacked_eigensolves_equal_single_calls_bit_for_bit():
         assert np.linalg.eigvalsh(matrix).tobytes() == evals.tobytes()
 
 
-def _bits(sol) -> tuple:
+def _row_bits(sol) -> tuple:
+    """The numbers of a solution that a row of design_block yields."""
     p = sol.params
-    return (p.m, sol.eta, *(float(x).hex() for x in (p.a, p.b, p.c, p.d, p.e, sol.transfer_time,
-                                                     *sol.target_spectrum, sol.root_residual,
-                                                     sol.spectrum_residual, sol.lambda_residual)),
-            sol.realized)
+    return tuple(float(x).hex() for x in (p.e, p.a, p.d, sol.root_residual,
+                                          sol.spectrum_residual, sol.lambda_residual))
 
 
 def test_design_block_equals_design_request_by_request():
@@ -686,25 +685,29 @@ def test_design_block_equals_design_request_by_request():
         eta = min(ETA_MAX, min_feasible_even_eta(m) + 2 * int(10 ** rng.uniform(0, 5)))
         policy = (SMALLEST, LARGEST)[int(rng.integers(2))]
         requests.append(DesignInput(m=m, eta=eta, root_choice=policy))
-    assert [_bits(sol) for sol in designer.design_block(requests)] == [
-        _bits(design(r)) for r in requests]
+    rows = designer.design_block([(r.m, r.eta, r.root_choice) for r in requests])
+    assert [tuple(map(float.hex, row)) for row in rows] == [_row_bits(design(r)) for r in requests]
     assert list(designer.design_block([])) == []
 
 
 @pytest.mark.parametrize("bad, error", [
-    (DesignInput(m=500, eta=2), InfeasibleDesignError),
+    ((500, 2, SMALLEST), InfeasibleDesignError),
+    ((7, 5, SMALLEST), ValueError),
+    ((M_MAX + 1, 4, LARGEST), EnvelopeError),
 ])
 def test_design_block_raises_a_failing_request_in_its_turn(bad, error):
-    # the solutions before it, then design's own error for it; none after
-    good = [DesignInput(m=m, eta=min_feasible_even_eta(m)) for m in (3, 40, 7000)]
+    # the rows before it, then design's own error for its request, which
+    # the block checks as DesignInput does; none after
+    good = [(m, min_feasible_even_eta(m), SMALLEST) for m in (3, 40, 7000)]
     with pytest.raises(error) as alone:
-        design(bad)
-    solutions = designer.design_block(good[:2] + [bad] + good[2:])
-    assert [_bits(next(solutions)) for _ in range(2)] == [_bits(design(r)) for r in good[:2]]
+        design(DesignInput(*bad))
+    rows = designer.design_block(good[:2] + [bad] + good[2:])
+    assert [tuple(map(float.hex, next(rows))) for _ in range(2)] == [
+        _row_bits(design(DesignInput(*row))) for row in good[:2]]
     with pytest.raises(error) as in_block:
-        next(solutions)
+        next(rows)
     assert str(in_block.value) == str(alone.value)
-    assert next(solutions, None) is None
+    assert next(rows, None) is None
 
 
 def test_root_choice_parse_and_select():
