@@ -11,6 +11,17 @@ exceptions) and diagonalizes only the ``(k+1)``-level bright arrowhead, built
 as the dense array it is solved as: ``O(k**3)`` for ``k`` distinct edge
 potentials (``k = 2`` for every design file) and refused above
 ``DENSE_MAX_EDGES`` groups.  The dark modes contribute in closed form.
+
+The eigensolves are LAPACK's (``np.linalg.eigh``); everything derived from
+an eigensystem one value at a time runs on Python floats off its
+``.tolist()``: a single amplitude (:meth:`EvolutionCache.amplitude`), the
+phase bound, and :func:`verify_design`'s spectrum deviation and parity rule,
+as numpy calls on a few elements cost more than their arithmetic.  Each
+reproduces the numpy expression it replaces bit for bit, NaN included
+(:func:`_max`, :func:`_argmin`); an amplitude sums its terms in numpy's
+pairwise order (:func:`_pairwise_sum`), so a printed digit does not depend
+on which computed it.  Amplitudes over a time grid
+(:meth:`EvolutionCache.amplitudes`) stay numpy.
 """
 
 from __future__ import annotations
@@ -19,6 +30,8 @@ import cmath
 import math
 from collections import Counter
 from dataclasses import dataclass
+from functools import reduce
+from operator import add
 from types import MappingProxyType
 
 import numpy as np
@@ -51,6 +64,41 @@ def _check_phases(t_abs: float, e_abs: float) -> None:
     would overflow the float range, before any phase is formed."""
     if not math.isfinite(t_abs * e_abs):
         raise ValueError(f"times up to {t_abs!r} give phases t*E beyond the float range")
+
+
+def _max(values: list[float]) -> float:
+    """``np.max(values)``: NaN if a value is NaN, else the largest.  Plain
+    ``max`` keeps a NaN only when it comes first."""
+    return math.nan if any(map(math.isnan, values)) else max(values)
+
+
+def _argmin(values: list[float]) -> int:
+    """``np.argmin(values)``: the first NaN if there is one, else the first smallest."""
+    nan = list(map(math.isnan, values))
+    return nan.index(True) if True in nan else values.index(min(values))
+
+
+def _pairwise_sum(terms: list[complex]) -> complex:
+    """``complex(np.sum(np.array(terms)))`` bit for bit, by numpy's pairwise
+    summation of a contiguous complex array: fewer than 4 terms in order; up
+    to 64 in four lanes of every fourth term, joined as
+    ``(l0 + l1) + (l2 + l3)``, then the remaining ``n % 4`` in order; more
+    than 64 as the sums of the first ``n // 8 * 4`` and of the rest.  A
+    different order moves the last bit, and with it the ``.6e`` deviations
+    that ``verify`` prints.  numpy adds its identity ``+0.0`` to the whole
+    sum last, which turns a sum of ``-0.0`` into ``+0.0``; adding ``0j``
+    where a short run starts and where the four lanes join does the same,
+    and no nonzero sum depends on the sign of a zero."""
+    # reduce(add), not sum(): newer Pythons' sum() compensates its rounding.
+    n = len(terms)
+    if n > 64:
+        return _pairwise_sum(terms[:n // 8 * 4]) + _pairwise_sum(terms[n // 8 * 4:])
+    if n < 4:
+        return reduce(add, terms, 0j)
+    l0, l1, l2, l3 = terms[:4]
+    for i in range(4, n - n % 4, 4):
+        l0, l1, l2, l3 = l0 + terms[i], l1 + terms[i + 1], l2 + terms[i + 2], l3 + terms[i + 3]
+    return reduce(add, terms[n - n % 4:], 0j + ((l0 + l1) + (l2 + l3)))
 
 
 @dataclass(frozen=True)
@@ -90,16 +138,24 @@ class EvolutionCache:
 
     @property
     def _e_abs(self) -> float:
-        """The largest eigenvalue magnitude, which bounds every phase."""
-        return float(np.abs(self.eigenvalues).max(initial=0.0))
+        """The largest eigenvalue magnitude, which bounds every phase: NaN if
+        an eigenvalue is, so that :func:`_check_phases` refuses it."""
+        return _max([abs(lam) for lam in self.eigenvalues.tolist()])
 
     def amplitude(self, t: float, src: int, dst: int) -> complex:
-        """``<dst| exp(-i H t) |src>``; refused like :meth:`amplitudes`."""
+        """``<dst| exp(-i H t) |src>``; refused like :meth:`amplitudes`.
+
+        On Python floats off the rows ``dst`` and ``src``: the sum over
+        modes ``k`` of ``(v[dst][k] * v[src][k]) * cmath.exp(-1j * E_k * t)``
+        in numpy's pairwise order (:func:`_pairwise_sum`), which equals
+        ``np.sum(v[dst] * v[src] * np.exp(-1j * E * t))`` bit for bit.
+        """
         src, dst = _check_states(self.dimension, src, dst)
         t = float(t)
         _check_phases(abs(t), self._e_abs)
-        weights = self.eigenvectors[dst] * self.eigenvectors[src]
-        return complex(np.sum(weights * np.exp(-1j * self.eigenvalues * t)))
+        rows = self.eigenvectors[dst].tolist(), self.eigenvectors[src].tolist()
+        return _pairwise_sum([(a * b) * cmath.exp(-1j * lam * t)
+                              for a, b, lam in zip(*rows, self.eigenvalues.tolist())])
 
     def amplitudes(self, t_grid, src: int, dst: int) -> np.ndarray:
         """Transition amplitudes over a whole grid.
@@ -301,11 +357,15 @@ def transfer_time_grid(tau: float, t_max: float | None = None, steps: int = 1000
 def _parity_pattern_ok(cache: EvolutionCache, e_value: float) -> bool:
     """Every parity within 1e-6 of +-1, one negative, on the mode closest to ``e_value``.
     Eigenvector v has parity v.Pv = 1 - (v[2] - v[3])**2 under the 2<->3 swap: exact,
-    as the matrix commutes with the swap and a design's eigenvalue gaps are >= |e|."""
-    parities = 1.0 - (cache.eigenvectors[2] - cache.eigenvectors[3]) ** 2
-    closest_to_e = int(np.argmin(np.abs(cache.eigenvalues - e_value)))
-    return bool(np.max(np.abs(np.abs(parities) - 1.0)) <= 1e-6 and np.sum(parities < 0) == 1
-                and np.argmin(parities) == closest_to_e)
+    as the matrix commutes with the swap and a design's eigenvalue gaps are >= |e|.
+    On Python floats off the eigenvalues and rows 2 and 3, with numpy's
+    outcome for every input, NaN included: a NaN parity fails the rule, and
+    a NaN eigenvalue is the closest to any ``e_value``, as ``np.argmin`` has it."""
+    row2, row3 = cache.eigenvectors[2].tolist(), cache.eigenvectors[3].tolist()
+    parities = [1.0 - (a - b) * (a - b) for a, b in zip(row2, row3)]
+    closest_to_e = _argmin([abs(lam - e_value) for lam in cache.eigenvalues.tolist()])
+    return (all(abs(abs(p) - 1.0) <= 1e-6 for p in parities)
+            and sum(p < 0 for p in parities) == 1 and _argmin(parities) == closest_to_e)
 
 
 def verify_design(sol: DesignSolution, tol: float = DEFAULT_VERIFY_TOL,
@@ -330,14 +390,23 @@ def verify_design(sol: DesignSolution, tol: float = DEFAULT_VERIFY_TOL,
     (``tests/test_cli.py::test_every_command_is_constant_time_in_m`` counts
     the calls of ``verify`` at m = 10**4 and 10**6).
     A NaN, infinite or negative ``tol`` raises ``ValueError``.
+
+    The two eigensolves are LAPACK's.  All that follows them runs on Python
+    floats: the spectrum deviation, both amplitudes
+    (:meth:`EvolutionCache.amplitude`, summed in numpy's pairwise order so
+    that the printed ``.6e`` deviations keep their last digits) and the
+    parity rule (:func:`_parity_pattern_ok`).  Each gives the bits of the
+    numpy expression it replaces, NaN included: a NaN eigenvalue makes the
+    deviation NaN, and the phase bound then refuses the transfer time.
     """
     tol = float(tol)
     if not 0.0 <= tol < math.inf:
         raise ValueError(f"tol must be finite and non-negative, got {tol!r}")
     params = sol.params
     cache4 = EvolutionCache.from_symmetric(reduced_matrix(params))
-    wanted = np.sort(np.asarray(sol.target_spectrum, dtype=float))
-    spectrum_deviation = float(np.max(np.abs(cache4.eigenvalues - wanted)))
+    evals = cache4.eigenvalues.tolist()
+    spectrum_deviation = _max([abs(lam - want) for lam, want in
+                               zip(evals, sorted(sol.target_spectrum))])
 
     tau = sol.transfer_time
     amp_reduced = cache4.amplitude(tau, 2, 3)
@@ -364,5 +433,5 @@ def verify_design(sol: DesignSolution, tol: float = DEFAULT_VERIFY_TOL,
         parity_check=parity_check,
         passed=passed,
         tolerance=tol,
-        eigenvalues=tuple(cache4.eigenvalues.tolist()),
+        eigenvalues=tuple(evals),
     )

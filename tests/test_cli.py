@@ -432,14 +432,66 @@ def test_design_residuals_are_computed_once_per_design_and_never_on_read(tmp_pat
 
 
 def test_verify_solves_the_four_level_matrix_once(tmp_path, monkeypatch, capsys):
-    shapes = []
-    for name in ("eigh", "eigvalsh"):
-        monkeypatch.setattr(np.linalg, name, lambda h, *args, _solve=getattr(np.linalg, name):
-                            shapes.append(np.shape(h)) or _solve(h, *args))
+    shapes = {"eigh": [], "eigvalsh": [], "eigvals": []}
+    for name, solved in shapes.items():
+        monkeypatch.setattr(np.linalg, name, lambda h, *args, _solve=getattr(np.linalg, name),
+                            _solved=solved: _solved.append(np.shape(h)) or _solve(h, *args))
+    # Everything after the eigensolves runs on Python floats: dynamics calls
+    # none of numpy's exp, sum, sort, argmin or max.
+    from_dynamics = []
+    for name in ("exp", "sum", "sort", "argmin", "max"):
+        def counted(*args, _call=getattr(np, name), _name=name, **kwargs):
+            if sys._getframe(1).f_globals.get("__name__") == "spinstar.dynamics":
+                from_dynamics.append(_name)
+            return _call(*args, **kwargs)
+        monkeypatch.setattr(np, name, counted)
     # m = 7: the full star's eigensolves are at most 3x3, none 4x4
     assert execute(["verify", "--design", str(GOLDEN / "retarget_m7_to5.json")]) == 0
     assert capsys.readouterr().out == (GOLDEN / "verify_m7_to5.txt").read_text()
-    assert shapes.count((4, 4)) == 1, shapes
+    assert shapes["eigh"].count((4, 4)) == 1 and len(shapes["eigh"]) == 2, shapes
+    # the companion eigvals of the file's claimed root
+    assert len(shapes["eigvals"]) == 1 and not shapes["eigvalsh"], shapes
+    assert from_dynamics == []
+
+
+_NAN_REPORT_TAIL = """  fidelity at tau     : nan
+  phase deviation     : nan
+  reduction deviation : nan
+  parity check        : FAILED
+  result              : FAIL
+"""
+
+
+@pytest.mark.parametrize("where, index, refused", [
+    # the phase bound is NaN, which refuses the transfer time
+    ("eigenvalues", 3, True),
+    # a NaN amplitude and parity: a report that fails
+    ("eigenvectors", (2, 3), False),
+], ids=["eigenvalue", "eigenvector"])
+def test_verify_carries_a_nan_from_the_four_level_eigensolve(monkeypatch, capsys, where, index,
+                                                             refused):
+    argv = ["verify", "--design", str(GOLDEN / "design_m2_smallest.json")]
+    assert execute(argv) == 0
+    # the header and the spectrum deviation, which a NaN eigenvector leaves as they are
+    head = "".join(capsys.readouterr().out.splitlines(keepends=True)[:2])
+    # A NaN that is not the first value: max() alone would skip it.
+    solve = np.linalg.eigh
+
+    def with_nan(h, *args):
+        result = solve(h, *args)
+        if np.shape(h) != (4, 4):
+            return result
+        parts = {"eigenvalues": result[0].copy(), "eigenvectors": result[1].copy()}
+        parts[where][index] = np.nan
+        return parts["eigenvalues"], parts["eigenvectors"]
+
+    monkeypatch.setattr(np.linalg, "eigh", with_nan)
+    status = execute(argv)
+    if refused:
+        want = "", "error: times up to 6.083668013960418 give phases t*E beyond the float range\n"
+    else:
+        want = head + _NAN_REPORT_TAIL, ""
+    assert (status, *capsys.readouterr()) == (1, *want)
 
 
 def test_a_parsed_design_is_a_routing_state(design_file):

@@ -2,11 +2,12 @@
 
 import dataclasses
 import math
+import random
 import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from spinstar import (
@@ -24,16 +25,24 @@ from spinstar import (
     build_arrowhead,
     design,
     fidelity_trace,
+    min_feasible_even_eta,
     reduced_matrix,
     retarget,
     solve_e,
     transfer_time_grid,
     verify_design,
 )
-from spinstar.dynamics import _parity_pattern_ok
+from spinstar.dynamics import _pairwise_sum, _parity_pattern_ok
 from spinstar.model import routed_star
 
-from oracle import exchange_operator, exchange_parities, transition_amplitude
+from oracle import (
+    eigen_amplitude,
+    exchange_operator,
+    exchange_parities,
+    parity_pattern_ok,
+    transition_amplitude,
+    verification_report,
+)
 
 
 def _random_symmetric_matrix(rng, dim):
@@ -501,6 +510,96 @@ def test_parity_pattern_matches_exchange_parities():
             assert _parity_pattern_ok(cache, value) == want
 
 
+def test_parity_pattern_is_numpys_with_a_nan():
+    # NaN in each eigenvalue and each eigenvector entry, and as e_value: a
+    # NaN eigenvalue is the closest to e, as np.argmin has it, so the rule
+    # holds when it sits at the antisymmetric mode.
+    cache, e, _ = _design_cache()
+    outcomes = set()
+    for index in [*range(4), *np.ndindex(4, 4)]:
+        evals, vecs = cache.eigenvalues.copy(), cache.eigenvectors.copy()
+        (evals if isinstance(index, int) else vecs)[index] = np.nan
+        with_nan = EvolutionCache(evals, vecs)
+        for value in (e, *cache.eigenvalues.tolist(), math.nan):
+            want = parity_pattern_ok(evals, vecs, value)
+            assert _parity_pattern_ok(with_nan, value) == want, (index, value)
+            outcomes.add(want)
+    assert outcomes == {False, True}
+
+
+def _bits(value):
+    """``value`` with every float, also inside tuples, as its hex: equal
+    bits compare equal, NaN and signed zeros included."""
+    if isinstance(value, float):
+        return value.hex()
+    return tuple(map(_bits, value)) if isinstance(value, tuple) else value
+
+
+@settings(deadline=None, derandomize=True, max_examples=200)
+@given(n=st.one_of(st.integers(1, 139), st.sampled_from([255, 256, 257, 1000, 4097])),
+       seed=st.integers(0, 2**32 - 1), zeros=st.sampled_from([0.0, 0.5, 1.0]),
+       negative=st.booleans())
+@example(n=5, seed=0, zeros=1.0, negative=True)
+def test_pairwise_sum_is_numpys_bit_for_bit(n, seed, zeros, negative):
+    # Parts spread over 40 decades, so that any other order of additions
+    # shows in the last bits, and a share ``zeros`` of them zeros of either
+    # sign, or all -0.0, whose sum numpy makes +0.0.
+    rng = np.random.default_rng(seed)
+    parts = np.abs(rng.standard_normal((n, 2))) * 10.0 ** rng.integers(-20, 20, (n, 2))
+    parts[rng.random((n, 2)) < zeros] = 0.0
+    signs = -1.0 if negative else rng.choice([-1.0, 1.0], (n, 2))
+    terms = (parts * signs).view(complex).ravel()
+    got, want = _pairwise_sum(terms.tolist()), complex(np.sum(terms))
+    assert _bits((got.real, got.imag)) == _bits((want.real, want.imag))
+
+
+@settings(deadline=None, derandomize=True, max_examples=150)
+@given(dim=st.one_of(st.integers(1, 3), st.integers(4, 64), st.integers(65, 150)),
+       seed=st.integers(0, 2**32 - 1), scale=st.floats(1e-3, 1e3),
+       zeros=st.sampled_from([0.0, 0.5, 1.0]), t=st.floats(-1e3, 1e3),
+       states=st.tuples(st.integers(0, 149), st.integers(0, 149)))
+@example(dim=3, seed=0, scale=1.0, zeros=1.0, t=-0.0, states=(0, 1))
+@example(dim=4, seed=0, scale=1.0, zeros=1.0, t=-0.0, states=(0, 1))
+@example(dim=64, seed=1, scale=1.0, zeros=0.0, t=2.5, states=(3, 60))
+@example(dim=65, seed=2, scale=1.0, zeros=0.0, t=2.5, states=(64, 0))
+def test_amplitude_is_numpys_bit_for_bit(dim, seed, scale, zeros, t, states):
+    # Dimensions 1-3, 4-64 and beyond: each branch of the pairwise sum.  A
+    # share ``zeros`` of the couplings is zeroed, and eigenvectors flip sign
+    # at random, so that terms and amplitudes vanish with either sign of zero.
+    rng = np.random.default_rng(seed)
+    h = scale * _random_symmetric_matrix(rng, dim)
+    off = np.triu(rng.random((dim, dim)) < zeros, 1)
+    h[off | off.T] = 0.0
+    solved = EvolutionCache.from_symmetric(h)
+    cache = EvolutionCache(solved.eigenvalues, solved.eigenvectors * rng.choice([-1.0, 1.0], dim))
+    src, dst = (state % dim for state in states)
+    for when in (0.0, math.pi / scale, t):
+        got = cache.amplitude(when, src, dst)
+        want = eigen_amplitude(cache.eigenvalues, cache.eigenvectors, when, src, dst)
+        assert _bits((got.real, got.imag)) == _bits((want.real, want.imag))
+
+
+@settings(deadline=None, derandomize=True, max_examples=120)
+@given(m=st.one_of(st.integers(1, 12), st.integers(1, 10**6)), extra=st.integers(0, 20),
+       policy=st.sampled_from([SMALLEST, LARGEST]), target=st.integers(0, 10**6),
+       nudged=st.integers(0, 100), seed=st.integers(0, 2**32 - 1))
+def test_verify_design_report_is_numpys_bit_for_bit(m, extra, policy, target, nudged, seed):
+    # A design, retargeted, with up to 100 bystanders moved within the route
+    # rule to distinct values, each a distinct group of the bright arrowhead.
+    sol = design(DesignInput(m=m, eta=min_feasible_even_eta(m) + 2 * extra, root_choice=policy))
+    state = retarget(RoutingState(sol, 1, 2, sol.realized), 2 + target % (m + 1))
+    rng, d = random.Random(seed), sol.params.d
+    nodes = [j for j in rng.sample(range(1, m + 3), min(m + 2, nudged + 2))
+             if j not in (state.source, state.target)][:nudged]
+    edited = state.realized_spec.replace(
+        {j: d + rng.choice((-k, k)) * math.ulp(d) for k, j in enumerate(nodes, 1)})
+    for star, route in ((sol.realized, (1, 2)), (state.realized_spec, (state.source, state.target)),
+                        (edited, (state.source, state.target))):
+        got = verify_design(sol, tol=1e-9, spec=star, source=route[0], target=route[1])
+        want = verification_report(sol, 1e-9, star, *route)
+        assert _bits(dataclasses.astuple(got)) == _bits(dataclasses.astuple(want))
+
+
 def test_verify_design_evolves_the_given_star_and_route():
     sol = design(DesignInput(m=3, eta=6))
     moved = retarget(RoutingState(sol, 1, 2, sol.realized), 4).realized_spec
@@ -529,8 +628,6 @@ def test_verify_design_detects_detuned_potential():
 
 def test_phase_cancellation_at_transfer_time():
     rng = np.random.default_rng(19)
-    from spinstar import min_feasible_even_eta
-
     for _ in range(10):
         m = int(rng.integers(1, 101))
         eta = min_feasible_even_eta(m) + 2 * int(rng.integers(0, 6))
